@@ -16,12 +16,18 @@ Cell kinds
     One Figure-4 scheme (XOR / odd-multiplier / prime-modulo / Givargis /
     Givargis-XOR) over a direct-mapped cache; trainable schemes are fitted
     on the profiling trace inside the worker (deterministic given seeds).
+    ``Patel_train`` / ``Patel_transfer`` are Patel's bounded index search
+    (``max_swap_moves`` in the params), fitted on the evaluation trace and
+    on the profiling trace respectively.
 ``progassoc``
     One Figure-6 programmable-associativity model (adaptive / B-cache /
-    column-associative).  B-cache and column-associative route through the
-    set-decomposed :mod:`repro.core.fastassoc` engine under
-    ``config.engine == "auto"``; the adaptive cache's SHT/OUT state is
-    global, so it always takes the sequential reference loop.
+    column-associative).  ``Adaptive_Cache:<scheme>`` (e.g.
+    ``Adaptive_Cache:xor``) is the adaptive cache under an untrainable
+    primary index instead of modulo; the bare label stays the modulo one.
+    All models route through :mod:`repro.core.fastassoc` under
+    ``config.engine == "auto"``: B-cache and column-associative decompose
+    by set; the adaptive cache's SHT/OUT state is global, so it takes the
+    hoisted sequential replay.
 ``colassoc``
     Figure-8 column-associative cache with a non-conventional primary
     index; label ``ColAssoc_Base`` is the conventionally-indexed baseline.
@@ -70,7 +76,7 @@ import time
 from dataclasses import dataclass
 
 from ...core.aux import AUX_COMBOS, simulate_aux
-from ...core.caches import ColumnAssociativeCache
+from ...core.caches import AdaptiveGroupAssociativeCache, ColumnAssociativeCache
 from ...core.fastassoc import simulate_progassoc
 from ...core.fastpolicy import simulate_policy_set_associative
 from ...core.replacement import POLICIES
@@ -79,6 +85,7 @@ from ...core.indexing import (
     GivargisXorIndexing,
     ModuloIndexing,
     OddMultiplierIndexing,
+    PatelIndexing,
     PrimeModuloIndexing,
     XorIndexing,
 )
@@ -125,6 +132,13 @@ _WAYS_LABELS = {"2way": 2, "4way": 4, "8way": 8}
 #: Indexing-cell labels that require an off-line profiling (training) run.
 _TRAINABLE_LABELS = frozenset({"Givargis", "Givargis_Xor"})
 
+#: Indexing-cell labels of Patel's bounded search, and its swap budget.
+_PATEL_LABELS = frozenset({"Patel_train", "Patel_transfer"})
+_PATEL_SWAP_MOVES = 16
+
+#: Indexing-cell labels fitted on the profiling trace.
+_PROFILED_LABELS = _TRAINABLE_LABELS | {"Patel_transfer"}
+
 #: Schemes a ``policysweep`` or ``auxsweep`` label may name.  Untrainable
 #: only: every member must see the same index stream with no profiling run.
 _POLICY_SCHEMES = ("modulo", "xor", "odd_multiplier", "prime_modulo")
@@ -154,6 +168,21 @@ def _parse_policy_label(label: str) -> tuple[str, str]:
             f"unknown replacement policy {policy!r}; known: {sorted(POLICIES)}"
         )
     return scheme_name, policy
+
+
+def _parse_progassoc_label(label: str) -> tuple[str, str | None]:
+    """``"Adaptive_Cache:xor"`` → ``("Adaptive_Cache", "xor")``; a bare
+    model label → ``(label, None)``.  Raises on a scheme suffix anywhere
+    but the adaptive cache, or on an unknown scheme."""
+    model, sep, scheme_name = label.partition(":")
+    if not sep:
+        return label, None
+    if model != "Adaptive_Cache" or scheme_name not in _POLICY_SCHEMES:
+        raise ValueError(
+            f"unknown programmable-associativity label {label!r} (only "
+            f"'Adaptive_Cache:<scheme>' takes a scheme; known: {_POLICY_SCHEMES})"
+        )
+    return model, scheme_name
 
 
 def _parse_aux_label(label: str) -> tuple[str, str, int]:
@@ -226,13 +255,18 @@ def make_cell(kind: str, workload: str, label: str, config: PaperConfig) -> SimC
     if kind == "indexing":
         if label == "Odd_Multiplier":
             params.append(("odd_multiplier", config.odd_multiplier))
-        if label in _TRAINABLE_LABELS:
+        if label in _PATEL_LABELS:
+            params.append(("max_swap_moves", _PATEL_SWAP_MOVES))
+        if label in _PROFILED_LABELS:
             needs_profile = True
             params.append(("profile_seed_offset", config.profile_seed_offset))
     elif kind == "progassoc":
-        if label == "Adaptive_Cache":
+        model, scheme_name = _parse_progassoc_label(label)
+        if model == "Adaptive_Cache":
             params.append(("sht_fraction", config.sht_fraction))
             params.append(("out_fraction", config.out_fraction))
+            if scheme_name == "odd_multiplier":
+                params.append(("odd_multiplier", config.odd_multiplier))
         elif label == "B_Cache":
             params.append(("mapping_factor", config.bcache_mapping_factor))
             params.append(("bas", config.bcache_bas))
@@ -327,7 +361,11 @@ def _trace_at(path, name: str, config: PaperConfig | None = None):
     return arena.get(path, name)
 
 
-def _build_indexing_scheme(cell: SimCell, config: PaperConfig, profile_path=None):
+def _build_indexing_scheme(
+    cell: SimCell, config: PaperConfig, profile_path=None, trace=None
+):
+    """The scheme an ``indexing`` cell names; ``trace`` (the evaluation
+    trace) is needed only by ``Patel_train``, which is fitted on it."""
     g = config.geometry
     if cell.label == "XOR":
         return XorIndexing(g)
@@ -335,16 +373,38 @@ def _build_indexing_scheme(cell: SimCell, config: PaperConfig, profile_path=None
         return OddMultiplierIndexing(g, config.odd_multiplier)
     if cell.label == "Prime_Modulo":
         return PrimeModuloIndexing(g)
-    if cell.label in _TRAINABLE_LABELS:
+    if cell.label == "Patel_train":
+        return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES).fit(trace.addresses)
+    if cell.label in _PROFILED_LABELS:
         if profile_path is not None:
             fit_addrs = _trace_at(profile_path, cell.workload, config).addresses
         else:
             from ..runner import profile_trace
 
             fit_addrs = profile_trace(cell.workload, config).addresses
+        if cell.label == "Patel_transfer":
+            return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES).fit(fit_addrs)
         cls = GivargisIndexing if cell.label == "Givargis" else GivargisXorIndexing
         return cls(g).fit(fit_addrs)
     raise ValueError(f"unknown indexing-cell label {cell.label!r}")
+
+
+def _build_progassoc_cache(cell: SimCell, config: PaperConfig):
+    """A fresh cache for a ``progassoc`` cell (see :func:`_parse_progassoc_label`)."""
+    model, scheme_name = _parse_progassoc_label(cell.label)
+    if scheme_name is not None:
+        return AdaptiveGroupAssociativeCache(
+            config.geometry,
+            indexing=_untrainable_scheme(scheme_name, config),
+            sht_fraction=config.sht_fraction,
+            out_fraction=config.out_fraction,
+        )
+    from ..runner import progassoc_lineup
+
+    try:
+        return progassoc_lineup(config)[model]()
+    except KeyError:
+        raise ValueError(f"unknown programmable-associativity label {cell.label!r}") from None
 
 
 def _build_colassoc_index(cell: SimCell, config: PaperConfig):
@@ -435,7 +495,7 @@ def execute_cell(
     warm cache, and the raw format round-trips every field byte-for-byte
     (``tests/trace/test_raw_format.py``).
     """
-    from ..runner import progassoc_lineup, workload_trace
+    from ..runner import workload_trace
 
     if trace_path is not None:
         trace = _trace_at(trace_path, cell.workload, config)
@@ -447,7 +507,7 @@ def execute_cell(
             return simulate_set_associative(ModuloIndexing(g), trace, g)
         return simulate_indexing(ModuloIndexing(g), trace, g)
     if cell.kind == "indexing":
-        scheme = _build_indexing_scheme(cell, config, profile_path)
+        scheme = _build_indexing_scheme(cell, config, profile_path, trace)
         if g.ways != 1:
             return simulate_set_associative(scheme, trace, g)
         return simulate_indexing(scheme, trace, g)
@@ -479,11 +539,8 @@ def execute_cell(
     if cell.kind in ("setassoc", "bounds"):
         return _execute_bounds_cell(cell, trace, config)
     if cell.kind == "progassoc":
-        try:
-            factory = progassoc_lineup(config)[cell.label]
-        except KeyError:
-            raise ValueError(f"unknown programmable-associativity label {cell.label!r}") from None
-        return simulate_progassoc(factory(), trace, engine=config.engine)
+        cache = _build_progassoc_cache(cell, config)
+        return simulate_progassoc(cache, trace, engine=config.engine)
     if cell.kind == "colassoc":
         indexing = _build_colassoc_index(cell, config)
         cache = ColumnAssociativeCache(

@@ -15,70 +15,33 @@ caches, all as % miss reduction vs conventional direct-mapped.
 
 from __future__ import annotations
 
-from ..core.caches import (
-    AdaptiveGroupAssociativeCache,
-    BalancedCache,
-    ColumnAssociativeCache,
-)
-from ..core.simulator import simulate
-from ..core.uniformity import percent_reduction
 from ..workloads.hpc import HPC_ORDER
 from .config import PaperConfig
 from .report import ExperimentResult
-from .runner import baseline_result, indexing_lineup, profile_trace, register_experiment, workload_trace
-from ..core.simulator import simulate_indexing
+from .runner import add_reduction_rows, register_experiment
 
 __all__ = ["run_ext_hpc"]
+
+#: Column → engine cell ``(kind, label)``: fig4's schemes and fig6's models.
+_COLUMNS = {
+    "XOR": ("indexing", "XOR"),
+    "Odd_Multiplier": ("indexing", "Odd_Multiplier"),
+    "Prime_Modulo": ("indexing", "Prime_Modulo"),
+    "Givargis": ("indexing", "Givargis"),
+    "Adaptive": ("progassoc", "Adaptive_Cache"),
+    "B_Cache": ("progassoc", "B_Cache"),
+    "ColAssoc": ("progassoc", "Column_associative"),
+}
 
 
 @register_experiment("ext-hpc")
 def run_ext_hpc(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
-    columns = [
-        "XOR",
-        "Odd_Multiplier",
-        "Prime_Modulo",
-        "Givargis",
-        "Adaptive",
-        "B_Cache",
-        "ColAssoc",
-    ]
     result = ExperimentResult(
         experiment_id="ext-hpc",
         title="% miss reduction vs DM on HPC kernels (the paper's announced next suite)",
-        columns=columns,
+        columns=list(_COLUMNS),
     )
-    for bench in HPC_ORDER:
-        trace = workload_trace(bench, config)
-        base = baseline_result(trace, config)
-        schemes = indexing_lineup(g, trace, config, train_trace=profile_trace(bench, config))
-        row = {}
-        for label in ("XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis"):
-            sim = simulate_indexing(schemes[label], trace, g)
-            row[label] = percent_reduction(sim.misses, base.misses)
-        row["Adaptive"] = percent_reduction(
-            simulate(
-                AdaptiveGroupAssociativeCache(
-                    g, sht_fraction=config.sht_fraction, out_fraction=config.out_fraction
-                ),
-                trace,
-            ).misses,
-            base.misses,
-        )
-        row["B_Cache"] = percent_reduction(
-            simulate(
-                BalancedCache(
-                    g, mapping_factor=config.bcache_mapping_factor, bas=config.bcache_bas
-                ),
-                trace,
-            ).misses,
-            base.misses,
-        )
-        row["ColAssoc"] = percent_reduction(
-            simulate(ColumnAssociativeCache(g), trace).misses, base.misses
-        )
-        result.add_row(bench, row)
-    result.add_average_row()
+    add_reduction_rows(result, HPC_ORDER, _COLUMNS, config)
     result.note("stream/transpose/jacobi: the power-of-2 pathologies hashing fixes")
     result.note("histogram/spmv: random scatter — placement-insensitive controls")
     return result

@@ -11,64 +11,47 @@ scale.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ..core.caches import (
-    AdaptiveGroupAssociativeCache,
-    ColumnAssociativeCache,
-    VictimCache,
-)
-from ..core.indexing import (
-    IndexingScheme,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from ..core.simulator import simulate
-from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
 from .report import ExperimentResult
-from .runner import baseline_result, register_experiment, workload_trace
+from .runner import add_reduction_rows, register_experiment
 
 __all__ = ["run_ext_hybrid"]
 
-_ARCHITECTURES: dict[str, Callable] = {
-    "ColAssoc": ColumnAssociativeCache,
-    "Adaptive": AdaptiveGroupAssociativeCache,
-    "Victim": VictimCache,
-}
 
-_INDEXES: dict[str, Callable] = {
-    "modulo": ModuloIndexing,
-    "xor": XorIndexing,
-    "odd": lambda g: OddMultiplierIndexing(g, 9),
-    "prime": PrimeModuloIndexing,
-}
+def _columns(config: PaperConfig) -> dict[str, tuple[str, str]]:
+    """Column → engine cell ``(kind, label)``.
+
+    The modulo column reuses fig6's labels, so it shares fig6's result-store
+    entries; the victim row is the aux replay's ``vc`` combo holding
+    ``config.victim_lines`` lines.
+    """
+    vc = config.victim_lines
+    return {
+        "ColAssoc+modulo": ("progassoc", "Column_associative"),
+        "ColAssoc+xor": ("colassoc", "ColAssoc_XOR"),
+        "ColAssoc+odd": ("colassoc", "ColAssoc_Odd_Multiplier"),
+        "ColAssoc+prime": ("colassoc", "ColAssoc_Prime_Modulo"),
+        "Adaptive+modulo": ("progassoc", "Adaptive_Cache"),
+        "Adaptive+xor": ("progassoc", "Adaptive_Cache:xor"),
+        "Adaptive+odd": ("progassoc", "Adaptive_Cache:odd_multiplier"),
+        "Adaptive+prime": ("progassoc", "Adaptive_Cache:prime_modulo"),
+        "Victim+modulo": ("auxsweep", f"modulo:vc{vc}"),
+        "Victim+xor": ("auxsweep", f"xor:vc{vc}"),
+        "Victim+odd": ("auxsweep", f"odd_multiplier:vc{vc}"),
+        "Victim+prime": ("auxsweep", f"prime_modulo:vc{vc}"),
+    }
 
 
 @register_experiment("ext-hybrid")
 def run_ext_hybrid(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
-    columns = [f"{a}+{i}" for a in _ARCHITECTURES for i in _INDEXES]
+    columns = _columns(config)
     result = ExperimentResult(
         experiment_id="ext-hybrid",
         title="% miss reduction vs DM: programmable associativity x indexing",
-        columns=columns,
+        columns=list(columns),
     )
-    for bench in MIBENCH_ORDER:
-        trace = workload_trace(bench, config)
-        base = baseline_result(trace, config)
-        row = {}
-        for arch_name, arch in _ARCHITECTURES.items():
-            for idx_name, idx in _INDEXES.items():
-                scheme: IndexingScheme = idx(g)
-                cache = arch(g, indexing=scheme)
-                res = simulate(cache, trace)
-                row[f"{arch_name}+{idx_name}"] = percent_reduction(res.misses, base.misses)
-        result.add_row(bench, row)
-    result.add_average_row()
+    add_reduction_rows(result, MIBENCH_ORDER, columns, config)
     result.note("generalises the paper's Figure 8 beyond the column-associative cache")
     return result
 

@@ -16,52 +16,34 @@ profile-transfer caveats on a different input.
 
 from __future__ import annotations
 
-from ..core.indexing import GivargisIndexing, ModuloIndexing, PatelIndexing, XorIndexing
-from ..core.simulator import simulate_indexing
-from ..core.uniformity import percent_reduction
 from .config import PaperConfig
 from .report import ExperimentResult
-from .runner import profile_trace, register_experiment, workload_trace
+from .runner import add_reduction_rows, register_experiment
 
 __all__ = ["run_ext_patel"]
 
 #: A subset of benchmarks keeps the search affordable.
 PATEL_BENCHES = ["fft", "crc", "patricia", "dijkstra"]
 
+#: Column → engine cell ``(kind, label)``.  ``Patel_train`` is fitted on the
+#: evaluation trace itself (the upper bound the original authors target),
+#: ``Patel_transfer`` on the profiling input (deployment reality).
+_COLUMNS = {
+    "XOR": ("indexing", "XOR"),
+    "Givargis": ("indexing", "Givargis"),
+    "Patel_train": ("indexing", "Patel_train"),
+    "Patel_transfer": ("indexing", "Patel_transfer"),
+}
+
 
 @register_experiment("ext-patel")
 def run_ext_patel(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
     result = ExperimentResult(
         experiment_id="ext-patel",
         title="% miss reduction vs conventional: Patel bounded search",
-        columns=["XOR", "Givargis", "Patel_train", "Patel_transfer"],
+        columns=list(_COLUMNS),
     )
-    for bench in PATEL_BENCHES:
-        trace = workload_trace(bench, config)
-        train = profile_trace(bench, config)
-        base = simulate_indexing(ModuloIndexing(g), trace, g)
-        row = {}
-        row["XOR"] = percent_reduction(
-            simulate_indexing(XorIndexing(g), trace, g).misses, base.misses
-        )
-        row["Givargis"] = percent_reduction(
-            simulate_indexing(GivargisIndexing(g).fit(train.addresses), trace, g).misses,
-            base.misses,
-        )
-        # Patel fitted on the evaluation trace itself (the upper bound the
-        # original authors target)...
-        patel_self = PatelIndexing(g, max_swap_moves=16).fit(trace.addresses)
-        row["Patel_train"] = percent_reduction(
-            simulate_indexing(patel_self, trace, g).misses, base.misses
-        )
-        # ...and fitted on the profiling input (deployment reality).
-        patel_xfer = PatelIndexing(g, max_swap_moves=16).fit(train.addresses)
-        row["Patel_transfer"] = percent_reduction(
-            simulate_indexing(patel_xfer, trace, g).misses, base.misses
-        )
-        result.add_row(bench, row)
-    result.add_average_row()
+    add_reduction_rows(result, PATEL_BENCHES, _COLUMNS, config)
     result.note("Patel_train minimises the exact objective it is scored on")
     result.note("the paper skipped Patel as intractable; this is the bounded variant")
     return result

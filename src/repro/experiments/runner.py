@@ -2,9 +2,8 @@
 
 Each figure module registers a runner ``(PaperConfig) -> ExperimentResult``
 under its id ("fig1" ... "fig14").  This module adds the pieces they share:
-cached workload traces, fitted trainable schemes, the standard scheme and
-cache-model line-ups, and the sequential-simulation helper with the
-geometry's paper defaults.
+cached workload traces, the Figure-6 cache-model line-up, and the engine
+run behind every "% miss reduction vs direct-mapped" table.
 """
 
 from __future__ import annotations
@@ -13,27 +12,17 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from ..core.address import CacheGeometry
 from ..core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
     ColumnAssociativeCache,
-    DirectMappedCache,
 )
-from ..core.indexing import (
-    GivargisIndexing,
-    GivargisXorIndexing,
-    IndexingScheme,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from ..core.simulator import SimulationResult, simulate, simulate_indexing
+from ..core.uniformity import percent_reduction
 from ..trace.event import Trace
 from ..trace.io import TraceCache
 from ..workloads import get_workload
 from .config import PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
 
 __all__ = [
@@ -44,9 +33,8 @@ __all__ = [
     "workload_trace",
     "workload_trace_path",
     "profile_trace_path",
-    "indexing_lineup",
     "progassoc_lineup",
-    "baseline_result",
+    "add_reduction_rows",
 ]
 
 EXPERIMENT_REGISTRY: dict[str, Callable[[PaperConfig], ExperimentResult]] = {}
@@ -159,24 +147,6 @@ def profile_trace_path(name: str, config: PaperConfig) -> Path:
     return workload_trace_path(name, config, seed=config.seed + config.profile_seed_offset)
 
 
-def indexing_lineup(
-    geometry: CacheGeometry, trace: Trace, config: PaperConfig, train_trace: Trace | None = None
-) -> dict[str, IndexingScheme]:
-    """The paper's Figure-4 scheme line-up.
-
-    Trainable schemes are fitted on ``train_trace`` (the profiling run) when
-    given, else on the evaluation trace itself.
-    """
-    fit_addrs = (train_trace if train_trace is not None else trace).addresses
-    return {
-        "XOR": XorIndexing(geometry),
-        "Odd_Multiplier": OddMultiplierIndexing(geometry, config.odd_multiplier),
-        "Prime_Modulo": PrimeModuloIndexing(geometry),
-        "Givargis": GivargisIndexing(geometry).fit(fit_addrs),
-        "Givargis_Xor": GivargisXorIndexing(geometry).fit(fit_addrs),
-    }
-
-
 def progassoc_lineup(config: PaperConfig) -> dict[str, Callable[[], object]]:
     """Factories for the paper's Figure-6 cache line-up (fresh per trace)."""
     g = config.geometry
@@ -193,11 +163,33 @@ def progassoc_lineup(config: PaperConfig) -> dict[str, Callable[[], object]]:
     }
 
 
-def baseline_result(trace: Trace, config: PaperConfig) -> SimulationResult:
-    """The conventional direct-mapped baseline (vectorised)."""
-    return simulate_indexing(ModuloIndexing(config.geometry), trace, config.geometry)
+def add_reduction_rows(
+    result: ExperimentResult,
+    benches: list[str],
+    columns: dict[str, tuple[str, str]],
+    config: PaperConfig,
+) -> None:
+    """Fill ``result`` with % miss reduction vs the direct-mapped baseline.
 
-
-def sequential_baseline(trace: Trace, config: PaperConfig) -> SimulationResult:
-    """Sequential baseline (used where lookup-cycle accounting is needed)."""
-    return simulate(DirectMappedCache(config.geometry), trace)
+    ``columns`` maps each column name to the ``(kind, label)`` of the engine
+    cell that produces it.  Every (bench, column) pair and each bench's
+    ``baseline`` cell run in one engine call, so they share the result
+    store, the fast paths and ``--jobs``.  Appends the Average row and sets
+    ``result.engine_stats``.
+    """
+    cells = []
+    for bench in benches:
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(make_cell(kind, bench, label, config) for kind, label in columns.values())
+    sims, stats = ExperimentEngine(config).run(cells)
+    for bench in benches:
+        base = sims[(bench, "baseline")]
+        result.add_row(
+            bench,
+            {
+                column: percent_reduction(sims[(bench, label)].misses, base.misses)
+                for column, (_, label) in columns.items()
+            },
+        )
+    result.add_average_row()
+    result.engine_stats = stats.as_dict()

@@ -17,7 +17,8 @@ cache-object state, across:
   to exercise none/one/many windows, link tables and window counters
   included;
 * :class:`~repro.core.caches.AdaptiveGroupAssociativeCache` — the hoisted
-  (but still sequential-order) transliteration, SHT/OUT/cold-pool dict
+  (but still sequential-order) transliteration under modulo, XOR,
+  odd-multiplier and prime-modulo primary indexes, SHT/OUT/cold-pool dict
   *ordering* included;
 * the :func:`~repro.core.fastassoc.simulate_progassoc` dispatcher —
   ``auto`` ≡ ``sequential``, fallbacks for warmup / invariant checking /
@@ -356,6 +357,23 @@ class TestAdaptive:
         for trace in trace_zoo(geometry):
             fast_cache = AdaptiveGroupAssociativeCache(geometry)
             slow_cache = AdaptiveGroupAssociativeCache(geometry)
+            fast = simulate_adaptive(fast_cache, trace)
+            slow = simulate(slow_cache, trace)
+            assert_results_identical(fast, slow, trace.name)
+            assert_adaptive_state_identical(fast_cache, slow_cache, trace.name)
+            fast_cache.check_invariants()
+
+    @pytest.mark.parametrize("geometry", [TINY, SMALL], ids=["tiny", "small"])
+    @pytest.mark.parametrize(
+        "make_indexing",
+        [XorIndexing, lambda g: OddMultiplierIndexing(g, 9), PrimeModuloIndexing],
+        ids=["xor", "odd_multiplier", "prime_modulo"],
+    )
+    def test_untrainable_primary_index(self, geometry, make_indexing):
+        """The ``Adaptive_Cache:<scheme>`` cells take this path."""
+        for trace in trace_zoo(geometry):
+            fast_cache = AdaptiveGroupAssociativeCache(geometry, indexing=make_indexing(geometry))
+            slow_cache = AdaptiveGroupAssociativeCache(geometry, indexing=make_indexing(geometry))
             fast = simulate_adaptive(fast_cache, trace)
             slow = simulate(slow_cache, trace)
             assert_results_identical(fast, slow, trace.name)

@@ -1,13 +1,17 @@
-"""Extension-experiment tests (ext-bounds, ext-patel, ext-hybrid)."""
+"""Extension-experiment tests (ext-bounds, ext-patel, ext-hybrid, ext-hpc)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import PaperConfig, run_experiment
+from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.ext_patel import PATEL_BENCHES
+from repro.workloads.mibench import MIBENCH_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +77,71 @@ class TestExtHybrid:
             assert hybrid.rows[bench]["ColAssoc+modulo"] == pytest.approx(
                 fig6.rows[bench]["Column_associative"], abs=1e-9
             )
+
+
+#: SHA-256 of (id, columns, rows, notes) at ``ref_limit=2000``, as produced
+#: by the direct-``simulate`` implementations these experiments replaced.
+PINNED_DIGESTS = {
+    ("ext-hybrid", 2011): "edcbc1ba6aea232b51847aa212511e9622f22f9ff374fa3ffb2448e97e04d9a4",
+    ("ext-hpc", 2011): "45daa393f350196287fb629c81bbf439d15c1edbe2ef0f220b970f6e313624e6",
+    ("ext-patel", 2011): "dd4ce8e5279f57aa708bf2650c416de3c607de3043182acee61abe74d624b895",
+    ("ext-hybrid", 7): "c6ca12b3c8156789a033c6d292ac968a4133294d97319ee1c309e820039faaf6",
+    ("ext-hpc", 7): "ebc8020f3c1f346818e04fd68cec87f70504af22de79e732273436a59250d56d",
+    ("ext-patel", 7): "eaee42a79ee710fe58f75b9a53d648f1fb46263df9a3a05389632093d3e84930",
+}
+
+
+def _digest(result) -> str:
+    assert not result.arrays  # the pinned digests cover no arrays
+    doc = [result.experiment_id, result.columns, result.rows, result.notes]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=lambda v: v.item())
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture
+def small_config(tmp_path) -> PaperConfig:
+    return replace(PaperConfig(), ref_limit=2000, trace_cache_dir=tmp_path / "traces")
+
+
+class TestEngineRouting:
+    """ext-hybrid, ext-hpc and ext-patel run as engine cells."""
+
+    @pytest.mark.parametrize("eid,seed", sorted(PINNED_DIGESTS))
+    def test_results_pinned_and_warm_rerun_simulates_nothing(self, eid, seed, small_config):
+        config = replace(small_config, seed=seed)
+        cold = run_experiment(eid, config)
+        assert _digest(cold) == PINNED_DIGESTS[(eid, seed)]
+        assert cold.engine_stats["cache_misses"] > 0
+        warm = run_experiment(eid, config)
+        assert _digest(warm) == PINNED_DIGESTS[(eid, seed)]
+        assert warm.engine_stats["cache_misses"] == 0
+        assert warm.engine_stats["cache_hits"] == warm.engine_stats["cells_total"]
+
+    @pytest.mark.parametrize(
+        "eid,colassoc_columns",
+        [
+            ("ext-hybrid", ["ColAssoc+modulo", "ColAssoc+xor", "ColAssoc+odd", "ColAssoc+prime"]),
+            ("ext-hpc", ["ColAssoc"]),
+        ],
+    )
+    def test_protect_conventional_reaches_colassoc_columns(
+        self, eid, colassoc_columns, small_config
+    ):
+        protected = run_experiment(eid, small_config)
+        unprotected = run_experiment(eid, replace(small_config, protect_conventional=False))
+        assert unprotected.engine_stats["cache_misses"] > 0  # not served by old keys
+        for column in protected.columns:
+            before = [row[column] for row in protected.rows.values()]
+            after = [row[column] for row in unprotected.rows.values()]
+            if column in colassoc_columns:
+                assert before != after, column
+            else:
+                assert before == after, column
+
+    def test_hybrid_modulo_column_reuses_fig6_entries(self, small_config):
+        """The baseline and the Adaptive/ColAssoc modulo cells are fig6's."""
+        fig06._CACHE.clear()
+        fig06.run_fig06(small_config)
+        fig06._CACHE.clear()
+        hybrid = run_experiment("ext-hybrid", small_config)
+        assert hybrid.engine_stats["cache_hits"] == 3 * len(MIBENCH_ORDER)

@@ -16,6 +16,7 @@ Locks the engine's three contracts:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments import fig04_indexing_missrate as fig04
+from repro.experiments import ext_hybrid
 from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import (
     ENGINE_VERSION,
@@ -427,6 +429,106 @@ class TestCacheKeyAudit:
             "auxsweep", "crc", "odd_multiplier:vc4", replace(config, odd_multiplier=31)
         )
         assert self._key(base, config) != self._key(other, config)
+
+    #: Per-kind SHA-256 over ``label=key`` lines for every label that
+    #: existed before the Patel and ``Adaptive_Cache:<scheme>`` labels, at
+    #: the default config with fixed trace/profile fingerprints — computed
+    #: before those labels were added.  Adding labels must not move a key.
+    PINNED_KIND_KEYS = {
+        "baseline": "f3a063b8fe9c59f59934993cc70e6eb4f140fdd14401e1c5297840c4bae84fce",
+        "indexing": "ca720130358ce662850a5d7b8c164095626c370e028bd2ee9ccf0bc42c8baacd",
+        "progassoc": "254a445590d15c6da93913e576d038f8e0277bb0d9cc07c8213ae7b282de312f",
+        "colassoc": "734e9fc4db6740bfb94f00f24a121d5c929e8af811ea45311dae4ac6ec42eb00",
+        "setassoc": "66a98a64afcc591d08b9ea99e01189f8f5d924a0c2f819a2f6c3a3d6318724bf",
+        "assocsweep": "96c939cfe887f62c5f24f4275dc48491ebae0d811d5966d81ffaa316f150d70d",
+        "bounds": "bd0b5b4fff69526bcaf3f4bf3e6d3e20ca3f663eaffa763ae8791c8c41251bbe",
+        "policysweep": "26762941ed9da4a69e95408cb38115a02a5937c47001c6a2df875ac0b108e2b9",
+        "auxsweep": "ce1fdca09e643ec6c3803c0da72aaf7bcc099ca9e68230b7e7831846a240c7d3",
+    }
+
+    @staticmethod
+    def _pre_existing_labels() -> dict[str, list[str]]:
+        from repro.core.aux import AUX_COMBOS
+        from repro.core.replacement import POLICIES
+
+        schemes = ("modulo", "xor", "odd_multiplier", "prime_modulo")
+        return {
+            "baseline": ["baseline"],
+            "indexing": ["XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis", "Givargis_Xor"],
+            "progassoc": ["Adaptive_Cache", "B_Cache", "Column_associative"],
+            "colassoc": [
+                "ColAssoc_Base",
+                "ColAssoc_XOR",
+                "ColAssoc_Odd_Multiplier",
+                "ColAssoc_Prime_Modulo",
+            ],
+            "setassoc": ["2way", "4way", "8way", "FullAssoc"],
+            "assocsweep": ["1way", "2way", "4way", "8way"],
+            "bounds": [
+                "2way", "4way", "8way", "FullAssoc", "Skewed2",
+                "Victim8", "Adaptive", "B_Cache", "ColAssoc", "Belady",
+            ],
+            "policysweep": [f"{s}:{p}" for s in schemes for p in sorted(POLICIES)],
+            "auxsweep": [f"{s}:{c}{d}" for s in schemes for c in AUX_COMBOS for d in (1, 4, 8)],
+        }
+
+    def test_pre_existing_keys_unchanged(self):
+        config = PaperConfig()
+        for kind, labels in self._pre_existing_labels().items():
+            h = hashlib.sha256()
+            for label in labels:
+                cell = make_cell(kind, "crc", label, config)
+                key = cell_key(
+                    cell.kind,
+                    cell.label,
+                    cell.params,
+                    config.geometry,
+                    "0" * 64,
+                    "1" * 64 if cell.needs_profile else None,
+                    ways=cell.ways,
+                    policy=cell.policy,
+                )
+                h.update(f"{label}={key}\n".encode())
+            assert h.hexdigest() == self.PINNED_KIND_KEYS[kind], kind
+
+    def test_adaptive_scheme_labels(self, config):
+        bare = make_cell("progassoc", "crc", "Adaptive_Cache", config)
+        labels = [f"Adaptive_Cache:{s}" for s in ("xor", "odd_multiplier", "prime_modulo")]
+        keys = {self._key(bare, config)} | {
+            self._key(make_cell("progassoc", "crc", lab, config), config) for lab in labels
+        }
+        assert len(keys) == 1 + len(labels)
+        odd = "Adaptive_Cache:odd_multiplier"
+        assert self._key(make_cell("progassoc", "crc", odd, config), config) != self._key(
+            make_cell("progassoc", "crc", odd, replace(config, odd_multiplier=31)), config
+        )
+        shifted = replace(config, sht_fraction=1 / 4)
+        assert self._key(make_cell("progassoc", "crc", labels[0], config), config) != (
+            self._key(make_cell("progassoc", "crc", labels[0], shifted), config)
+        )
+        for bad in ("B_Cache:xor", "Adaptive_Cache:givargis", "Adaptive_Cache:"):
+            with pytest.raises(ValueError):
+                make_cell("progassoc", "crc", bad, config)
+
+    def test_patel_labels(self, config):
+        train = make_cell("indexing", "crc", "Patel_train", config)
+        transfer = make_cell("indexing", "crc", "Patel_transfer", config)
+        assert not train.needs_profile and transfer.needs_profile
+        assert ("max_swap_moves", 16) in train.params
+        assert ("max_swap_moves", 16) in transfer.params
+        assert ("profile_seed_offset", config.profile_seed_offset) in transfer.params
+
+    def test_hybrid_modulo_and_baseline_cells_are_fig6_cells(self, config):
+        columns = ext_hybrid._columns(config)
+        pairs = [
+            (("baseline", "baseline"), ("baseline", "baseline")),
+            (columns["ColAssoc+modulo"], ("progassoc", "Column_associative")),
+            (columns["Adaptive+modulo"], ("progassoc", "Adaptive_Cache")),
+        ]
+        for (h_kind, h_label), (f_kind, f_label) in pairs:
+            hybrid = make_cell(h_kind, "crc", h_label, config)
+            fig6 = make_cell(f_kind, "crc", f_label, config)
+            assert self._key(hybrid, config) == self._key(fig6, config)
 
     def test_policy_seed_in_keys_for_random_cells_only(self, config):
         other = replace(config, policy_seed=7)

@@ -129,6 +129,16 @@ class TestBehaviouralParity:
         cache = ResultCache(service_config.result_cache_path)
         assert meta["key"] in cache
 
+    def test_engine_run_serves_adaptive_scheme_cell(self, server, service_config):
+        """An ext-hybrid ``Adaptive_Cache:<scheme>`` cell computed in process
+        is found by a later wire submission of the same label."""
+        cell = make_cell("progassoc", "crc", "Adaptive_Cache:xor", service_config)
+        _, stats = run_cells([cell], service_config, jobs=1)
+        assert stats.cache_misses == 1
+        with server.client() as client:
+            meta = client.submit_cell("progassoc", "crc", "Adaptive_Cache:xor")["meta"]
+        assert meta["cache_hit"] is True
+
     def test_service_sweep_hits_engine_cache(self, server, service_config):
         schemes = ["baseline", "XOR", "4way"]
         with server.client() as client:
