@@ -11,13 +11,14 @@ exactly, whatever auxiliary structures ride along:
    stream-buffer hit by the copy-in, and a full miss by the fill.  The
    main-array hit/miss outcome of access ``i`` therefore depends only on
    the previous access to the same set (hit iff same block), which is the
-   set-local adjacent-compare already vectorised by
+   set-local adjacent-compare of
    :func:`~repro.core.fastsim.direct_mapped_miss_flags` — absorption
    never feeds back into main-array state.
 2. **The displaced line is the previous block of the set.**  By the same
    resident-after-access property, the line a main-array miss displaces
    is simply the block of the set's previous access (none on the set's
-   first access) — a vectorised grouped shift, no replay needed.
+   first access) — ``SetStream.prev_blk`` of the same set decomposition
+   that yields the miss flags, no replay needed.
 3. **Aux state changes only at main-array misses**, as a pure function of
    the program-ordered stream of ``(missed block, displaced block)``
    events.  The fast path replays exactly that event stream through the
@@ -27,7 +28,7 @@ exactly, whatever auxiliary structures ride along:
 
 The speedup is the miss rate: a trace that hits the main array 90% of the
 time replays one tenth of its accesses through Python, with everything
-else answered by two vectorised passes
+else answered by one vectorised set decomposition
 (``benchmarks/test_aux_bench.py`` gates ≥ 5× at one million accesses;
 bit-identity is locked by ``tests/core/test_aux_differential.py``).
 
@@ -48,7 +49,8 @@ from ...trace.event import Trace
 from ..address import CacheGeometry
 from ..caches.base import EMPTY, CacheModel, CacheStats
 from ..caches.direct_mapped import DirectMappedCache
-from ..fastsim import direct_mapped_miss_flags, per_set_counts
+from ..decompose import SetStream, decode
+from ..fastsim import per_set_counts
 from ..indexing.base import IndexingScheme
 from ..simulator import SimulationResult, _result_from_stats, simulate
 from .augmented import AugmentedCache
@@ -102,38 +104,19 @@ def make_aux_structures(
 # -- the replay -------------------------------------------------------------------
 
 
-def _decode(scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry):
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    return blocks, indices
+def _miss_events(
+    blocks: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Main-array ``(miss flags, miss positions, displaced blocks)`` from
+    one set decomposition.
 
-
-def _prev_blocks(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per access, the block of the previous access to the same set
-    (``EMPTY`` on the set's first access) — the displaced line when the
-    access misses the direct-mapped main array."""
-    n = int(blocks.size)
-    prev = np.full(n, EMPTY, dtype=np.int64)
-    if not n:
-        return prev
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    if int(indices64.max()) < (1 << 62) // n:
-        # Packed-key grouping (see fastsim.lru_stack_distances): sort by
-        # (set, program order) and decode both outputs.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.asarray(blocks)[order]
-    prev_sorted = np.full(n, EMPTY, dtype=np.int64)
-    same = sorted_idx[1:] == sorted_idx[:-1]
-    prev_sorted[1:][same] = sorted_blk[:-1][same]
-    prev[order] = prev_sorted
-    return prev
+    A miss is a run head of its set; the block it displaces is the block of
+    the set's previous access (``EMPTY`` on the set's first access).
+    """
+    stream = SetStream.of(blocks, indices)
+    miss = stream.unsort(~stream.repeat)
+    mpos = np.flatnonzero(miss)
+    return miss, mpos, stream.unsort(stream.prev_blk)[mpos]
 
 
 def _replay(
@@ -293,14 +276,10 @@ def simulate_augmented(
         )
     geometry = cache.geometry
     num_sets = geometry.num_sets
-    blocks, indices = _decode(cache.base.indexing, trace, geometry)
-    miss = direct_mapped_miss_flags(blocks, indices)
-    prev = _prev_blocks(blocks, indices)
-    mpos = np.flatnonzero(miss)
+    blocks, indices = decode(cache.base.indexing, trace, geometry)
+    miss, mpos, prev = _miss_events(blocks, indices)
     stats = CacheStats(num_sets)
-    cls = _replay(
-        cache.structures, blocks[mpos].tolist(), prev[mpos].tolist(), stats
-    )
+    cls = _replay(cache.structures, blocks[mpos].tolist(), prev.tolist(), stats)
     cycles = _composed_stats(cache.structures, stats, indices, mpos, cls, num_sets)
     _restore_base(cache.base, blocks, indices, miss, num_sets)
     cache.stats = stats
@@ -365,8 +344,8 @@ def simulate_aux_sweep(
 ) -> list[SimulationResult]:
     """An *aux sweep*: many ``(combo, depth)`` points from one main pass.
 
-    Every member shares one trace decode, one index computation, one
-    vectorised main-array pass and one displaced-block computation; each
+    Every member shares one trace decode and one set decomposition (the
+    main-array misses and their displaced blocks); each
     spec then replays its own (fresh) structures off the shared miss
     events.  Returns one result per spec, in order, each bit-identical
     (per-set counts included) to its :func:`simulate_aux` per-cell
@@ -394,12 +373,10 @@ def simulate_aux_sweep(
             for combo, depth in specs
         ]
     num_sets = geometry.num_sets
-    blocks, indices = _decode(scheme, trace, geometry)
-    miss = direct_mapped_miss_flags(blocks, indices)
-    prev = _prev_blocks(blocks, indices)
-    mpos = np.flatnonzero(miss)
+    blocks, indices = decode(scheme, trace, geometry)
+    _miss, mpos, prev = _miss_events(blocks, indices)
     blk_l = blocks[mpos].tolist()
-    prev_l = prev[mpos].tolist()
+    prev_l = prev.tolist()
     results = []
     for combo, depth in specs:
         structures = make_aux_structures(combo, depth, streams, allocate)

@@ -27,8 +27,8 @@ information flows between groups.
 Decomposition turns the hot loop into tiny closed-state loops over
 pre-extracted plain-``int`` lists: no ``IndexingScheme.index_of`` call, no
 ``AccessResult`` allocation, no ``CacheStats`` method dispatch per access.
-Index computation is vectorised once per trace via ``indices_of``; grouping
-uses the packed-key sort from :mod:`repro.core.fastsim`.
+Decoding (one vectorised ``indices_of`` call per trace) and grouping come
+from the shared front end in :mod:`repro.core.decompose`.
 
 **MRU-repeat compression (column-associative).**  A repeated access to the
 pair's last-touched block is provably a first-probe hit that changes no
@@ -77,6 +77,7 @@ from .caches.base import EMPTY, CacheModel
 from .caches.bcache import BalancedCache
 from .caches.column_associative import ColumnAssociativeCache
 from .caches.partner import PartnerIndexCache
+from .decompose import SetStream, decode
 from .replacement import LRUPolicy
 from .simulator import SimulationResult, _result_from_stats, simulate
 
@@ -88,53 +89,6 @@ __all__ = [
     "simulate_progassoc",
     "has_fast_path",
 ]
-
-
-def _grouped_order(gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort by group id; returns ``(order, sorted_gids)``.
-
-    Uses the packed-key ``np.sort`` trick from :mod:`repro.core.fastsim`
-    (key = gid * n + position is unique and decodes both outputs) with a
-    stable-argsort fallback for pathological id ranges.
-    """
-    n = gids.size
-    gids64 = np.ascontiguousarray(gids, dtype=np.int64)
-    max_gid = int(gids64.max()) if n else 0
-    if n and max_gid < (1 << 62) // max(n, 1):
-        key = np.sort(gids64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_gids = key // n
-        order = key - sorted_gids * n
-    else:
-        order = np.argsort(gids64, kind="stable")
-        sorted_gids = gids64[order]
-    return order, sorted_gids
-
-
-def _group_bounds(sorted_gids: np.ndarray) -> np.ndarray:
-    """Boundaries of equal-id runs: ``starts`` such that groups are
-    ``[starts[k], starts[k+1])``; includes the terminal ``n``."""
-    n = sorted_gids.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    changes = np.flatnonzero(sorted_gids[1:] != sorted_gids[:-1]) + 1
-    return np.concatenate(([0], changes, [n]))
-
-
-def _primary_indices(cache: CacheModel, trace: Trace) -> np.ndarray:
-    """Vectorised primary indices, identical to the sequential engine's
-    per-access ``index_of(block << offset_bits)`` calls.
-
-    The sequential engine truncates the address to its block before
-    indexing, so the fast path feeds ``indices_of`` the offset-zeroed
-    addresses — bit-identical even for a scheme that (incorrectly) read
-    offset bits.
-    """
-    off = cache.geometry.offset_bits
-    addrs0 = (trace.blocks(off) << np.uint64(off)).astype(np.uint64)
-    indices = np.ascontiguousarray(cache.indexing.indices_of(addrs0), dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= cache.geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    return indices
 
 
 def _finalize(
@@ -179,8 +133,7 @@ def simulate_column_associative(
     the proof) and replayed through a closed two-line state machine.
     """
     n = len(trace)
-    b1_all = _primary_indices(cache, trace)
-    blocks_all = trace.blocks(cache.geometry.offset_bits).astype(np.int64)
+    blocks_all, b1_all = decode(cache.indexing, trace, cache.geometry)
     msb = cache._msb_mask
     protect = cache.protect_conventional
 
@@ -192,18 +145,13 @@ def simulate_column_associative(
     fp = dm = rh = rm = 0
 
     if n:
-        pair = b1_all & np.int64(msb - 1)
-        order, sorted_pair = _grouped_order(pair)
-        sorted_b1 = b1_all[order]
-        sorted_blk = blocks_all[order]
+        stream = SetStream.of(blocks_all, b1_all & np.int64(msb - 1))
+        sorted_b1 = b1_all[stream.order]
 
         # MRU-repeat compression: drop accesses repeating the previous
         # access of their pair — provably 1-cycle first-probe hits with no
         # state change — and account for them in bulk.
-        repeat = np.zeros(n, dtype=bool)
-        repeat[1:] = (sorted_pair[1:] == sorted_pair[:-1]) & (
-            sorted_blk[1:] == sorted_blk[:-1]
-        )
+        repeat = stream.repeat
         n_rep = int(repeat.sum())
         if n_rep:
             rep_slots = sorted_b1[repeat]
@@ -214,11 +162,10 @@ def simulate_column_associative(
                 hit_l[s] += c
             fp += n_rep  # hits/cycles are derived from fp at the end
 
-        keep = ~repeat
-        kept_pair = sorted_pair[keep]
-        kept_side = ((sorted_b1[keep] & msb) != 0).astype(np.int8).tolist()
-        kept_blk = sorted_blk[keep].tolist()
-        bounds = _group_bounds(kept_pair)
+        kept_pair = stream.kept_gid
+        kept_side = ((sorted_b1[stream.kept_pos] & msb) != 0).astype(np.int8).tolist()
+        kept_blk = stream.kept_blk.tolist()
+        bounds = stream.kept_bounds
         blk_state = cache._blocks.tolist()
         rh_state = cache._rehash.tolist()
 
@@ -362,30 +309,22 @@ def simulate_bcache(cache: BalancedCache, trace: Trace) -> SimulationResult:
     hits = misses = cycles = 0
 
     if n:
-        clusters = (blocks_all & np.int64(cache._cluster_mask)).astype(np.int64)
-        order, sorted_cluster = _grouped_order(clusters)
-        sorted_blk = blocks_all[order]
-
         # Run compression: adjacent equal (cluster, block) accesses collapse
         # to their head plus `run_len - 1` guaranteed hits on the same line;
         # the line's final LRU stamp is the clock of the run's *last* member.
-        repeat = np.zeros(n, dtype=bool)
-        repeat[1:] = (sorted_cluster[1:] == sorted_cluster[:-1]) & (
-            sorted_blk[1:] == sorted_blk[:-1]
-        )
-        kept_pos = np.flatnonzero(~repeat)
-        run_len = np.diff(np.concatenate((kept_pos, [n])))
+        stream = SetStream.of(blocks_all, blocks_all & np.int64(cache._cluster_mask))
+        run_len = stream.run_len
         # Stamp of the run's last member: policy clock after the access at
         # trace position order[last] (each access bumps the clock once).
-        last_pos = kept_pos + run_len - 1
-        stamps = (order[last_pos] + (clock0 + 1)).tolist()
+        last_pos = stream.kept_pos + run_len - 1
+        stamps = (stream.order[last_pos] + (clock0 + 1)).tolist()
         extra_hits = (run_len - 1).tolist()
-        kept_cluster = sorted_cluster[kept_pos]
-        kept_blk = sorted_blk[kept_pos].tolist()
+        kept_cluster = stream.kept_gid
+        kept_blk = stream.kept_blk.tolist()
         kept_pi = (
-            (sorted_blk[kept_pos] >> np.int64(npi_bits)) & np.int64(cache._pi_mask)
+            (stream.kept_blk >> np.int64(npi_bits)) & np.int64(cache._pi_mask)
         ).tolist()
-        bounds = _group_bounds(kept_cluster)
+        bounds = stream.kept_bounds
 
         blocks_state = cache._blocks
         pi_state = cache._pi_reg
@@ -476,8 +415,7 @@ def simulate_partner(cache: PartnerIndexCache, trace: Trace) -> SimulationResult
     partner hit, and an interleaved rebalance can change its outcome.
     """
     n = len(trace)
-    slots_all = _primary_indices(cache, trace)
-    blocks_all = trace.blocks(cache.geometry.offset_bits).astype(np.int64)
+    blocks_all, slots_all = decode(cache.indexing, trace, cache.geometry)
     num_sets = cache.geometry.num_sets
     period = cache.rebalance_period
     clock0 = cache._clock
@@ -512,13 +450,13 @@ def simulate_partner(cache: PartnerIndexCache, trace: Trace) -> SimulationResult
         group_of = np.arange(num_sets, dtype=np.int64)
         if linked_hot.size:
             group_of[cache._partner[linked_hot]] = linked_hot
-        gids = group_of[slots_w]
-        order, sorted_gid = _grouped_order(gids)
-        sorted_slot = slots_w[order].tolist()
-        sorted_blk = blocks_all[a:b][order].tolist()
+        stream = SetStream.of(blocks_all[a:b], group_of[slots_w])
+        sorted_gid = stream.sorted_gid
+        sorted_slot = slots_w[stream.order].tolist()
+        sorted_blk = stream.sorted_blk.tolist()
         # Policy clock of each access: one bump per access, program order.
-        sorted_clock = (order + (clock0 + a + 1)).tolist()
-        bounds = _group_bounds(sorted_gid)
+        sorted_clock = (stream.order + (clock0 + a + 1)).tolist()
+        bounds = stream.bounds
         partner_of = cache._partner
         win_acc = cache._window_accesses
         win_mis = cache._window_misses
@@ -642,8 +580,9 @@ def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> Sim
     ordering.
     """
     n = len(trace)
-    slots = _primary_indices(cache, trace).tolist()
-    blocks = trace.blocks(cache.geometry.offset_bits).astype(np.int64).tolist()
+    blocks_all, slots_all = decode(cache.indexing, trace, cache.geometry)
+    slots = slots_all.tolist()
+    blocks = blocks_all.tolist()
 
     num_sets = cache.geometry.num_sets
     acc_l = [0] * num_sets

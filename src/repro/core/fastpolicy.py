@@ -11,9 +11,9 @@ state, policy internals included.
 
 Design
 ------
-One shared *set-decomposition* pass (the packed-key grouping of
-``fastsim``/``fastassoc``) sorts the access stream stably by set and
-compresses adjacent same-(set, block) repeats.  A repeated access is a hit
+One shared *set-decomposition* pass
+(:class:`~repro.core.decompose.SetStream`) sorts the access stream stably
+by set and compresses adjacent same-(set, block) repeats.  A repeated access is a hit
 under **every** policy here, and collapsing it preserves each policy's
 state exactly:
 
@@ -60,7 +60,7 @@ Entry points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from functools import lru_cache
 
 import numpy as np
@@ -69,6 +69,7 @@ from ..trace.event import Trace
 from .address import CacheGeometry
 from .caches.base import EMPTY, CacheStats
 from .caches.set_associative import SetAssociativeCache
+from .decompose import SetStream, decode
 from .fastsim import lru_miss_flags, per_set_counts
 from .indexing.base import IndexingScheme
 from .replacement import (
@@ -80,7 +81,12 @@ from .replacement import (
     PLRUPolicy,
     RandomPolicy,
 )
-from .simulator import SimulationResult, _result_from_stats, simulate
+from .simulator import (
+    SimulationResult,
+    _result_from_stats,
+    _vectorised_result,
+    simulate,
+)
 
 __all__ = [
     "FAST_POLICIES",
@@ -97,81 +103,12 @@ FAST_POLICIES = ("lru", "fifo", "random", "plru", "mru", "lfu")
 _ENGINES = ("auto", "sequential")
 
 
-# -- shared set decomposition -----------------------------------------------------
-
-
-@dataclass
-class _Grouped:
-    """One set-grouped, repeat-compressed view of an access stream.
-
-    Sorted coordinates are stable-by-set (program order within each set);
-    ``order`` maps sorted position → original position.  ``kept_pos`` are
-    the sorted positions of run heads (adjacent same-(set, block) repeats
-    removed), ``run_len`` the length of each run, and ``bounds`` the group
-    boundaries of the kept arrays (one ``[start, end)`` pair per distinct
-    set present in the trace).
-    """
-
-    n: int
-    order: np.ndarray
-    sorted_idx: np.ndarray
-    kept_pos: np.ndarray
-    run_len: np.ndarray
-    kept_idx: np.ndarray
-    kept_blk: np.ndarray
-    bounds: np.ndarray  # group start offsets into the kept arrays, + final end
-
-
-def _group_by_set(blocks: np.ndarray, indices: np.ndarray) -> _Grouped:
-    n = int(blocks.size)
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    if n and int(indices64.max()) < (1 << 62) // max(n, 1):
-        # Packed-key grouping (see fastsim.lru_stack_distances): the key
-        # sorts by (set, program order) and decodes both outputs.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.ascontiguousarray(np.asarray(blocks)[order])
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_blk[1:] == sorted_blk[:-1]
-    )
-    kept_pos = np.flatnonzero(~repeat)
-    run_len = np.diff(np.concatenate((kept_pos, [n])))
-    kept_idx = np.ascontiguousarray(sorted_idx[kept_pos])
-    kept_blk = np.ascontiguousarray(sorted_blk[kept_pos])
-    if kept_idx.size:
-        starts = np.flatnonzero(
-            np.concatenate(([True], kept_idx[1:] != kept_idx[:-1]))
-        )
-        bounds = np.concatenate((starts, [kept_idx.size]))
-    else:
-        bounds = np.zeros(1, dtype=np.int64)
-    return _Grouped(
-        n=n,
-        order=order,
-        sorted_idx=sorted_idx,
-        kept_pos=kept_pos,
-        run_len=run_len,
-        kept_idx=kept_idx,
-        kept_blk=kept_blk,
-        bounds=bounds,
-    )
-
-
-def _expand(g: _Grouped, miss_kept, way_kept) -> tuple[np.ndarray, np.ndarray]:
+def _expand(g: SetStream, miss_kept, way_kept) -> tuple[np.ndarray, np.ndarray]:
     """Kept-stream outcomes → per-access (miss, way) in original order."""
     miss_sorted = np.zeros(g.n, dtype=bool)
     miss_sorted[g.kept_pos] = np.frombuffer(miss_kept, dtype=np.uint8).astype(bool)
     way_sorted = np.repeat(np.asarray(way_kept, dtype=np.int64), g.run_len)
-    miss = np.empty(g.n, dtype=bool)
-    miss[g.order] = miss_sorted
-    ways = np.empty(g.n, dtype=np.int64)
-    ways[g.order] = way_sorted
-    return miss, ways
+    return g.unsort(miss_sorted), g.unsort(way_sorted)
 
 
 # -- per-policy replay kernels ----------------------------------------------------
@@ -183,12 +120,12 @@ def _expand(g: _Grouped, miss_kept, way_kept) -> tuple[np.ndarray, np.ndarray]:
 # simulate()/fastassoc — with per-set dict-based residency.
 
 
-def _replay_fifo(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
+def _replay_fifo(g: SetStream, ways: int) -> tuple[bytearray, list[int]]:
+    nk = g.kept_blk.size
     miss = bytearray(nk)
     way_out = [0] * nk
     blk_l = g.kept_blk.tolist()
-    bounds = g.bounds.tolist()
+    bounds = g.kept_bounds.tolist()
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
@@ -213,12 +150,12 @@ def _replay_fifo(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
     return miss, way_out
 
 
-def _replay_lru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
+def _replay_lru(g: SetStream, ways: int) -> tuple[bytearray, list[int]]:
+    nk = g.kept_blk.size
     miss = bytearray(nk)
     way_out = [0] * nk
     blk_l = g.kept_blk.tolist()
-    bounds = g.bounds.tolist()
+    bounds = g.kept_bounds.tolist()
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
@@ -245,12 +182,12 @@ def _replay_lru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
     return miss, way_out
 
 
-def _replay_mru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
-    nk = g.kept_idx.size
+def _replay_mru(g: SetStream, ways: int) -> tuple[bytearray, list[int]]:
+    nk = g.kept_blk.size
     miss = bytearray(nk)
     way_out = [0] * nk
     blk_l = g.kept_blk.tolist()
-    bounds = g.bounds.tolist()
+    bounds = g.kept_bounds.tolist()
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
         resident: dict[int, int] = {}
@@ -282,16 +219,16 @@ def _replay_mru(g: _Grouped, ways: int) -> tuple[bytearray, list[int]]:
 
 
 def _replay_lfu(
-    g: _Grouped, ways: int
+    g: SetStream, ways: int
 ) -> tuple[bytearray, list[int], list[tuple[int, list[int]]]]:
     """LFU replay; also returns the final counts per touched set."""
-    nk = g.kept_idx.size
+    nk = g.kept_blk.size
     miss = bytearray(nk)
     way_out = [0] * nk
     blk_l = g.kept_blk.tolist()
     run_l = g.run_len.tolist()
-    bounds = g.bounds.tolist()
-    idx_l = g.kept_idx
+    bounds = g.kept_bounds.tolist()
+    idx_l = g.kept_gid
     rows: list[tuple[int, list[int]]] = []
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
@@ -342,15 +279,15 @@ def _plru_touch_ops(ways: int) -> tuple:
 
 
 def _replay_plru(
-    g: _Grouped, ways: int
+    g: SetStream, ways: int
 ) -> tuple[bytearray, list[int], list[tuple[int, list[int]]]]:
     """PLRU replay; also returns the final tree bits per touched set."""
-    nk = g.kept_idx.size
+    nk = g.kept_blk.size
     miss = bytearray(nk)
     way_out = [0] * nk
     blk_l = g.kept_blk.tolist()
-    bounds = g.bounds.tolist()
-    idx_l = g.kept_idx
+    bounds = g.kept_bounds.tolist()
+    idx_l = g.kept_gid
     touch_ops = _plru_touch_ops(ways)
     levels = max(ways.bit_length() - 1, 0)
     rows: list[tuple[int, list[int]]] = []
@@ -412,7 +349,7 @@ def _bulk_draws_exact(ways: int) -> bool:
 def _replay_random(
     blocks: np.ndarray,
     indices: np.ndarray,
-    g: _Grouped,
+    g: SetStream,
     num_sets: int,
     ways: int,
     seed: int,
@@ -482,9 +419,7 @@ def _replay_random(
     # Propagate run-head ways over their repeats (sorted coords), then
     # scatter back to program order.
     way_sorted = np.repeat(way_at_head[g.order[g.kept_pos]], g.run_len)
-    ways_all = np.empty(n, dtype=np.int64)
-    ways_all[g.order] = way_sorted
-    return miss, ways_all, rng
+    return miss, g.unsort(way_sorted), rng
 
 
 # -- stats-level engine -----------------------------------------------------------
@@ -497,7 +432,7 @@ def _kernel_outcomes(
     ways: int,
     policy: str,
     seed: int,
-    g: _Grouped | None = None,
+    g: SetStream | None = None,
 ):
     """Per-access (miss, way) vectors + policy-private end state.
 
@@ -507,7 +442,7 @@ def _kernel_outcomes(
     Random, ``None`` otherwise.
     """
     if g is None:
-        g = _group_by_set(blocks, indices)
+        g = SetStream.of(blocks, indices)
     if policy == "random":
         return _replay_random(blocks, indices, g, num_sets, ways, seed)
     if policy == "fifo":
@@ -565,41 +500,6 @@ def _canonical_model(scheme_name: str, ways: int, policy: str) -> str:
     return f"set_associative[{scheme_name},{ways}way,{policy}]"
 
 
-def _package(
-    model: str,
-    trace_name: str,
-    indices: np.ndarray,
-    miss: np.ndarray,
-    num_sets: int,
-) -> SimulationResult:
-    accesses, misses = per_set_counts(indices, miss, num_sets)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
-    hits = total - total_misses
-    return SimulationResult(
-        model=model,
-        trace_name=trace_name,
-        accesses=total,
-        hits=hits,
-        misses=total_misses,
-        lookup_cycles=total,  # one cycle per access
-        slot_accesses=accesses,
-        slot_hits=accesses - misses,
-        slot_misses=misses,
-        # SetAssociativeCache classes every hit as "direct"; the key is
-        # absent when hits == 0, matching the sequential engine's dict.
-        extra={"direct_hits": hits} if hits else {},
-    )
-
-
-def _decode(scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry):
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
-    return blocks, indices
-
-
 def _validate_policy(policy: str, ways: int) -> None:
     if policy not in POLICIES:
         raise ValueError(
@@ -653,7 +553,7 @@ def simulate_policy_set_associative(
         cache = SetAssociativeCache(geometry, scheme, policy=policy, seed=seed)
         res = simulate(cache, trace, warmup=warmup)
         return dc_replace(res, model=model)
-    blocks, indices = _decode(scheme, trace, geometry)
+    blocks, indices = decode(scheme, trace, geometry)
     if policy == "lru":
         miss = lru_miss_flags(blocks, indices, ways)
     else:
@@ -665,7 +565,7 @@ def simulate_policy_set_associative(
         # warmed-up run's (the same argument as the LRU warmup path).
         miss = miss[warmup:]
         indices = indices[warmup:]
-    return _package(model, trace.name, indices, miss, geometry.num_sets)
+    return _vectorised_result(model, trace.name, indices, miss, geometry.num_sets)
 
 
 def simulate_policy_sweep(
@@ -699,8 +599,8 @@ def simulate_policy_sweep(
             )
             for p in policies
         ]
-    blocks, indices = _decode(scheme, trace, geometry)
-    g = _group_by_set(blocks, indices)
+    blocks, indices = decode(scheme, trace, geometry)
+    g = SetStream.of(blocks, indices)
     results = []
     for policy in policies:
         if policy == "lru":
@@ -713,7 +613,7 @@ def simulate_policy_sweep(
                 blocks, indices, geometry.num_sets, ways, policy, seed, g=g
             )
         results.append(
-            _package(
+            _vectorised_result(
                 _canonical_model(scheme.name, ways, policy),
                 trace.name,
                 indices,
@@ -858,7 +758,7 @@ def simulate_policy(
     geometry = cache.geometry
     policy_name = _POLICY_TYPES[type(cache.policy)]
     seed = cache.policy._seed if policy_name == "random" else 0
-    blocks, indices = _decode(cache.indexing, trace, geometry)
+    blocks, indices = decode(cache.indexing, trace, geometry)
     miss, ways_all, private = _kernel_outcomes(
         blocks, indices, geometry.num_sets, geometry.ways, policy_name, seed
     )

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decompose import SetStream
+
 __all__ = [
     "direct_mapped_miss_flags",
     "direct_mapped_miss_count",
@@ -57,28 +59,10 @@ def direct_mapped_miss_flags(blocks: np.ndarray, indices: np.ndarray) -> np.ndar
     -------
     A boolean array: ``True`` where the access misses (cold or conflict).
     """
-    blocks = np.asarray(blocks)
-    indices = np.asarray(indices)
-    if blocks.shape != indices.shape:
-        raise ValueError("blocks and indices must have equal shape")
-    n = blocks.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    # Stable sort groups accesses by set while preserving program order
-    # within each set.
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_blk = blocks[order]
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    # A position misses if it starts a new set group (cold miss) or differs
+    # A run head misses: it starts its set's group (cold miss) or differs
     # from the block previously resident in the same set (conflict/capacity).
-    new_group = sorted_idx[1:] != sorted_idx[:-1]
-    changed = sorted_blk[1:] != sorted_blk[:-1]
-    miss_sorted[1:] = new_group | changed
-    miss = np.empty(n, dtype=bool)
-    miss[order] = miss_sorted
-    return miss
+    stream = SetStream.of(blocks, indices)
+    return stream.unsort(~stream.repeat)
 
 
 def direct_mapped_miss_count(blocks: np.ndarray, indices: np.ndarray) -> int:
@@ -181,27 +165,7 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
     property, which yields miss vectors for *every* associativity from one
     pass.
     """
-    blocks = np.asarray(blocks)
-    indices = np.asarray(indices)
-    if blocks.shape != indices.shape:
-        raise ValueError("blocks and indices must have equal shape")
-    n = blocks.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    indices64 = np.ascontiguousarray(indices, dtype=np.int64)
-    max_idx = int(indices64.max())
-    if max_idx < (1 << 62) // max(n, 1):
-        # Stable grouping via one packed-key np.sort: key = set * n + position
-        # is unique, sorts by (set, program order), and decodes both the
-        # permutation and the sorted set indices — several times faster than
-        # a stable argsort plus two gathers.
-        key = np.sort(indices64 * np.int64(n) + np.arange(n, dtype=np.int64))
-        sorted_idx = key // n
-        order = key - sorted_idx * n
-    else:  # pathological index range: fall back to the generic stable sort
-        order = np.argsort(indices64, kind="stable")
-        sorted_idx = indices64[order]
-    sorted_blk = np.ascontiguousarray(blocks[order])
+    stream = SetStream.of(blocks, indices)
     # Exact stream compression: an access repeating the previous access to
     # its set touches the set's MRU block, so its stack distance is 0 — and
     # removing it changes no other access's distinct-in-window count (the
@@ -210,13 +174,8 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
     # would be an occurrence of block(j) inside (p(j), j), contradicting
     # p(j)'s definition).  The costly dominance pass then runs only on the
     # direct-mapped-miss substream, typically a small fraction of the trace.
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_blk[1:] == sorted_blk[:-1]
-    )
-    keep = ~repeat
-    kept_idx = np.ascontiguousarray(sorted_idx[keep])
-    kept_blk = np.ascontiguousarray(sorted_blk[keep])
+    kept_idx = stream.kept_gid
+    kept_blk = stream.kept_blk
     prev = _previous_occurrence(kept_idx, kept_blk)
     warm = np.flatnonzero(prev >= 0)
     dist_kept = np.full(kept_idx.size, -1, dtype=np.int64)
@@ -228,11 +187,9 @@ def lru_stack_distances(blocks: np.ndarray, indices: np.ndarray) -> np.ndarray:
         # set groups are contiguous.  Subtracting the p(j)+1 trivial hits
         # leaves exactly the distinct-others count: the stack distance.
         dist_kept[warm] = _count_before_leq(prev, warm, p) - (p + 1)
-    dist_sorted = np.zeros(n, dtype=np.int64)
-    dist_sorted[keep] = dist_kept
-    distances = np.empty(n, dtype=np.int64)
-    distances[order] = dist_sorted
-    return distances
+    dist_sorted = np.zeros(stream.n, dtype=np.int64)
+    dist_sorted[stream.kept_pos] = dist_kept
+    return stream.unsort(dist_sorted)
 
 
 def lru_miss_flags(blocks: np.ndarray, indices: np.ndarray, ways: int) -> np.ndarray:

@@ -33,6 +33,7 @@ from ..trace.event import Trace
 from .address import CacheGeometry
 from .amat import TimingModel, amat_from_cycles
 from .caches.base import CacheModel, CacheStats
+from .decompose import decode
 from .fastsim import (
     direct_mapped_miss_flags,
     lru_miss_flags,
@@ -158,24 +159,29 @@ def _vectorised_result(
     indices: np.ndarray,
     miss: np.ndarray,
     num_sets: int,
-    extra: dict[str, int],
+    direct_mapped: bool = False,
 ) -> SimulationResult:
-    """Package a miss vector into a :class:`SimulationResult` (1 cycle/access)."""
+    """Package a miss vector into a :class:`SimulationResult` (1 cycle/access).
+
+    Every hit is a "direct" hit.  ``DirectMappedCache`` always reports the
+    ``direct_hits`` key; ``SetAssociativeCache`` omits it when there are no
+    hits — ``direct_mapped`` picks which result dict to mirror.
+    """
     accesses, misses = per_set_counts(indices, miss, num_sets)
-    hits = accesses - misses
     total = int(indices.size)
     total_misses = int(miss.sum())
+    hits = total - total_misses
     return SimulationResult(
         model=model,
         trace_name=trace_name,
         accesses=total,
-        hits=total - total_misses,
+        hits=hits,
         misses=total_misses,
         lookup_cycles=total,  # one cycle per access
         slot_accesses=accesses,
-        slot_hits=hits,
+        slot_hits=accesses - misses,
         slot_misses=misses,
-        extra=extra,
+        extra={"direct_hits": hits} if hits or direct_mapped else {},
     )
 
 
@@ -222,10 +228,7 @@ def simulate_set_associative(
     ways = geometry.ways if ways is None else int(ways)
     if ways < 1:
         raise ValueError("ways must be a positive integer")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
+    blocks, indices = decode(scheme, trace, geometry)
     # Seed warmup state by computing miss flags over the full trace and
     # dropping the prefix: LRU outcomes depend only on the access history,
     # so the suffix flags are exactly those of a warmed-up cache.
@@ -236,18 +239,12 @@ def simulate_set_associative(
         indices = indices[warmup:]
     else:
         miss = lru_miss_flags(blocks, indices, ways)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
-    hits = total - total_misses
     return _vectorised_result(
         model=f"set_associative[{scheme.name},{ways}way]",
         trace_name=trace.name,
         indices=indices,
         miss=miss,
         num_sets=geometry.num_sets,
-        # SetAssociativeCache classes every hit as "direct"; mirror that so
-        # the result dicts compare equal (the key is absent when hits == 0).
-        extra={"direct_hits": hits} if hits else {},
     )
 
 
@@ -286,30 +283,22 @@ def simulate_lru_sweep(
             raise ValueError("style 'direct' models a direct-mapped cache (ways=1)")
         if ways < 1:
             raise ValueError("ways must be a positive integer")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
+    blocks, indices = decode(scheme, trace, geometry)
     flags = lru_sweep_miss_flags(blocks, indices, [ways for ways, _ in specs])
-    total = int(indices.size)
     results = []
     for ways, style in specs:
-        miss = flags[ways]
-        hits = total - int(miss.sum())
         if style == "direct":
             model = f"direct_mapped[{scheme.name}]"
-            extra = {"direct_hits": hits}
         else:
             model = f"set_associative[{scheme.name},{ways}way]"
-            extra = {"direct_hits": hits} if hits else {}
         results.append(
             _vectorised_result(
                 model=model,
                 trace_name=trace.name,
                 indices=indices,
-                miss=miss,
+                miss=flags[ways],
                 num_sets=geometry.num_sets,
-                extra=extra,
+                direct_mapped=style == "direct",
             )
         )
     return results
@@ -332,14 +321,12 @@ def simulate_fully_associative(
     blocks = trace.blocks(offset_bits).astype(np.int64)
     indices = np.zeros(blocks.size, dtype=np.int64)
     miss = lru_miss_flags(blocks, indices, capacity)
-    hits = int(blocks.size) - int(miss.sum())
     return _vectorised_result(
         model="fully_associative",
         trace_name=trace.name,
         indices=indices,
         miss=miss,
         num_sets=1,
-        extra={"direct_hits": hits} if hits else {},
     )
 
 
@@ -360,10 +347,7 @@ def simulate_indexing(
     geometry = geometry or scheme.geometry
     if geometry.ways != 1:
         raise ValueError("the vectorised path models a direct-mapped cache")
-    blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-    indices = scheme.indices_of(trace.addresses)
-    if indices.size and (indices.min() < 0 or indices.max() >= geometry.num_sets):
-        raise ValueError("indexing scheme produced an out-of-range set index")
+    blocks, indices = decode(scheme, trace, geometry)
     if warmup:
         if warmup >= blocks.size:
             raise ValueError("warmup consumes the entire trace")
@@ -374,15 +358,13 @@ def simulate_indexing(
         indices = indices[warmup:]
     else:
         miss = direct_mapped_miss_flags(blocks, indices)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
     return _vectorised_result(
         model=f"direct_mapped[{scheme.name}]",
         trace_name=trace.name,
         indices=indices,
         miss=miss,
         num_sets=geometry.num_sets,
-        extra={"direct_hits": total - total_misses},
+        direct_mapped=True,
     )
 
 

@@ -119,6 +119,8 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         lambda: PrimeModuloIndexing(geometry),
         lambda: BitSelectIndexing(geometry, bit_positions),
         lambda: GivargisIndexing(geometry).fit(fit_addrs),
+        # Reads offset bits: both engines must index the offset-zeroed address.
+        lambda: GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
         lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
         lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
     ]

@@ -141,6 +141,8 @@ def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
         PrimeModuloIndexing(geometry),
         BitSelectIndexing(geometry, bit_positions),
         GivargisIndexing(geometry).fit(fit_addrs),
+        # Reads offset bits: both engines must index the offset-zeroed address.
+        GivargisIndexing(geometry, include_offset_bits=True).fit(fit_addrs),
         GivargisXorIndexing(geometry).fit(fit_addrs),
         PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
     ]
