@@ -20,12 +20,11 @@ order regardless of completion order.  The differential-test layer
 from .cache import ENGINE_VERSION, ResultCache, cell_key, trace_fingerprint
 from .store import LocalDirStore, ResultStore, SharedDirStore, make_store
 from .cells import (
+    CELL_KINDS,
     CellExecutionError,
-    KernelSpec,
+    CellKind,
     SimCell,
-    build_kernel_scheme,
     execute_cell,
-    kernel_cell_spec,
     make_cell,
 )
 from .families import SweepFamily, detect_families, execute_family
@@ -50,14 +49,13 @@ __all__ = [
     "cell_key",
     "trace_fingerprint",
     "SimCell",
-    "KernelSpec",
+    "CellKind",
+    "CELL_KINDS",
     "SweepFamily",
     "make_cell",
     "execute_cell",
     "execute_family",
     "detect_families",
-    "kernel_cell_spec",
-    "build_kernel_scheme",
     "CellExecutionError",
     "CellPlan",
     "ExperimentEngine",

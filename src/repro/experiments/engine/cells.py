@@ -8,75 +8,28 @@ outcome.  ``execute_cell`` is the single entry point used by both the
 sequential fallback and the process-pool workers, so ``jobs=1`` and
 ``jobs=N`` run byte-for-byte the same code per cell.
 
-Cell kinds
-----------
-``baseline``
-    Conventional modulo-indexed direct-mapped run (vectorised fast path).
-``indexing``
-    One Figure-4 scheme (XOR / odd-multiplier / prime-modulo / Givargis /
-    Givargis-XOR) over a direct-mapped cache; trainable schemes are fitted
-    on the profiling trace inside the worker (deterministic given seeds).
-    ``Patel_train`` / ``Patel_transfer`` are Patel's bounded index search
-    (``max_swap_moves`` in the params), fitted on the evaluation trace and
-    on the profiling trace respectively.
-``progassoc``
-    One Figure-6 programmable-associativity model (adaptive / B-cache /
-    column-associative).  ``Adaptive_Cache:<scheme>`` (e.g.
-    ``Adaptive_Cache:xor``) is the adaptive cache under an untrainable
-    primary index instead of modulo; the bare label stays the modulo one.
-    All models route through :mod:`repro.core.fastassoc` under
-    ``config.engine == "auto"``: B-cache and column-associative decompose
-    by set; the adaptive cache's SHT/OUT state is global, so it takes the
-    hoisted sequential replay.
-``colassoc``
-    Figure-8 column-associative cache with a non-conventional primary
-    index; label ``ColAssoc_Base`` is the conventionally-indexed baseline.
-    All variants take the pair-decomposed fastassoc engine under ``auto``.
-``setassoc``
-    One scheme × geometry × ways grid point: a k-way LRU cache simulated by
-    the vectorised stack-distance kernel (labels ``2way``/``4way``/…, or
-    ``FullAssoc`` for the single-set LRU bound).
-``assocsweep``
-    One point of a fixed-sets associativity sweep (label ``<k>way``): a
-    k-way LRU cache over ``geometry.with_fixed_sets(k)``, so every point of
-    the sweep shares the base geometry's set mapping.  That shared mapping
-    is what lets the engine's family batcher answer a whole sweep from one
-    stack-distance pass (Mattson); per-cell execution is an ordinary
-    ``simulate_set_associative`` call and stays the bit-identity reference.
-``bounds``
-    One ext-bounds comparison column.  Set-associative and fully-associative
-    labels route through the ``setassoc`` fast path; B-cache and
-    column-associative take the fastassoc engine under ``auto``; the
-    remaining stateful structures (skewed, victim, adaptive, Belady) are
-    driven by the sequential reference engine.
-``policysweep``
-    One point of a replacement-policy sweep (label ``<scheme>:<policy>``,
-    e.g. ``xor:plru``): the config geometry's k-way cache under an
-    untrainable indexing scheme and any registered replacement policy,
-    simulated by the exact set-decomposed replay kernels of
-    :mod:`repro.core.fastpolicy` under ``config.engine == "auto"`` and by
-    the sequential reference loop under ``"sequential"``.  Cells identical
-    up to the policy form the engine's "policy" sweep-family axis: one
-    decode + one index computation + one set-grouping pass answers the
-    whole policy grid.
-``auxsweep``
-    One auxiliary-structure composition (label ``<scheme>:<combo><depth>``,
-    e.g. ``xor:vc4`` or ``modulo:vc+sb8``): a direct-mapped cache under an
-    untrainable indexing scheme augmented with victim-buffer / miss-cache /
-    stream-buffer structures (:mod:`repro.core.aux`), simulated by the
-    exact miss-event replay under ``config.engine == "auto"`` and by the
-    sequential reference wrapper under ``"sequential"``.  Aux cells ride
-    the engine's "decode" sweep-family axis (one shared trace open per
-    workload; the replay itself is already the fast path per cell).
+What a cell *kind* is lives in one place: its :class:`CellKind` entry in
+:data:`CELL_KINDS`, which reads a label once and says which config knobs
+reach the result-cache key, how the cell runs, and which sweep family it
+may join.  :func:`make_cell`, :func:`execute_cell` and :mod:`.families`
+only look kinds up.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
-from ...core.aux import AUX_COMBOS, simulate_aux
-from ...core.caches import AdaptiveGroupAssociativeCache, ColumnAssociativeCache
+from ...core.aux import AUX_COMBOS, simulate_augmented, simulate_aux
+from ...core.caches import (
+    AdaptiveGroupAssociativeCache,
+    BalancedCache,
+    BeladyCache,
+    ColumnAssociativeCache,
+    SkewedAssociativeCache,
+    VictimCache,
+)
 from ...core.fastassoc import simulate_progassoc
 from ...core.fastpolicy import simulate_policy_set_associative
 from ...core.replacement import POLICIES
@@ -100,116 +53,13 @@ from ..config import PaperConfig
 
 __all__ = [
     "SimCell",
-    "KernelSpec",
+    "CellKind",
     "make_cell",
     "execute_cell",
     "timed_execute_cell",
-    "kernel_cell_spec",
-    "build_kernel_scheme",
-    "PolicySpec",
-    "policy_cell_spec",
-    "build_policy_scheme",
-    "build_aux_scheme",
     "CellExecutionError",
     "CELL_KINDS",
 ]
-
-CELL_KINDS = (
-    "baseline",
-    "indexing",
-    "progassoc",
-    "colassoc",
-    "setassoc",
-    "assocsweep",
-    "bounds",
-    "policysweep",
-    "auxsweep",
-)
-
-#: ``setassoc``/``bounds`` labels handled by the vectorised k-way LRU kernel.
-_WAYS_LABELS = {"2way": 2, "4way": 4, "8way": 8}
-
-#: Indexing-cell labels that require an off-line profiling (training) run.
-_TRAINABLE_LABELS = frozenset({"Givargis", "Givargis_Xor"})
-
-#: Indexing-cell labels of Patel's bounded search, and its swap budget.
-_PATEL_LABELS = frozenset({"Patel_train", "Patel_transfer"})
-_PATEL_SWAP_MOVES = 16
-
-#: Indexing-cell labels fitted on the profiling trace.
-_PROFILED_LABELS = _TRAINABLE_LABELS | {"Patel_transfer"}
-
-#: Schemes a ``policysweep`` or ``auxsweep`` label may name.  Untrainable
-#: only: every member must see the same index stream with no profiling run.
-_POLICY_SCHEMES = ("modulo", "xor", "odd_multiplier", "prime_modulo")
-
-
-def _parse_ways_label(label: str) -> int | None:
-    """``"<k>way"`` → ``k`` (``"8way"`` → 8), else ``None``."""
-    if label.endswith("way") and label[:-3].isdigit():
-        return int(label[:-3])
-    return None
-
-
-def _parse_policy_label(label: str) -> tuple[str, str]:
-    """``"<scheme>:<policy>"`` → the validated pair; raises on bad labels."""
-    scheme_name, sep, policy = label.partition(":")
-    if not sep or not scheme_name or not policy:
-        raise ValueError(
-            f"unknown policy-sweep cell label {label!r} (expected '<scheme>:<policy>')"
-        )
-    if scheme_name not in _POLICY_SCHEMES:
-        raise ValueError(
-            f"policy-sweep scheme {scheme_name!r} not supported; "
-            f"known: {_POLICY_SCHEMES}"
-        )
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown replacement policy {policy!r}; known: {sorted(POLICIES)}"
-        )
-    return scheme_name, policy
-
-
-def _parse_progassoc_label(label: str) -> tuple[str, str | None]:
-    """``"Adaptive_Cache:xor"`` → ``("Adaptive_Cache", "xor")``; a bare
-    model label → ``(label, None)``.  Raises on a scheme suffix anywhere
-    but the adaptive cache, or on an unknown scheme."""
-    model, sep, scheme_name = label.partition(":")
-    if not sep:
-        return label, None
-    if model != "Adaptive_Cache" or scheme_name not in _POLICY_SCHEMES:
-        raise ValueError(
-            f"unknown programmable-associativity label {label!r} (only "
-            f"'Adaptive_Cache:<scheme>' takes a scheme; known: {_POLICY_SCHEMES})"
-        )
-    return model, scheme_name
-
-
-def _parse_aux_label(label: str) -> tuple[str, str, int]:
-    """``"<scheme>:<combo><depth>"`` → the validated triple; raises on bad
-    labels (``"xor:vc4"`` → ``("xor", "vc", 4)``)."""
-    scheme_name, sep, spec = label.partition(":")
-    if not sep or not scheme_name or not spec:
-        raise ValueError(
-            f"unknown aux-sweep cell label {label!r} "
-            "(expected '<scheme>:<combo><depth>')"
-        )
-    if scheme_name not in _POLICY_SCHEMES:
-        raise ValueError(
-            f"aux-sweep scheme {scheme_name!r} not supported; "
-            f"known: {_POLICY_SCHEMES}"
-        )
-    combo = spec.rstrip("0123456789")
-    digits = spec[len(combo):]
-    if combo not in AUX_COMBOS:
-        raise ValueError(
-            f"unknown aux combo {combo!r} in label {label!r}; known: {AUX_COMBOS}"
-        )
-    if not digits or int(digits) < 1:
-        raise ValueError(
-            f"aux-sweep label {label!r} needs a positive depth suffix (e.g. 'vc4')"
-        )
-    return scheme_name, combo, int(digits)
 
 
 class CellExecutionError(RuntimeError):
@@ -244,97 +94,523 @@ class SimCell:
         return f"{self.workload}/{self.label}"
 
 
+# -- shared tables -----------------------------------------------------------------
+
+#: The untrainable indexing schemes by name: a builder ``(geometry, config)``
+#: and the config knobs that shape the index stream.  The knobs are the
+#: ``params`` of every cell naming the scheme, and their values are part of
+#: its family signature.
+_SCHEMES: dict[str, tuple[Callable, Callable]] = {
+    "modulo": (lambda g, c: ModuloIndexing(g), lambda c: ()),
+    "xor": (lambda g, c: XorIndexing(g), lambda c: ()),
+    "odd_multiplier": (
+        lambda g, c: OddMultiplierIndexing(g, c.odd_multiplier),
+        lambda c: (("odd_multiplier", c.odd_multiplier),),
+    ),
+    "prime_modulo": (lambda g, c: PrimeModuloIndexing(g), lambda c: ()),
+}
+
+#: The programmable-associativity caches by ``progassoc`` label: the config
+#: knobs that shape each and a builder ``(config, primary index)``.  The
+#: ``colassoc`` kind and the ``bounds`` columns ``Adaptive`` / ``B_Cache`` /
+#: ``ColAssoc`` build the same caches.
+_PROGASSOC_MODELS: dict[str, tuple[Callable, Callable]] = {
+    "Adaptive_Cache": (
+        lambda c: (("sht_fraction", c.sht_fraction), ("out_fraction", c.out_fraction)),
+        lambda c, index: AdaptiveGroupAssociativeCache(
+            c.geometry,
+            indexing=index,
+            sht_fraction=c.sht_fraction,
+            out_fraction=c.out_fraction,
+        ),
+    ),
+    "B_Cache": (
+        lambda c: (("mapping_factor", c.bcache_mapping_factor), ("bas", c.bcache_bas)),
+        # The B-cache programs its own decoder; it takes no primary index.
+        lambda c, index: BalancedCache(
+            c.geometry, mapping_factor=c.bcache_mapping_factor, bas=c.bcache_bas
+        ),
+    ),
+    "Column_associative": (
+        lambda c: (("protect_conventional", c.protect_conventional),),
+        lambda c, index: ColumnAssociativeCache(
+            c.geometry, indexing=index, protect_conventional=c.protect_conventional
+        ),
+    ),
+}
+
+#: Capacity-fixed k-way labels of ``setassoc`` and ``bounds``.
+_WAYS_LABELS = {"2way": 2, "4way": 4, "8way": 8}
+
+#: Swap budget of Patel's bounded index search.
+_PATEL_SWAP_MOVES = 16
+
+
+def _patel(g):
+    return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES)
+
+
+#: ``indexing`` labels of fitted schemes: ``(factory, fitted on the profiling
+#: trace rather than the evaluation trace)``.
+_FITTED = {
+    "Givargis": (GivargisIndexing, True),
+    "Givargis_Xor": (GivargisXorIndexing, True),
+    "Patel_train": (_patel, False),
+    "Patel_transfer": (_patel, True),
+}
+
+
+# -- the registry ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """What one label means under one config."""
+
+    #: ``(cell, trace, profile_path)`` → ``SimulationResult``.
+    run: Callable
+    params: tuple = ()
+    needs_profile: bool = False
+    ways: int | None = None
+    policy: str = "lru"
+    #: ``(axis, signature, member)`` of the sweep family the cell may join.
+    batch: tuple | None = None
+    #: ``(cell, profile_path)`` → ``(scheme, geometry)`` of that family's pass.
+    scheme: Callable | None = None
+
+
+@dataclass(frozen=True)
+class CellKind:
+    """Everything the engine knows about one cell kind.
+
+    ``spec(label, config)`` reads a label once; it raises ``ValueError`` on
+    any label the kind cannot run, so a bad label fails where the grid is
+    declared, not inside a worker.  The methods below are views of it.
+    """
+
+    spec: Callable[[str, PaperConfig], _Spec]
+    #: The labels the kind accepts and what they simulate.
+    doc: str
+
+    def fields(
+        self, label: str, config: PaperConfig
+    ) -> tuple[tuple, bool, int | None, str]:
+        """``(params, needs_profile, ways, policy)`` of a cell: ``params``
+        holds every config knob the outcome depends on."""
+        s = self.spec(label, config)
+        return s.params, s.needs_profile, s.ways, s.policy
+
+    def run(
+        self, cell: SimCell, trace, config: PaperConfig, profile_path=None
+    ) -> SimulationResult:
+        """Simulate one cell of this kind on its (already opened) trace."""
+        return self.spec(cell.label, config).run(cell, trace, profile_path)
+
+    def batch(
+        self, cell: SimCell, config: PaperConfig
+    ) -> tuple[str, tuple, object] | None:
+        """``(axis, signature, member)`` or ``None``.
+
+        Same-workload cells with equal ``(axis, signature)`` see the same
+        grouped access stream, so one pass answers them all; ``member`` is
+        what the axis runner needs of each cell (see :mod:`.families`).
+        ``None``: the cell shares at most its trace open.
+        """
+        return self.spec(cell.label, config).batch
+
+    def scheme(self, cell: SimCell, config: PaperConfig, profile_path=None):
+        """``(scheme, geometry)`` of a batched cell's family pass; equal
+        signatures guarantee every member yields the same index stream."""
+        return self.spec(cell.label, config).scheme(cell, profile_path)
+
+    def accepts(self, label: str, config: PaperConfig) -> bool:
+        try:
+            self.spec(label, config)
+        except ValueError:
+            return False
+        return True
+
+
+def _style(g) -> str:
+    """How a config-geometry LRU cell packages its result."""
+    return "direct" if g.ways == 1 else "setassoc"
+
+
+def _lru(build, geometry, style: str, signature: tuple | None, **fields) -> _Spec:
+    """An LRU cell of the stack-distance kernel: ``build(cell, profile_path,
+    trace)`` makes its scheme, ``style`` ("direct" or "setassoc") is how
+    :func:`~repro.core.simulator.simulate_lru_sweep` must package it, and
+    ``signature`` names the scheme's index stream (``None``: no assoc
+    family).  The Mattson inclusion property holds for LRU alone."""
+
+    def run(cell, trace, profile_path):
+        scheme = build(cell, profile_path, trace)
+        if style == "direct":
+            return simulate_indexing(scheme, trace, geometry)
+        return simulate_set_associative(scheme, trace, geometry)
+
+    if signature is not None:
+        signature += (geometry.num_sets, geometry.offset_bits, geometry.address_bits)
+        fields["batch"] = ("assoc", signature, (geometry.ways, style))
+    return _Spec(
+        run,
+        scheme=lambda cell, profile_path: (build(cell, profile_path, None), geometry),
+        **fields,
+    )
+
+
+def _named_lru(name: str, config: PaperConfig, geometry, style: str, **fields) -> _Spec:
+    """An LRU cell under the untrainable scheme ``name``."""
+    build, knobs = _SCHEMES[name]
+    params = knobs(config)
+    return _lru(
+        lambda cell, profile_path, trace: build(geometry, config),
+        geometry,
+        style,
+        (name,) + tuple(v for _, v in params),
+        params=params,
+        **fields,
+    )
+
+
+def _prog(model: str, scheme_name: str, config: PaperConfig, params: tuple) -> _Spec:
+    """A programmable-associativity cache under the primary index
+    ``scheme_name``; ``simulate_progassoc`` takes the fastassoc engine
+    under ``config.engine == "auto"``."""
+
+    def run(cell, trace, profile_path):
+        index = _SCHEMES[scheme_name][0](config.geometry, config)
+        cache = _PROGASSOC_MODELS[model][1](config, index)
+        return simulate_progassoc(cache, trace, engine=config.engine)
+
+    return _Spec(run, params=params)
+
+
+def _profile_addresses(cell: SimCell, config: PaperConfig, profile_path):
+    if profile_path is not None:
+        return _trace_at(profile_path, cell.workload, config).addresses
+    from ..runner import profile_trace
+
+    return profile_trace(cell.workload, config).addresses
+
+
+def _scheme_label(label: str, kind: str, form: str) -> tuple[str, str]:
+    """``"<scheme>:<rest>"`` → ``(scheme, rest)`` for an untrainable scheme."""
+    scheme_name, sep, rest = label.partition(":")
+    if not sep or not rest or scheme_name not in _SCHEMES:
+        raise ValueError(
+            f"unknown {kind} cell label {label!r} (expected '<scheme>:{form}' "
+            f"with scheme in {tuple(_SCHEMES)})"
+        )
+    return scheme_name, rest
+
+
+def _baseline(label: str, config: PaperConfig) -> _Spec:
+    if label != "baseline":
+        raise ValueError(f"unknown baseline cell label {label!r} (expected 'baseline')")
+    return _named_lru("modulo", config, config.geometry, _style(config.geometry))
+
+
+#: ``indexing`` labels of the untrainable schemes.
+_INDEXING_SCHEMES = {
+    "XOR": "xor",
+    "Odd_Multiplier": "odd_multiplier",
+    "Prime_Modulo": "prime_modulo",
+}
+
+
+def _indexing(label: str, config: PaperConfig) -> _Spec:
+    g = config.geometry
+    if label in _INDEXING_SCHEMES:
+        return _named_lru(_INDEXING_SCHEMES[label], config, g, _style(g))
+    if label not in _FITTED:
+        raise ValueError(
+            f"unknown indexing cell label {label!r}; "
+            f"known: {sorted(_INDEXING_SCHEMES) + sorted(_FITTED)}"
+        )
+    factory, profiled = _FITTED[label]
+    patel = factory is _patel
+    params = (("max_swap_moves", _PATEL_SWAP_MOVES),) if patel else ()
+    if profiled:
+        params += (("profile_seed_offset", config.profile_seed_offset),)
+
+    def build(cell, profile_path, trace):
+        if profiled:
+            return factory(g).fit(_profile_addresses(cell, config, profile_path))
+        return factory(g).fit(trace.addresses)
+
+    # A Givargis table is a pure function of the profiling run, which is a
+    # pure function of (workload, config): its identity names the stream.
+    signature = None if patel else (label.lower(), config.profile_seed_offset)
+    return _lru(build, g, _style(g), signature, params=params, needs_profile=profiled)
+
+
+def _progassoc(label: str, config: PaperConfig) -> _Spec:
+    model, sep, scheme_name = label.partition(":")
+    if model not in _PROGASSOC_MODELS or (
+        sep and (model != "Adaptive_Cache" or scheme_name not in _SCHEMES)
+    ):
+        raise ValueError(
+            f"unknown programmable-associativity label {label!r}; known: "
+            f"{sorted(_PROGASSOC_MODELS)}, or 'Adaptive_Cache:<scheme>' with "
+            f"scheme in {tuple(_SCHEMES)}"
+        )
+    scheme_name = scheme_name or "modulo"
+    params = _PROGASSOC_MODELS[model][0](config) + _SCHEMES[scheme_name][1](config)
+    return _prog(model, scheme_name, config, params)
+
+
+#: ``colassoc`` labels → the primary index (``Base``: conventional modulo).
+_COLASSOC_SCHEMES = {
+    "ColAssoc_Base": "modulo",
+    "ColAssoc_XOR": "xor",
+    "ColAssoc_Odd_Multiplier": "odd_multiplier",
+    "ColAssoc_Prime_Modulo": "prime_modulo",
+}
+
+
+def _colassoc(label: str, config: PaperConfig) -> _Spec:
+    if label not in _COLASSOC_SCHEMES:
+        raise ValueError(
+            f"unknown column-associative cell label {label!r}; "
+            f"known: {sorted(_COLASSOC_SCHEMES)}"
+        )
+    scheme_name = _COLASSOC_SCHEMES[label]
+    model = "Column_associative"
+    params = _SCHEMES[scheme_name][1](config) + _PROGASSOC_MODELS[model][0](config)
+    return _prog(model, scheme_name, config, params)
+
+
+def _setassoc(label: str, config: PaperConfig) -> _Spec:
+    g = config.geometry
+    if label in _WAYS_LABELS:
+        gk = g.with_ways(_WAYS_LABELS[label])
+        return _named_lru("modulo", config, gk, "setassoc", ways=gk.ways)
+    if label == "FullAssoc":
+        return _Spec(
+            lambda cell, trace, profile_path: simulate_fully_associative(trace, g),
+            ways=g.num_lines,
+        )
+    raise ValueError(
+        f"unknown set-associative cell label {label!r}; "
+        f"known: {sorted(_WAYS_LABELS) + ['FullAssoc']}"
+    )
+
+
+def _assocsweep(label: str, config: PaperConfig) -> _Spec:
+    if not (label.endswith("way") and label[:-3].isdigit()):
+        raise ValueError(
+            f"unknown associativity-sweep cell label {label!r} (expected '<k>way')"
+        )
+    ways = int(label[:-3])
+    # with_fixed_sets validates the sweep geometry and keeps num_sets, so
+    # every sweep point shares the base geometry's set mapping.
+    gk = config.geometry.with_fixed_sets(ways)
+    return _named_lru("modulo", config, gk, "setassoc", ways=ways)
+
+
+#: ``bounds`` columns run on one of the programmable-associativity caches.
+_BOUNDS_MODELS = {
+    "Adaptive": "Adaptive_Cache",
+    "B_Cache": "B_Cache",
+    "ColAssoc": "Column_associative",
+}
+
+#: The other ``bounds`` columns: their knobs and runner ``(trace, config)``.
+#: Only the sequential reference engine is exact for these structures
+#: (the victim cache's aux replay is exact too).
+_STATEFUL_BOUNDS: dict[str, tuple[Callable, Callable]] = {
+    "Skewed2": (
+        lambda c: (("skew_ways", 2),),
+        lambda trace, c: simulate(SkewedAssociativeCache(c.geometry, ways=2), trace),
+    ),
+    "Victim8": (
+        lambda c: (("victim_lines", c.victim_lines),),
+        lambda trace, c: simulate_augmented(
+            VictimCache(c.geometry, victim_lines=c.victim_lines), trace, engine=c.engine
+        ),
+    ),
+    "Belady": (
+        lambda c: (),
+        lambda trace, c: simulate(
+            BeladyCache(
+                c.geometry, trace.blocks(c.geometry.offset_bits).astype("int64")
+            ),
+            trace,
+        ),
+    ),
+}
+
+
+def _bounds(label: str, config: PaperConfig) -> _Spec:
+    if label in _WAYS_LABELS or label == "FullAssoc":
+        return _setassoc(label, config)
+    if label in _BOUNDS_MODELS:
+        model = _BOUNDS_MODELS[label]
+        return _prog(model, "modulo", config, _PROGASSOC_MODELS[model][0](config))
+    if label not in _STATEFUL_BOUNDS:
+        raise ValueError(f"unknown bounds cell label {label!r}")
+    knobs, runner = _STATEFUL_BOUNDS[label]
+    return _Spec(
+        lambda cell, trace, profile_path: runner(trace, config), params=knobs(config)
+    )
+
+
+def _policysweep(label: str, config: PaperConfig) -> _Spec:
+    scheme_name, policy = _scheme_label(label, "policy-sweep", "<policy>")
+    if policy not in POLICIES:
+        raise ValueError(
+            f"unknown replacement policy {policy!r}; known: {sorted(POLICIES)}"
+        )
+    build, knobs = _SCHEMES[scheme_name]
+    g = config.geometry
+    params = knobs(config)
+    # Everything but the policy that shapes the grouped access stream.
+    signature = (
+        (scheme_name,)
+        + tuple(v for _, v in params)
+        + (g.num_sets, g.offset_bits, g.address_bits, g.ways, config.policy_seed)
+    )
+    if policy == "random":
+        # The generator seed changes random-policy outcomes, so it must
+        # reach the result-cache key; other policies ignore it.
+        params += (("policy_seed", config.policy_seed),)
+    return _Spec(
+        lambda cell, trace, profile_path: simulate_policy_set_associative(
+            build(g, config),
+            trace,
+            g,
+            policy=policy,
+            seed=config.policy_seed,
+            engine=config.engine,
+        ),
+        params=params,
+        policy=policy,
+        batch=("policy", signature, policy),
+        scheme=lambda cell, profile_path: (build(g, config), g),
+    )
+
+
+def _auxsweep(label: str, config: PaperConfig) -> _Spec:
+    scheme_name, spec = _scheme_label(label, "aux-sweep", "<combo><depth>")
+    combo = spec.rstrip("0123456789")
+    digits = spec[len(combo):]
+    if combo not in AUX_COMBOS:
+        raise ValueError(
+            f"unknown aux combo {combo!r} in label {label!r}; known: {AUX_COMBOS}"
+        )
+    if not digits or int(digits) < 1:
+        raise ValueError(
+            f"aux-sweep label {label!r} needs a positive depth suffix (e.g. 'vc4')"
+        )
+    if config.geometry.ways != 1:
+        raise ValueError("aux structures augment a direct-mapped geometry")
+    build, knobs = _SCHEMES[scheme_name]
+    params = knobs(config)
+    if "sb" in combo.split("+"):
+        # Stream-buffer shape knobs change outcomes, so they must reach
+        # the result-cache key; vc/mc-only cells ignore them.
+        params += (
+            ("aux_streams", config.aux_streams),
+            ("aux_allocate", config.aux_allocate),
+        )
+    g = config.geometry
+    return _Spec(
+        lambda cell, trace, profile_path: simulate_aux(
+            build(g, config),
+            trace,
+            g,
+            combo=combo,
+            depth=int(digits),
+            streams=config.aux_streams,
+            allocate=config.aux_allocate,
+            engine=config.engine,
+        ),
+        params=params,
+    )
+
+
+CELL_KINDS: dict[str, CellKind] = {
+    "baseline": CellKind(
+        _baseline,
+        "Conventional modulo-indexed run of the config geometry (label "
+        "``baseline``); direct-mapped at the paper's geometry.",
+    ),
+    "indexing": CellKind(
+        _indexing,
+        "One Figure-4 scheme over the config geometry: ``XOR``, "
+        "``Odd_Multiplier``, ``Prime_Modulo``, or the fitted ``Givargis`` / "
+        "``Givargis_Xor`` (trained on the profiling trace inside the worker) "
+        "and Patel's bounded index search, fitted on the evaluation trace "
+        "(``Patel_train``) or the profiling trace (``Patel_transfer``).",
+    ),
+    "progassoc": CellKind(
+        _progassoc,
+        "One Figure-6 programmable-associativity cache: ``Adaptive_Cache``, "
+        "``B_Cache`` or ``Column_associative``.  ``Adaptive_Cache:<scheme>`` "
+        "(e.g. ``Adaptive_Cache:xor``) is the adaptive cache under an "
+        "untrainable primary index instead of modulo.  B-cache and "
+        "column-associative decompose by set under ``auto``; the adaptive "
+        "cache's SHT/OUT state is global, so it takes the hoisted sequential "
+        "replay.",
+    ),
+    "colassoc": CellKind(
+        _colassoc,
+        "Figure-8 column-associative cache under a non-conventional primary "
+        "index (``ColAssoc_XOR`` / ``_Odd_Multiplier`` / ``_Prime_Modulo``); "
+        "``ColAssoc_Base`` is the conventionally indexed one.",
+    ),
+    "setassoc": CellKind(
+        _setassoc,
+        "A capacity-fixed k-way LRU cache (``2way`` / ``4way`` / ``8way``, "
+        "stack-distance kernel) or the single-set LRU bound ``FullAssoc``.",
+    ),
+    "assocsweep": CellKind(
+        _assocsweep,
+        "One point ``<k>way`` of a fixed-sets associativity sweep: a k-way "
+        "LRU cache over ``geometry.with_fixed_sets(k)``.  Every point keeps "
+        "the base set mapping, so one stack-distance pass answers the whole "
+        "sweep (Mattson).",
+    ),
+    "bounds": CellKind(
+        _bounds,
+        "One ext-bounds column: the ``setassoc`` labels, the "
+        "programmable-associativity caches ``Adaptive`` / ``B_Cache`` / "
+        "``ColAssoc``, and ``Skewed2`` / ``Victim8`` / ``Belady``, which the "
+        "sequential reference engine (or the victim cache's aux replay) runs.",
+    ),
+    "policysweep": CellKind(
+        _policysweep,
+        "One point ``<scheme>:<policy>`` (e.g. ``xor:plru``) of a "
+        "replacement-policy sweep: the config geometry under an untrainable "
+        "scheme and any registered policy, by the fastpolicy replay kernels "
+        "under ``auto``.  Cells equal up to the policy share one "
+        "set-decomposition pass.",
+    ),
+    "auxsweep": CellKind(
+        _auxsweep,
+        "One auxiliary-structure composition ``<scheme>:<combo><depth>`` "
+        "(e.g. ``xor:vc4``, ``modulo:vc+sb8``): a direct-mapped cache under "
+        "an untrainable scheme augmented with victim-buffer / miss-cache / "
+        "stream-buffer structures, by the exact miss-event replay under "
+        "``auto``.",
+    ),
+}
+
+
+def _cell_kind(kind: str) -> CellKind:
+    try:
+        return CELL_KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown cell kind {kind!r}; known: {tuple(CELL_KINDS)}"
+        ) from None
+
+
 def make_cell(kind: str, workload: str, label: str, config: PaperConfig) -> SimCell:
     """Build a cell, capturing the config knobs relevant to ``kind``/``label``."""
-    if kind not in CELL_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}; known: {CELL_KINDS}")
-    params: list[tuple] = []
-    needs_profile = False
-    ways: int | None = None
-    policy = "lru"
-    if kind == "indexing":
-        if label == "Odd_Multiplier":
-            params.append(("odd_multiplier", config.odd_multiplier))
-        if label in _PATEL_LABELS:
-            params.append(("max_swap_moves", _PATEL_SWAP_MOVES))
-        if label in _PROFILED_LABELS:
-            needs_profile = True
-            params.append(("profile_seed_offset", config.profile_seed_offset))
-    elif kind == "progassoc":
-        model, scheme_name = _parse_progassoc_label(label)
-        if model == "Adaptive_Cache":
-            params.append(("sht_fraction", config.sht_fraction))
-            params.append(("out_fraction", config.out_fraction))
-            if scheme_name == "odd_multiplier":
-                params.append(("odd_multiplier", config.odd_multiplier))
-        elif label == "B_Cache":
-            params.append(("mapping_factor", config.bcache_mapping_factor))
-            params.append(("bas", config.bcache_bas))
-        elif label == "Column_associative":
-            params.append(("protect_conventional", config.protect_conventional))
-    elif kind == "colassoc":
-        if label == "ColAssoc_Odd_Multiplier":
-            params.append(("odd_multiplier", config.odd_multiplier))
-        # The swap policy changes outcomes for every column-associative cell.
-        params.append(("protect_conventional", config.protect_conventional))
-    elif kind == "assocsweep":
-        ways = _parse_ways_label(label)
-        if ways is None:
-            raise ValueError(
-                f"unknown associativity-sweep cell label {label!r} (expected '<k>way')"
-            )
-        # Validate the sweep geometry eagerly so a bad label fails at
-        # grid-declaration time, not inside a worker.
-        config.geometry.with_fixed_sets(ways)
-    elif kind in ("setassoc", "bounds"):
-        if label in _WAYS_LABELS:
-            ways = _WAYS_LABELS[label]
-        elif label == "FullAssoc":
-            ways = config.geometry.num_lines
-        elif kind == "setassoc":
-            raise ValueError(f"unknown set-associative cell label {label!r}")
-        elif label == "Skewed2":
-            params.append(("skew_ways", 2))
-        elif label == "Victim8":
-            params.append(("victim_lines", config.victim_lines))
-        elif label == "Adaptive":
-            params.append(("sht_fraction", config.sht_fraction))
-            params.append(("out_fraction", config.out_fraction))
-        elif label == "B_Cache":
-            params.append(("mapping_factor", config.bcache_mapping_factor))
-            params.append(("bas", config.bcache_bas))
-        elif label == "ColAssoc":
-            params.append(("protect_conventional", config.protect_conventional))
-        elif label != "Belady":
-            raise ValueError(f"unknown bounds cell label {label!r}")
-    elif kind == "policysweep":
-        scheme_name, policy = _parse_policy_label(label)
-        if scheme_name == "odd_multiplier":
-            params.append(("odd_multiplier", config.odd_multiplier))
-        if policy == "random":
-            # The generator seed changes random-policy outcomes, so it must
-            # reach the result-cache key; other policies ignore it.
-            params.append(("policy_seed", config.policy_seed))
-    elif kind == "auxsweep":
-        scheme_name, combo, _depth = _parse_aux_label(label)
-        if config.geometry.ways != 1:
-            raise ValueError("aux structures augment a direct-mapped geometry")
-        if scheme_name == "odd_multiplier":
-            params.append(("odd_multiplier", config.odd_multiplier))
-        if "sb" in combo.split("+"):
-            # Stream-buffer shape knobs change outcomes, so they must reach
-            # the result-cache key; vc/mc-only cells ignore them.
-            params.append(("aux_streams", config.aux_streams))
-            params.append(("aux_allocate", config.aux_allocate))
-    return SimCell(
-        kind=kind,
-        workload=workload,
-        label=label,
-        params=tuple(params),
-        needs_profile=needs_profile,
-        ways=ways,
-        policy=policy,
-    )
+    params, needs_profile, ways, policy = _cell_kind(kind).fields(label, config)
+    return SimCell(kind, workload, label, params, needs_profile, ways, policy)
 
 
 # -- execution (runs in the parent at jobs=1, in pool workers otherwise) ----------
@@ -361,120 +637,14 @@ def _trace_at(path, name: str, config: PaperConfig | None = None):
     return arena.get(path, name)
 
 
-def _build_indexing_scheme(
-    cell: SimCell, config: PaperConfig, profile_path=None, trace=None
-):
-    """The scheme an ``indexing`` cell names; ``trace`` (the evaluation
-    trace) is needed only by ``Patel_train``, which is fitted on it."""
-    g = config.geometry
-    if cell.label == "XOR":
-        return XorIndexing(g)
-    if cell.label == "Odd_Multiplier":
-        return OddMultiplierIndexing(g, config.odd_multiplier)
-    if cell.label == "Prime_Modulo":
-        return PrimeModuloIndexing(g)
-    if cell.label == "Patel_train":
-        return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES).fit(trace.addresses)
-    if cell.label in _PROFILED_LABELS:
-        if profile_path is not None:
-            fit_addrs = _trace_at(profile_path, cell.workload, config).addresses
-        else:
-            from ..runner import profile_trace
+def _open_trace(workload: str, config: PaperConfig, trace_path=None):
+    """The workload's trace: the pre-warmed file when the engine ships its
+    path, else through the on-disk trace cache."""
+    if trace_path is not None:
+        return _trace_at(trace_path, workload, config)
+    from ..runner import workload_trace
 
-            fit_addrs = profile_trace(cell.workload, config).addresses
-        if cell.label == "Patel_transfer":
-            return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES).fit(fit_addrs)
-        cls = GivargisIndexing if cell.label == "Givargis" else GivargisXorIndexing
-        return cls(g).fit(fit_addrs)
-    raise ValueError(f"unknown indexing-cell label {cell.label!r}")
-
-
-def _build_progassoc_cache(cell: SimCell, config: PaperConfig):
-    """A fresh cache for a ``progassoc`` cell (see :func:`_parse_progassoc_label`)."""
-    model, scheme_name = _parse_progassoc_label(cell.label)
-    if scheme_name is not None:
-        return AdaptiveGroupAssociativeCache(
-            config.geometry,
-            indexing=_untrainable_scheme(scheme_name, config),
-            sht_fraction=config.sht_fraction,
-            out_fraction=config.out_fraction,
-        )
-    from ..runner import progassoc_lineup
-
-    try:
-        return progassoc_lineup(config)[model]()
-    except KeyError:
-        raise ValueError(f"unknown programmable-associativity label {cell.label!r}") from None
-
-
-def _build_colassoc_index(cell: SimCell, config: PaperConfig):
-    g = config.geometry
-    if cell.label == "ColAssoc_Base":
-        return None
-    if cell.label == "ColAssoc_XOR":
-        return XorIndexing(g)
-    if cell.label == "ColAssoc_Odd_Multiplier":
-        return OddMultiplierIndexing(g, config.odd_multiplier)
-    if cell.label == "ColAssoc_Prime_Modulo":
-        return PrimeModuloIndexing(g)
-    raise ValueError(f"unknown column-associative cell label {cell.label!r}")
-
-
-def _execute_bounds_cell(cell: SimCell, trace, config: PaperConfig) -> SimulationResult:
-    """One ``setassoc``/``bounds`` cell: fast path where exact, sequential else."""
-    g = config.geometry
-    if cell.label in _WAYS_LABELS:
-        gk = g.with_ways(_WAYS_LABELS[cell.label])
-        return simulate_set_associative(ModuloIndexing(gk), trace, gk)
-    if cell.label == "FullAssoc":
-        return simulate_fully_associative(trace, g)
-    # Stateful structures: only the sequential reference engine is exact.
-    from ...core.caches import (
-        AdaptiveGroupAssociativeCache,
-        BalancedCache,
-        BeladyCache,
-        SkewedAssociativeCache,
-        VictimCache,
-    )
-
-    if cell.label == "Skewed2":
-        return simulate(SkewedAssociativeCache(g, ways=2), trace)
-    if cell.label == "Victim8":
-        from ...core.aux import simulate_augmented
-
-        return simulate_augmented(
-            VictimCache(g, victim_lines=config.victim_lines),
-            trace,
-            engine=config.engine,
-        )
-    if cell.label == "Adaptive":
-        return simulate_progassoc(
-            AdaptiveGroupAssociativeCache(
-                g, sht_fraction=config.sht_fraction, out_fraction=config.out_fraction
-            ),
-            trace,
-            engine=config.engine,
-        )
-    if cell.label == "B_Cache":
-        return simulate_progassoc(
-            BalancedCache(
-                g, mapping_factor=config.bcache_mapping_factor, bas=config.bcache_bas
-            ),
-            trace,
-            engine=config.engine,
-        )
-    if cell.label == "ColAssoc":
-        return simulate_progassoc(
-            ColumnAssociativeCache(
-                g, protect_conventional=config.protect_conventional
-            ),
-            trace,
-            engine=config.engine,
-        )
-    if cell.label == "Belady":
-        blocks = trace.blocks(g.offset_bits).astype("int64")
-        return simulate(BeladyCache(g, blocks), trace)
-    raise ValueError(f"unknown bounds cell label {cell.label!r}")
+    return workload_trace(workload, config)
 
 
 def execute_cell(
@@ -495,61 +665,8 @@ def execute_cell(
     warm cache, and the raw format round-trips every field byte-for-byte
     (``tests/trace/test_raw_format.py``).
     """
-    from ..runner import workload_trace
-
-    if trace_path is not None:
-        trace = _trace_at(trace_path, cell.workload, config)
-    else:
-        trace = workload_trace(cell.workload, config)
-    g = config.geometry
-    if cell.kind == "baseline":
-        if g.ways != 1:
-            return simulate_set_associative(ModuloIndexing(g), trace, g)
-        return simulate_indexing(ModuloIndexing(g), trace, g)
-    if cell.kind == "indexing":
-        scheme = _build_indexing_scheme(cell, config, profile_path, trace)
-        if g.ways != 1:
-            return simulate_set_associative(scheme, trace, g)
-        return simulate_indexing(scheme, trace, g)
-    if cell.kind == "assocsweep":
-        gk = g.with_fixed_sets(cell.ways)
-        return simulate_set_associative(ModuloIndexing(gk), trace, gk)
-    if cell.kind == "policysweep":
-        scheme, gp = build_policy_scheme(cell, config)
-        return simulate_policy_set_associative(
-            scheme,
-            trace,
-            gp,
-            policy=cell.policy,
-            seed=config.policy_seed,
-            engine=config.engine,
-        )
-    if cell.kind == "auxsweep":
-        scheme, combo, depth, ga = build_aux_scheme(cell, config)
-        return simulate_aux(
-            scheme,
-            trace,
-            ga,
-            combo=combo,
-            depth=depth,
-            streams=config.aux_streams,
-            allocate=config.aux_allocate,
-            engine=config.engine,
-        )
-    if cell.kind in ("setassoc", "bounds"):
-        return _execute_bounds_cell(cell, trace, config)
-    if cell.kind == "progassoc":
-        cache = _build_progassoc_cache(cell, config)
-        return simulate_progassoc(cache, trace, engine=config.engine)
-    if cell.kind == "colassoc":
-        indexing = _build_colassoc_index(cell, config)
-        cache = ColumnAssociativeCache(
-            g,
-            indexing=indexing,
-            protect_conventional=config.protect_conventional,
-        )
-        return simulate_progassoc(cache, trace, engine=config.engine)
-    raise ValueError(f"unknown cell kind {cell.kind!r}")
+    trace = _open_trace(cell.workload, config, trace_path)
+    return _cell_kind(cell.kind).run(cell, trace, config, profile_path)
 
 
 def timed_execute_cell(
@@ -566,166 +683,3 @@ def timed_execute_cell(
         time.sleep(config.cell_delay)
     result = execute_cell(cell, config, trace_path, profile_path)
     return result, time.perf_counter() - t0
-
-
-# -- sweep-family kernel classification ------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """How one cell maps onto the shared stack-distance kernel.
-
-    ``signature`` names the cell's *set-mapping identity*: two cells of the
-    same workload with equal signatures see byte-identical ``(blocks,
-    indices)`` streams, so one :func:`~repro.core.fastsim.lru_stack_distances`
-    pass answers both — the exactness condition of the "assoc" batching
-    axis.  ``ways`` is the threshold applied to that pass and ``style``
-    ("direct" or "setassoc") the per-cell packaging convention
-    :func:`~repro.core.simulator.simulate_lru_sweep` must reproduce.
-    """
-
-    signature: tuple
-    ways: int
-    style: str
-
-
-def kernel_cell_spec(cell: SimCell, config: PaperConfig) -> KernelSpec | None:
-    """Classify a cell for the shared-kernel sweep path; ``None`` = not exact.
-
-    Only stateless-lookup LRU cells qualify (the Mattson inclusion property
-    holds for LRU alone).  The signature folds in everything that shapes
-    the per-access index stream: the scheme identity and its parameters,
-    the set count, and the block granularity.  Trainable schemes
-    (Givargis) fold in the profiling-run identity instead of the fitted
-    table — exact because families never mix workloads and the profiling
-    trace is a pure function of (workload, config).
-    """
-    if cell.policy != "lru":
-        return None
-    g = config.geometry
-    geo_sig = (g.num_sets, g.offset_bits, g.address_bits)
-    if cell.kind == "baseline":
-        style = "direct" if g.ways == 1 else "setassoc"
-        return KernelSpec(("modulo",) + geo_sig, g.ways, style)
-    if cell.kind == "indexing":
-        style = "direct" if g.ways == 1 else "setassoc"
-        if cell.label == "XOR":
-            return KernelSpec(("xor",) + geo_sig, g.ways, style)
-        if cell.label == "Odd_Multiplier":
-            return KernelSpec(
-                ("odd_multiplier", config.odd_multiplier) + geo_sig, g.ways, style
-            )
-        if cell.label == "Prime_Modulo":
-            return KernelSpec(("prime_modulo",) + geo_sig, g.ways, style)
-        if cell.label in _TRAINABLE_LABELS:
-            return KernelSpec(
-                (cell.label.lower(), config.profile_seed_offset) + geo_sig,
-                g.ways,
-                style,
-            )
-        return None
-    if cell.kind == "assocsweep":
-        # with_fixed_sets keeps num_sets (hence the mapping) equal to the
-        # base geometry's: every sweep point shares the base signature.
-        return KernelSpec(("modulo",) + geo_sig, cell.ways, "setassoc")
-    if cell.kind in ("setassoc", "bounds") and cell.label in _WAYS_LABELS:
-        # Equal-capacity k-way points: with_ways *changes* num_sets, so the
-        # signature differs per k — such cells never share a pass (they can
-        # still join the decode axis), but classifying them keeps the
-        # partition property total and uniformly tested.
-        gk = g.with_ways(_WAYS_LABELS[cell.label])
-        return KernelSpec(
-            ("modulo", gk.num_sets, gk.offset_bits, gk.address_bits),
-            gk.ways,
-            "setassoc",
-        )
-    return None
-
-
-def build_kernel_scheme(cell: SimCell, config: PaperConfig, profile_path=None):
-    """Build the (scheme, geometry) a kernel cell's per-cell path would use.
-
-    The family executor calls this on *one* representative member; equal
-    :class:`KernelSpec` signatures guarantee any member yields the same
-    index stream (and the scheme ``name``s that label the results are
-    geometry-independent class attributes, so model strings match too).
-    """
-    g = config.geometry
-    if cell.kind == "baseline":
-        return ModuloIndexing(g), g
-    if cell.kind == "indexing":
-        return _build_indexing_scheme(cell, config, profile_path), g
-    if cell.kind == "assocsweep":
-        gk = g.with_fixed_sets(cell.ways)
-        return ModuloIndexing(gk), gk
-    if cell.kind in ("setassoc", "bounds") and cell.label in _WAYS_LABELS:
-        gk = g.with_ways(_WAYS_LABELS[cell.label])
-        return ModuloIndexing(gk), gk
-    raise ValueError(f"cell ({cell.workload}, {cell.label}) is not a kernel cell")
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """How one cell maps onto the shared policy-sweep decomposition.
-
-    ``signature`` names everything *but* the policy that shapes the cell's
-    outcome: the scheme identity and parameters, the geometry's mapping
-    and associativity, and the random-policy seed.  Two same-workload
-    cells with equal signatures see byte-identical grouped access streams,
-    so one set-decomposition pass feeds every member's policy kernel — the
-    exactness condition of the "policy" batching axis.
-    """
-
-    signature: tuple
-    policy: str
-
-
-def policy_cell_spec(cell: SimCell, config: PaperConfig) -> PolicySpec | None:
-    """Classify a cell for the shared policy-sweep path; ``None`` = not one.
-
-    Only ``policysweep`` cells qualify (their label pins an untrainable
-    scheme, so the index stream is a pure function of (workload, config));
-    the LRU member of a policy grid batches here too — the replay kernel
-    is exact for LRU as well, and keeping the grid together is the point.
-    """
-    if cell.kind != "policysweep":
-        return None
-    g = config.geometry
-    scheme_name = cell.label.partition(":")[0]
-    sig: list = [scheme_name]
-    if scheme_name == "odd_multiplier":
-        sig.append(config.odd_multiplier)
-    sig += [g.num_sets, g.offset_bits, g.address_bits, g.ways, config.policy_seed]
-    return PolicySpec(tuple(sig), cell.policy)
-
-
-def _untrainable_scheme(scheme_name: str, config: PaperConfig):
-    """Build one of the profiling-free schemes a sweep label may name."""
-    g = config.geometry
-    if scheme_name == "modulo":
-        return ModuloIndexing(g)
-    if scheme_name == "xor":
-        return XorIndexing(g)
-    if scheme_name == "odd_multiplier":
-        return OddMultiplierIndexing(g, config.odd_multiplier)
-    if scheme_name == "prime_modulo":
-        return PrimeModuloIndexing(g)
-    return None
-
-
-def build_policy_scheme(cell: SimCell, config: PaperConfig):
-    """Build the (scheme, geometry) a ``policysweep`` cell simulates under."""
-    scheme = _untrainable_scheme(cell.label.partition(":")[0], config)
-    if scheme is None:
-        raise ValueError(f"cell ({cell.workload}, {cell.label}) is not a policy cell")
-    return scheme, config.geometry
-
-
-def build_aux_scheme(cell: SimCell, config: PaperConfig):
-    """Build the (scheme, combo, depth, geometry) an ``auxsweep`` cell
-    simulates under."""
-    scheme_name, combo, depth = _parse_aux_label(cell.label)
-    scheme = _untrainable_scheme(scheme_name, config)
-    if scheme is None:
-        raise ValueError(f"cell ({cell.workload}, {cell.label}) is not an aux cell")
-    return scheme, combo, depth, config.geometry

@@ -2,24 +2,25 @@
 
 The figure grids re-simulate the same trace once per cell even when cells
 are near-duplicates of each other.  This module groups a planned cell list
-into *sweep families* — sets of cells provably answerable together — along
-two axes, and executes each family as one unit:
+into *sweep families* — sets of cells provably answerable together — and
+executes each family as one unit.  A cell's kind declares the family it
+may join (:meth:`~.cells.CellKind.batch` → ``(axis, signature, member)``);
+a family is the same-workload cells with equal ``(axis, signature)``:
 
 ``assoc`` (the Mattson axis)
-    Cells of one workload whose :class:`~.cells.KernelSpec` signatures are
-    equal share the exact per-access ``(blocks, indices)`` stream, so under
-    LRU one :func:`~repro.core.fastsim.lru_stack_distances` pass answers
-    every member by associativity thresholding
-    (:func:`~repro.core.simulator.simulate_lru_sweep`).  A whole fixed-sets
-    associativity sweep (the ``assocsweep`` cells of ``ext-assoc``, or the
-    CLI's ``sweep --ways 1,2,4,8``) costs ~one cell.
+    Equal signatures name the same per-access ``(blocks, indices)``
+    stream, so under LRU one :func:`~repro.core.fastsim.lru_stack_distances`
+    pass answers every member by associativity thresholding
+    (:func:`~repro.core.simulator.simulate_lru_sweep`; ``member`` is the
+    cell's ``(ways, style)``).  A whole fixed-sets associativity sweep (the
+    ``assocsweep`` cells of ``ext-assoc``, or the CLI's
+    ``sweep --ways 1,2,4,8``) costs ~one cell.
 
 ``policy`` (the replacement-policy axis)
-    ``policysweep`` cells of one workload whose :class:`~.cells.PolicySpec`
-    signatures are equal (same scheme, mapping, associativity and random
-    seed — everything but the policy) share one trace decode, one index
-    computation and one set-decomposition pass; each member's policy then
-    replays its own exact kernel off the shared grouped arrays
+    ``policysweep`` cells equal in everything but the policy (scheme,
+    mapping, associativity and random seed) share one trace decode, one
+    index computation and one set-decomposition pass; each member's
+    policy then replays its own exact kernel off the shared grouped arrays
     (:func:`~repro.core.fastpolicy.simulate_policy_sweep`).  A whole
     policy grid (the ``ext-policy`` experiment, or the CLI's
     ``sweep --policy lru,fifo,plru,...``) costs one decomposition plus the
@@ -57,22 +58,26 @@ failure must not poison the family.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from ...core.fastpolicy import simulate_policy_sweep
 from ...core.simulator import SimulationResult, simulate_lru_sweep
 from ..config import PaperConfig
-from .cells import (
-    SimCell,
-    _trace_at,
-    build_kernel_scheme,
-    build_policy_scheme,
-    kernel_cell_spec,
-    policy_cell_spec,
-    timed_execute_cell,
-)
+from .cells import CELL_KINDS, SimCell, _open_trace, timed_execute_cell
 
 __all__ = ["SweepFamily", "detect_families", "execute_family"]
+
+#: The shared pass of each batching axis: ``(scheme, trace, geometry,
+#: members, config)`` → one result per member, in member order.
+_AXIS_RUNNERS = {
+    "assoc": lambda scheme, trace, geometry, members, config: simulate_lru_sweep(
+        scheme, trace, geometry, members
+    ),
+    "policy": lambda scheme, trace, geometry, members, config: simulate_policy_sweep(
+        scheme, trace, geometry, members, seed=config.policy_seed
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,8 @@ class SweepFamily:
     axis: str
     workload: str
     members: tuple[SimCell, ...]
-    #: The shared :class:`~.cells.KernelSpec` signature (``assoc`` only).
+    #: The members' shared :meth:`~.cells.CellKind.batch` signature
+    #: (``assoc`` and ``policy`` only).
     signature: tuple | None = None
 
     @property
@@ -93,20 +99,32 @@ class SweepFamily:
         return f"{self.workload}/[{'+'.join(c.label for c in self.members)}]"
 
 
+def _offer(cell: SimCell, config: PaperConfig) -> tuple:
+    """The ``(workload, axis, signature)`` group a cell offers to join
+    (see :meth:`~.cells.CellKind.batch`).  A cell whose kind or label
+    cannot be read joins no batch, so it fails when it runs, blamed on
+    itself."""
+    if config.engine != "auto":
+        return (cell.workload, "decode", None)
+    try:
+        batch = CELL_KINDS[cell.kind].batch(cell, config)
+    except (KeyError, ValueError):
+        batch = None
+    return (cell.workload,) + (batch[:2] if batch else ("decode", None))
+
+
 def detect_families(
     cells, config: PaperConfig
 ) -> tuple[SweepFamily, ...]:
     """Partition a cell list into sweep families.
 
-    Grouping never mixes workloads (hence traces), kernel signatures
-    (hence index mappings) or — on the assoc axis — replacement policies:
-    the ``assoc`` axis groups by ``(workload, KernelSpec.signature)`` — the
-    signature embeds the scheme identity and the policy gate is inside
-    :func:`~.cells.kernel_cell_spec`; the ``policy`` axis groups by
-    ``(workload, PolicySpec.signature)`` — members *differ* in policy by
-    construction but share everything else; and the ``decode`` axis only
-    ever groups by workload, leaving each member's own execution path
-    intact.
+    Grouping is by ``(workload, axis, signature)``, so a family never
+    mixes workloads (hence traces) or signatures (hence index streams);
+    the kinds only offer LRU cells to the ``assoc`` axis, and ``policy``
+    members differ in nothing but the policy.  A group of one, and every
+    cell no kind batches, joins its workload's ``decode`` family (or
+    ``single`` when it is alone), which keeps each member's own execution
+    path.
 
     ``config.batch_sweeps=False`` degenerates to all-singleton families;
     the ``assoc`` and ``policy`` axes additionally require
@@ -117,43 +135,19 @@ def detect_families(
     cells = list(dict.fromkeys(cells))  # dedupe, preserving declaration order
     if not config.batch_sweeps:
         return tuple(SweepFamily("single", c.workload, (c,)) for c in cells)
-    assoc_members: set[SimCell] = set()
-    families: list[SweepFamily] = []
-    if config.engine == "auto":
-        kernel_groups: dict[tuple, list[SimCell]] = {}
-        for cell in cells:
-            spec = kernel_cell_spec(cell, config)
-            if spec is not None:
-                kernel_groups.setdefault(
-                    (cell.workload, spec.signature), []
-                ).append(cell)
-        for (workload, sig), members in kernel_groups.items():
-            if len(members) >= 2:
-                families.append(
-                    SweepFamily("assoc", workload, tuple(members), sig)
-                )
-                assoc_members.update(members)
-        policy_groups: dict[tuple, list[SimCell]] = {}
-        for cell in cells:
-            spec = policy_cell_spec(cell, config)
-            if spec is not None:
-                policy_groups.setdefault(
-                    (cell.workload, spec.signature), []
-                ).append(cell)
-        for (workload, sig), members in policy_groups.items():
-            if len(members) >= 2:
-                families.append(
-                    SweepFamily("policy", workload, tuple(members), sig)
-                )
-                assoc_members.update(members)
-    decode_groups: dict[str, list[SimCell]] = {}
-    for cell in cells:
-        if cell not in assoc_members:
-            decode_groups.setdefault(cell.workload, []).append(cell)
-    for workload, members in decode_groups.items():
-        axis = "decode" if len(members) >= 2 else "single"
-        families.append(SweepFamily(axis, workload, tuple(members)))
-    return tuple(families)
+    keys = {cell: _offer(cell, config) for cell in cells}
+    sizes = Counter(keys.values())
+    groups: dict[tuple, list[SimCell]] = {}
+    for cell, key in keys.items():
+        if sizes[key] < 2:
+            key = (cell.workload, "decode", None)
+        groups.setdefault(key, []).append(cell)
+    return tuple(
+        SweepFamily(
+            axis if len(members) >= 2 else "single", workload, tuple(members), signature
+        )
+        for (workload, axis, signature), members in groups.items()
+    )
 
 
 def execute_family(
@@ -171,40 +165,25 @@ def execute_family(
     is ``None`` or the ``(workload, label, message)`` of the member that
     failed.  On a decode-axis failure the members already simulated are
     still returned (their cache entries stay storable) and later members
-    are not attempted; an assoc-axis failure happens inside the shared
-    pass, before any member completes, and is attributed to the family's
-    first member.  Messages travel as strings because worker exceptions
-    must not require cross-process pickling of arbitrary exception types
-    (the same discipline as :class:`~.cells.CellExecutionError`).
+    are not attempted; an assoc- or policy-axis failure happens inside the
+    shared pass, before any member completes, and is attributed to the
+    family's first member.  Messages travel as strings because worker
+    exceptions must not require cross-process pickling of arbitrary
+    exception types (the same discipline as
+    :class:`~.cells.CellExecutionError`).
     """
     completed: list[tuple[SimCell, SimulationResult, float]] = []
-    if family.axis in ("assoc", "policy"):
+    if family.axis in _AXIS_RUNNERS:
         first = family.members[0]
         t0 = time.perf_counter()
         try:
-            if trace_path is not None:
-                trace = _trace_at(trace_path, family.workload, config)
-            else:
-                from ..runner import workload_trace
-
-                trace = workload_trace(family.workload, config)
-            if family.axis == "assoc":
-                scheme, geometry = build_kernel_scheme(
-                    first, config, profile_path if first.needs_profile else None
-                )
-                specs = [kernel_cell_spec(cell, config) for cell in family.members]
-                results = simulate_lru_sweep(
-                    scheme, trace, geometry, [(s.ways, s.style) for s in specs]
-                )
-            else:
-                scheme, geometry = build_policy_scheme(first, config)
-                results = simulate_policy_sweep(
-                    scheme,
-                    trace,
-                    geometry,
-                    [cell.policy for cell in family.members],
-                    seed=config.policy_seed,
-                )
+            trace = _open_trace(family.workload, config, trace_path)
+            scheme, geometry = CELL_KINDS[first.kind].scheme(
+                first, config, profile_path if first.needs_profile else None
+            )
+            members = [CELL_KINDS[c.kind].batch(c, config)[2] for c in family.members]
+            run_axis = _AXIS_RUNNERS[family.axis]
+            results = run_axis(scheme, trace, geometry, members, config)
         except Exception as exc:  # attributed in the parent, never re-raised here
             return completed, (first.workload, first.label, str(exc))
         # The pass is shared; bill its wall time evenly across the members.

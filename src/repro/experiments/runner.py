@@ -2,8 +2,8 @@
 
 Each figure module registers a runner ``(PaperConfig) -> ExperimentResult``
 under its id ("fig1" ... "fig14").  This module adds the pieces they share:
-cached workload traces, the Figure-6 cache-model line-up, and the engine
-run behind every "% miss reduction vs direct-mapped" table.
+cached workload traces and the engine run behind every "% miss reduction
+vs direct-mapped" table.
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from ..core.caches import (
-    AdaptiveGroupAssociativeCache,
-    BalancedCache,
-    ColumnAssociativeCache,
-)
 from ..core.uniformity import percent_reduction
 from ..trace.event import Trace
 from ..trace.io import TraceCache
@@ -33,7 +28,6 @@ __all__ = [
     "workload_trace",
     "workload_trace_path",
     "profile_trace_path",
-    "progassoc_lineup",
     "add_reduction_rows",
 ]
 
@@ -145,22 +139,6 @@ def profile_trace_path(name: str, config: PaperConfig) -> Path:
     if config.profile_seed_offset == 0:
         return workload_trace_path(name, config)
     return workload_trace_path(name, config, seed=config.seed + config.profile_seed_offset)
-
-
-def progassoc_lineup(config: PaperConfig) -> dict[str, Callable[[], object]]:
-    """Factories for the paper's Figure-6 cache line-up (fresh per trace)."""
-    g = config.geometry
-    return {
-        "Adaptive_Cache": lambda: AdaptiveGroupAssociativeCache(
-            g, sht_fraction=config.sht_fraction, out_fraction=config.out_fraction
-        ),
-        "B_Cache": lambda: BalancedCache(
-            g, mapping_factor=config.bcache_mapping_factor, bas=config.bcache_bas
-        ),
-        "Column_associative": lambda: ColumnAssociativeCache(
-            g, protect_conventional=config.protect_conventional
-        ),
-    }
 
 
 def add_reduction_rows(

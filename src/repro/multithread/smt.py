@@ -16,11 +16,13 @@ separate processes under SMT do).
 reports global and per-thread miss statistics.  Because the structure is a
 direct-mapped array whose index stream is a pure per-thread function of the
 addresses, the whole simulation vectorises: ``engine="auto"`` (the default)
-computes the miss vector with
-:func:`~repro.core.fastsim.direct_mapped_miss_flags` over per-thread index
-arrays and recovers the cross-eviction count from the previous-access-to-
-the-same-slot relation — bit-identical to the sequential loop (locked down
-by the differential tests), including the final cache contents and stats.
+groups the (slot, block) stream by slot once
+(:class:`~repro.core.decompose.SetStream`, slots from per-thread index
+arrays) and reads from that one grouping the misses (the run heads), the
+cross-eviction count (the previous access to the same slot) and the final
+contents (each slot's last access) — bit-identical to the sequential loop
+(locked down by the differential tests), including the final cache
+contents and stats.
 ``engine="sequential"`` forces the reference loop.
 """
 
@@ -32,7 +34,8 @@ import numpy as np
 
 from ..core.address import CacheGeometry
 from ..core.caches.base import EMPTY, CacheStats
-from ..core.fastsim import direct_mapped_miss_flags, per_set_counts
+from ..core.decompose import SetStream
+from ..core.fastsim import per_set_counts
 from ..core.selector import ThreadSchemeTable
 from ..trace.event import Trace
 
@@ -106,25 +109,6 @@ class SMTResult:
         return float(self.thread_misses[thread] / total) if total else 0.0
 
 
-def _previous_same_slot(slots: np.ndarray) -> np.ndarray:
-    """``prev[i]`` = latest ``t < i`` touching the same slot, else ``-1``."""
-    n = slots.size
-    prev = np.full(n, -1, dtype=np.int64)
-    if n < 2:
-        return prev
-    order = np.argsort(slots, kind="stable")
-    same = slots[order[1:]] == slots[order[:-1]]
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def _last_occupancy(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per touched slot, the position of its final access (``(slots, pos)``)."""
-    n = slots.size
-    uniq, first_in_reversed = np.unique(slots[::-1], return_index=True)
-    return uniq, n - 1 - first_in_reversed
-
-
 def _simulate_smt_fast(cache: SMTSharedCache, trace: Trace) -> SMTResult:
     """Vectorised path: requires a fresh (never-accessed) shared cache."""
     addresses = trace.addresses
@@ -138,12 +122,19 @@ def _simulate_smt_fast(cache: SMTSharedCache, trace: Trace) -> SMTResult:
         if np.any(mask):
             slots[mask] = np.asarray(scheme.indices_of(addresses[mask]), dtype=np.int64)
     # The shared array stores full block identities, so hit/miss is exactly
-    # the direct-mapped recurrence over the interleaved (slot, block) stream.
-    miss = direct_mapped_miss_flags(blocks, slots)
+    # the direct-mapped recurrence over the interleaved (slot, block) stream:
+    # the misses are the run heads of the slot-grouped stream.
+    stream = SetStream.of(blocks, slots)
+    miss = stream.unsort(~stream.repeat)
     # Owner of a slot before access i is the thread of the previous access to
     # that slot (every access, hit or miss, takes ownership); a cross
     # eviction is a miss on a previously-touched slot owned by another thread.
-    prev = _previous_same_slot(slots)
+    # That previous access is the one before i in its slot's group.
+    heads = stream.bounds[:-1]
+    prev_sorted = np.empty(n, dtype=np.int64)
+    prev_sorted[1:] = stream.order[:-1]
+    prev_sorted[heads] = -1
+    prev = stream.unsort(prev_sorted)
     warm = prev >= 0
     cross = miss & warm & (threads[np.maximum(prev, 0)] != threads)
     hit = ~miss
@@ -168,7 +159,9 @@ def _simulate_smt_fast(cache: SMTSharedCache, trace: Trace) -> SMTResult:
     cache.thread_hits += thread_hits
     cache.thread_misses += thread_misses
     cache.cross_evictions += cross_evictions
-    touched, last_pos = _last_occupancy(slots)
+    # Each touched slot ends holding its group's last access.
+    touched = stream.sorted_gid[heads]
+    last_pos = stream.order[stream.bounds[1:] - 1]
     cache._blocks[touched] = blocks[last_pos]
     cache._owner[touched] = threads[last_pos]
     return SMTResult(

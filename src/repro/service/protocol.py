@@ -58,7 +58,7 @@ import numpy as np
 
 from ..core.simulator import SimulationResult
 from ..experiments.config import PaperConfig
-from ..experiments.engine.cells import SimCell, make_cell
+from ..experiments.engine.cells import CELL_KINDS, SimCell, make_cell
 from ..experiments.report import ExperimentResult
 
 __all__ = [
@@ -240,17 +240,14 @@ def normalize_cell_request(
     return cell, config
 
 
-#: ``sweep`` labels that route to ``setassoc`` cells.
-_SETASSOC_LABELS = frozenset({"2way", "4way", "8way", "FullAssoc"})
-
-
 def sweep_cell(workload: str, label: str, config: PaperConfig) -> SimCell:
-    """Map one sweep label onto an engine cell (shared with tests)."""
-    if label == "baseline":
-        return make_cell("baseline", workload, "baseline", config)
-    if label in _SETASSOC_LABELS:
-        return make_cell("setassoc", workload, label, config)
-    return make_cell("indexing", workload, label, config)
+    """Map one sweep label onto an engine cell (shared with tests): the
+    baseline, a set-associative point, or else an indexing scheme."""
+    kind = next(
+        (k for k in ("baseline", "setassoc") if CELL_KINDS[k].accepts(label, config)),
+        "indexing",
+    )
+    return make_cell(kind, workload, label, config)
 
 
 def normalize_sweep_request(

@@ -248,6 +248,25 @@ class TestErrorPropagation:
         with pytest.raises(ValueError):
             make_cell("warp_drive", "crc", "baseline", config)
 
+    @pytest.mark.parametrize(
+        "kind,label",
+        [
+            ("baseline", "whatever"),
+            ("indexing", "Bogus"),
+            ("progassoc", "Bogus"),
+            ("colassoc", "ColAssoc_Bogus"),
+            ("setassoc", "3way"),
+            ("assocsweep", "fourway"),
+            ("bounds", "Bogus"),
+            ("policysweep", "modulo:bogus"),
+            ("auxsweep", "modulo:zz4"),
+        ],
+    )
+    def test_unknown_label_rejected_eagerly(self, kind, label, config):
+        """A label the kind cannot run fails at declaration, not in a worker."""
+        with pytest.raises(ValueError):
+            make_cell(kind, "crc", label, config)
+
 
 class TestCacheKeyAudit:
     """Every outcome-changing model parameter must reach the cache key."""
@@ -490,6 +509,39 @@ class TestCacheKeyAudit:
                 )
                 h.update(f"{label}={key}\n".encode())
             assert h.hexdigest() == self.PINNED_KIND_KEYS[kind], kind
+
+    #: The same digest for every label added after the pins above.
+    PINNED_LATER_KEYS = {
+        "indexing": "786965ad6c7f38a87e9f9e6765e9417ddfa2c44ffb861a9b120e6b03c1dc2144",
+        "progassoc": "8a055b482e972e7a37ca3c7fa52e9d327ba84589e1cd1d9ef4f8cba2cfed3bb4",
+        "assocsweep": "63e8a639cdb577910892523ebcb4ec0e6d9056505ee57bddcca5e71cc13ed322",
+    }
+
+    def test_later_keys_unchanged(self):
+        later = {
+            "indexing": ["Patel_train", "Patel_transfer"],
+            "progassoc": [
+                f"Adaptive_Cache:{s}" for s in ("xor", "odd_multiplier", "prime_modulo")
+            ],
+            "assocsweep": ["16way"],
+        }
+        config = PaperConfig()
+        for kind, labels in later.items():
+            h = hashlib.sha256()
+            for label in labels:
+                cell = make_cell(kind, "crc", label, config)
+                key = cell_key(
+                    cell.kind,
+                    cell.label,
+                    cell.params,
+                    config.geometry,
+                    "0" * 64,
+                    "1" * 64 if cell.needs_profile else None,
+                    ways=cell.ways,
+                    policy=cell.policy,
+                )
+                h.update(f"{label}={key}\n".encode())
+            assert h.hexdigest() == self.PINNED_LATER_KEYS[kind], kind
 
     def test_adaptive_scheme_labels(self, config):
         bare = make_cell("progassoc", "crc", "Adaptive_Cache", config)

@@ -5,8 +5,9 @@ Two contracts from the sweep-batching PR:
 * **Partition** — :func:`~repro.experiments.engine.families.detect_families`
   is a total partition of the (deduplicated) planned cell list: every cell
   lands in exactly one family, no family mixes workloads (hence traces),
-  ``assoc`` families share one :class:`~.cells.KernelSpec` signature and
-  are all-LRU, and turning ``batch_sweeps`` off degenerates to singletons.
+  ``assoc`` and ``policy`` families share one :meth:`~.cells.CellKind.batch`
+  signature, ``assoc`` ones are all-LRU, and turning ``batch_sweeps`` off
+  degenerates to singletons.
   Locked with a Hypothesis property over arbitrary cell grids.
 
 * **Failure attribution** — a member failing mid-family surfaces as
@@ -25,15 +26,14 @@ from hypothesis import strategies as st
 
 from repro.experiments import CellExecutionError, PaperConfig
 from repro.experiments.engine import (
+    CELL_KINDS,
     ResultCache,
     SimCell,
     detect_families,
-    kernel_cell_spec,
     make_cell,
     plan_cells,
     run_cells,
 )
-from repro.experiments.engine.cells import policy_cell_spec
 
 BASE_CONFIG = PaperConfig()
 
@@ -44,7 +44,12 @@ CELL_SHAPES = [
     ("indexing", "Odd_Multiplier"),
     ("indexing", "Prime_Modulo"),
     ("indexing", "Givargis"),
+    ("indexing", "Givargis_Xor"),
+    ("indexing", "Patel_train"),
+    ("indexing", "Patel_transfer"),
     ("progassoc", "Adaptive_Cache"),
+    ("progassoc", "Adaptive_Cache:xor"),
+    ("progassoc", "Adaptive_Cache:odd_multiplier"),
     ("progassoc", "B_Cache"),
     ("progassoc", "Column_associative"),
     ("colassoc", "ColAssoc_Base"),
@@ -55,6 +60,10 @@ CELL_SHAPES = [
     ("bounds", "FullAssoc"),
     ("bounds", "Belady"),
     ("bounds", "Victim8"),
+    ("bounds", "Skewed2"),
+    ("bounds", "Adaptive"),
+    ("bounds", "B_Cache"),
+    ("bounds", "ColAssoc"),
     ("assocsweep", "2way"),
     ("assocsweep", "4way"),
     ("assocsweep", "8way"),
@@ -89,6 +98,9 @@ config_strategy = st.builds(
 
 
 class TestPartitionProperty:
+    def test_shapes_cover_every_kind(self):
+        assert {kind for kind, _ in CELL_SHAPES} == set(CELL_KINDS)
+
     @settings(max_examples=120, deadline=None)
     @given(cells=grid_strategy, config=config_strategy)
     def test_families_partition_the_cell_list(self, cells, config):
@@ -107,20 +119,16 @@ class TestPartitionProperty:
                 assert len(fam.members) == 1
             else:
                 assert len(fam.members) >= 2
+            batches = [CELL_KINDS[c.kind].batch(c, config) for c in fam.members]
+            if fam.axis in ("assoc", "policy"):
+                # One shared signature on the family's axis.
+                assert {b[:2] for b in batches} == {(fam.axis, fam.signature)}
             if fam.axis == "assoc":
-                # The Mattson axis: all-LRU, one shared kernel signature.
-                specs = [kernel_cell_spec(c, config) for c in fam.members]
-                assert all(s is not None for s in specs)
-                assert {s.signature for s in specs} == {fam.signature}
+                # The Mattson axis is LRU only.
                 assert all(c.policy == "lru" for c in fam.members)
             elif fam.axis == "policy":
-                # The policy axis: one shared PolicySpec signature (scheme,
-                # mapping, geometry, seed), members differing *only* in
-                # policy — each policy at most once (duplicates would be
-                # identical cells, deduplicated upstream).
-                specs = [policy_cell_spec(c, config) for c in fam.members]
-                assert all(s is not None for s in specs)
-                assert {s.signature for s in specs} == {fam.signature}
+                # Members differ *only* in policy — each policy at most once
+                # (duplicates would be identical cells, deduplicated upstream).
                 policies = [c.policy for c in fam.members]
                 assert len(set(policies)) == len(policies)
             else:
@@ -142,7 +150,40 @@ class TestPartitionProperty:
         assert all(f.axis in ("decode", "single") for f in families)
 
 
+#: The (kind, label) grid of the end-to-end benchmark's kernel-grid workload.
+GRID_LABELS = (
+    [("baseline", "baseline")]
+    + [("indexing", s) for s in ("XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis")]
+    + [("progassoc", "B_Cache"), ("progassoc", "Column_associative")]
+    + [("colassoc", "ColAssoc_XOR"), ("colassoc", "ColAssoc_Prime_Modulo")]
+    + [("assocsweep", f"{k}way") for k in (1, 2, 4, 8, 16)]
+    + [("policysweep", f"xor:{p}") for p in ("lru", "fifo", "plru", "mru", "lfu", "random")]
+    + [("auxsweep", f"modulo:{c}4") for c in ("vc", "mc", "sb", "vc+sb")]
+)
+
+
 class TestDetectionShapes:
+    def test_grid_partition_pinned(self):
+        """The kernel grid splits into exactly these families."""
+        cells = [make_cell(kind, "crc", label, BASE_CONFIG) for kind, label in GRID_LABELS]
+        partition = sorted(
+            (f.axis, tuple(c.label for c in f.members))
+            for f in detect_families(cells, BASE_CONFIG)
+        )
+        assert partition == [
+            ("assoc", ("baseline", "1way", "2way", "4way", "8way", "16way")),
+            (
+                "decode",
+                (
+                    "XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis",
+                    "B_Cache", "Column_associative",
+                    "ColAssoc_XOR", "ColAssoc_Prime_Modulo",
+                    "modulo:vc4", "modulo:mc4", "modulo:sb4", "modulo:vc+sb4",
+                ),
+            ),
+            ("policy", ("xor:lru", "xor:fifo", "xor:plru", "xor:mru", "xor:lfu", "xor:random")),
+        ]
+
     def test_fixed_sets_ladder_is_one_assoc_family(self):
         """The ext-assoc grid: baseline + assocsweep cells share one
         modulo mapping, hence one stack-distance pass."""

@@ -138,6 +138,20 @@ class TestNormalization:
         with pytest.raises(ProtocolError):
             normalize_cell_request(req, CONFIG)
 
+    @pytest.mark.parametrize(
+        "kind,label",
+        [
+            ("indexing", "Bogus"),
+            ("colassoc", "ColAssoc_Bogus"),
+            ("progassoc", "Bogus"),
+            ("baseline", "whatever"),
+        ],
+    )
+    def test_unknown_labels_rejected(self, kind, label):
+        req = {"kind": kind, "workload": "crc", "label": label}
+        with pytest.raises(ProtocolError):
+            normalize_cell_request(req, CONFIG)
+
     def test_sweep_label_routing(self):
         assert sweep_cell("fft", "baseline", CONFIG).kind == "baseline"
         assert sweep_cell("fft", "4way", CONFIG).kind == "setassoc"
