@@ -21,15 +21,19 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ...core.aux import AUX_COMBOS, simulate_augmented, simulate_aux
 from ...core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
     BeladyCache,
     ColumnAssociativeCache,
+    DirectMappedCache,
     SkewedAssociativeCache,
     VictimCache,
 )
+from ...core.dynamic import DynamicIndexCache
 from ...core.fastassoc import simulate_progassoc
 from ...core.fastpolicy import simulate_policy_set_associative
 from ...core.replacement import POLICIES
@@ -42,12 +46,22 @@ from ...core.indexing import (
     PrimeModuloIndexing,
     XorIndexing,
 )
+from ...core.selector import ThreadSchemeTable
 from ...core.simulator import (
     SimulationResult,
+    _result_from_stats,
     simulate,
     simulate_fully_associative,
     simulate_indexing,
     simulate_set_associative,
+)
+from ...core.three_c import classify
+from ...multithread import (
+    PartitionedAdaptiveCache,
+    SMTSharedCache,
+    StaticPartitionedCache,
+    simulate_partitioned,
+    simulate_smt,
 )
 from ..config import PaperConfig
 
@@ -530,6 +544,114 @@ def _auxsweep(label: str, config: PaperConfig) -> _Spec:
     )
 
 
+def _threads(trace) -> int:
+    """Thread count of an interleaved trace (its threads are 0..n-1)."""
+    return int(trace.thread.max()) + 1 if len(trace) else 1
+
+
+def _variant(kind: str, label: str, variants: dict) -> tuple:
+    """``variants[label]``, or the ``ValueError`` naming the known labels."""
+    if label not in variants:
+        raise ValueError(f"unknown {kind} cell label {label!r}; known: {sorted(variants)}")
+    return variants[label]
+
+
+def _smt(label: str, config: PaperConfig) -> _Spec:
+    g = config.geometry
+    m = tuple(config.smt_multipliers)
+    # label → (key knobs, the per-thread schemes of an n-thread mix)
+    params, schemes = _variant(
+        "SMT",
+        label,
+        {
+            "modulo": ((), lambda n: [ModuloIndexing(g)] * n),
+            "odd_multiplier": (
+                (("smt_multipliers", m),),
+                lambda n: [OddMultiplierIndexing(g, m[i % len(m)]) for i in range(n)],
+            ),
+        },
+    )
+
+    def run(cell, trace, profile_path):
+        cache = SMTSharedCache(g, ThreadSchemeTable(schemes(_threads(trace))))
+        smt = simulate_smt(cache, trace, engine=config.engine)
+        result = _result_from_stats(cache.name, trace.name, cache.stats, smt.accesses)
+        result.extra["cross_evictions"] = smt.cross_evictions
+        return result
+
+    return _Spec(run, params=params)
+
+
+def _partitioned(label: str, config: PaperConfig) -> _Spec:
+    g, sht, out = config.geometry, config.sht_fraction, config.out_fraction
+    # label → (key knobs, the cache of an n-thread mix)
+    params, build = _variant(
+        "partitioned",
+        label,
+        {
+            "static": ((), lambda n: StaticPartitionedCache(g, n)),
+            "adaptive": (
+                (("sht_fraction", sht), ("out_fraction", out)),
+                lambda n: PartitionedAdaptiveCache(g, n, sht_fraction=sht, out_fraction=out),
+            ),
+        },
+    )
+
+    def run(cell, trace, profile_path):
+        cache = build(_threads(trace))
+        part = simulate_partitioned(cache, trace, engine=config.engine)
+        result = _result_from_stats(cache.name, trace.name, cache.stats, part.lookup_cycles)
+        result.extra["direct_hits"] = part.direct_hits
+        return result
+
+    return _Spec(run, params=params)
+
+
+def _threec(label: str, config: PaperConfig) -> _Spec:
+    if label != "direct_mapped":
+        raise ValueError(
+            f"unknown 3C cell label {label!r} (expected 'direct_mapped')"
+        )
+    g = config.geometry
+
+    def run(cell, trace, profile_path):
+        b = classify(DirectMappedCache(g), trace, g, engine=config.engine)
+        empty = np.zeros(0, dtype=np.int64)
+        return SimulationResult(
+            model="three_c",
+            trace_name=trace.name,
+            accesses=b.accesses,
+            hits=b.accesses - b.total,
+            misses=b.total,
+            lookup_cycles=b.accesses,
+            slot_accesses=empty,
+            slot_hits=empty,
+            slot_misses=empty,
+            extra={"cold": b.cold, "capacity": b.capacity, "conflict": b.conflict},
+        )
+
+    return _Spec(run)
+
+
+def _dynamic(label: str, config: PaperConfig) -> _Spec:
+    names = label.split("+")
+    if not all(n in _SCHEMES for n in names) or len(set(names)) != len(names):
+        raise ValueError(
+            f"unknown dynamic cell label {label!r} (expected '+'-joined distinct "
+            f"schemes from {tuple(_SCHEMES)})"
+        )
+    g = config.geometry
+    params = tuple(p for n in names for p in _SCHEMES[n][1](config))
+
+    def run(cell, trace, profile_path):
+        cache = DynamicIndexCache(g, [_SCHEMES[n][0](g, config) for n in names])
+        result = simulate(cache, trace)
+        result.extra["switches"] = cache.switches
+        return result
+
+    return _Spec(run, params=params)
+
+
 CELL_KINDS: dict[str, CellKind] = {
     "baseline": CellKind(
         _baseline,
@@ -595,6 +717,33 @@ CELL_KINDS: dict[str, CellKind] = {
         "stream-buffer structures, by the exact miss-event replay under "
         "``auto``.",
     ),
+    "smt": CellKind(
+        _smt,
+        "Figure 13's shared direct-mapped SMT cache over an interleaved "
+        "multi-thread trace: every thread under ``modulo``, or thread *i* "
+        "under odd-multiplier indexing with ``smt_multipliers[i]`` "
+        "(``odd_multiplier``).  ``extra['cross_evictions']`` counts one "
+        "thread evicting another's line.",
+    ),
+    "partitioned": CellKind(
+        _partitioned,
+        "Figure 14's cache split equally among the trace's threads: hard "
+        "walls (``static``) or Peir's SHT/OUT tables spanning the partitions "
+        "(``adaptive``).  ``extra['direct_hits']`` feeds Eq. (8).",
+    ),
+    "threec": CellKind(
+        _threec,
+        "3C breakdown of the config geometry's direct-mapped cache "
+        "(``direct_mapped``): ``misses`` is the total, ``extra`` holds "
+        "``cold`` / ``capacity`` / ``conflict``.  No per-set arrays.",
+    ),
+    "dynamic": CellKind(
+        _dynamic,
+        "The on-line scheme-switching direct-mapped cache over '+'-joined "
+        "untrainable candidate schemes (e.g. "
+        "``xor+odd_multiplier+prime_modulo``), flush costs paid; "
+        "``extra['switches']`` counts scheme switches.",
+    ),
 }
 
 
@@ -639,12 +788,12 @@ def _trace_at(path, name: str, config: PaperConfig | None = None):
 
 def _open_trace(workload: str, config: PaperConfig, trace_path=None):
     """The workload's trace: the pre-warmed file when the engine ships its
-    path, else through the on-disk trace cache."""
+    path, else through the on-disk trace cache (derived traces included)."""
     if trace_path is not None:
         return _trace_at(trace_path, workload, config)
-    from ..runner import workload_trace
+    from ..warm import load_spec, trace_spec
 
-    return workload_trace(workload, config)
+    return load_spec(trace_spec(workload, config), config).with_name(workload)
 
 
 def execute_cell(

@@ -235,20 +235,21 @@ def _warm_and_fingerprint(
 ) -> tuple[dict[str, str], dict[str, str], dict[str, Any], dict[str, Any]]:
     """Materialise every needed trace concurrently and fingerprint it.
 
-    The needed-trace set (evaluation traces plus profiling runs for
+    The needed-trace set (evaluation traces — derived ones resolved by
+    :func:`repro.experiments.warm.trace_spec` — plus profiling runs for
     trainable-scheme cells) is warmed through
     :func:`repro.experiments.warm.warm_traces` on the engine's worker
     budget; fingerprints are computed in the workers, so the parent's cost
     is independent of trace length.  Workers later receive the on-disk
     trace *paths* (a few bytes each) rather than pickled address arrays.
     """
-    from ..warm import TraceWarmError, profile_spec, warm_traces, workload_spec
+    from ..warm import TraceWarmError, profile_spec, trace_spec, warm_traces
 
     eval_specs = {}
     prof_specs = {}
     for cell in cells:
         if cell.workload not in eval_specs:
-            eval_specs[cell.workload] = workload_spec(cell.workload, config)
+            eval_specs[cell.workload] = trace_spec(cell.workload, config)
         if cell.needs_profile and cell.workload not in prof_specs:
             prof_specs[cell.workload] = profile_spec(cell.workload, config)
     try:

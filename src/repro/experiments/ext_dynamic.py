@@ -13,18 +13,11 @@ Columns report % miss reduction vs static-modulo.
 
 from __future__ import annotations
 
-from ..core.dynamic import DynamicIndexCache
-from ..core.indexing import (
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from ..core.simulator import simulate, simulate_indexing
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
-from .runner import register_experiment, workload_trace
+from .runner import register_experiment
 
 __all__ = ["run_ext_dynamic"]
 
@@ -36,38 +29,44 @@ PHASE_PAIRS = [
     ("sha", "astar"),
 ]
 
+#: Static column → ``indexing`` label (the baseline is static modulo).
+STATIC_LABELS = {
+    "static_xor": "XOR",
+    "static_odd": "Odd_Multiplier",
+    "static_prime": "Prime_Modulo",
+}
+
+#: The dynamic cache's candidate schemes (a ``dynamic`` cell label).
+DYNAMIC_CANDIDATES = "xor+odd_multiplier+prime_modulo"
+
 
 @register_experiment("ext-dynamic")
 def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
     result = ExperimentResult(
         experiment_id="ext-dynamic",
         title="% miss reduction vs static modulo: static schemes vs dynamic switching",
         columns=["best_static", "static_xor", "static_odd", "dynamic"],
     )
+    cells = []
+    for pair in PHASE_PAIRS:
+        trace = phase_name(pair)
+        cells.append(make_cell("baseline", trace, "baseline", config))
+        cells.extend(make_cell("indexing", trace, lab, config) for lab in STATIC_LABELS.values())
+        cells.append(make_cell("dynamic", trace, DYNAMIC_CANDIDATES, config))
+    sims, stats = ExperimentEngine(config).run(cells)
     for a, b in PHASE_PAIRS:
-        trace = workload_trace(a, config).concat(workload_trace(b, config))
-        base = simulate_indexing(ModuloIndexing(g), trace, g)
-        statics = {
-            "static_xor": simulate_indexing(XorIndexing(g), trace, g).misses,
-            "static_odd": simulate_indexing(
-                OddMultiplierIndexing(g, config.odd_multiplier), trace, g
-            ).misses,
-            "static_prime": simulate_indexing(PrimeModuloIndexing(g), trace, g).misses,
-        }
-        dynamic_cache = DynamicIndexCache(
-            g,
-            [XorIndexing(g), OddMultiplierIndexing(g, config.odd_multiplier), PrimeModuloIndexing(g)],
-        )
-        dynamic = simulate(dynamic_cache, trace).misses
+        trace = phase_name((a, b))
+        base = sims[(trace, "baseline")].misses
+        statics = {col: sims[(trace, lab)].misses for col, lab in STATIC_LABELS.items()}
+        dynamic = sims[(trace, DYNAMIC_CANDIDATES)]
         row = {
-            "best_static": percent_reduction(min(statics.values()), base.misses),
-            "static_xor": percent_reduction(statics["static_xor"], base.misses),
-            "static_odd": percent_reduction(statics["static_odd"], base.misses),
-            "dynamic": percent_reduction(dynamic, base.misses),
+            "best_static": percent_reduction(min(statics.values()), base),
+            "static_xor": percent_reduction(statics["static_xor"], base),
+            "static_odd": percent_reduction(statics["static_odd"], base),
+            "dynamic": percent_reduction(dynamic.misses, base),
         }
         result.add_row(f"{a}->{b}", row)
-        result.arrays[f"{a}->{b}/switches"] = dynamic_cache.switches
+        result.arrays[f"{a}->{b}/switches"] = dynamic.extra["switches"]
     result.add_average_row()
     result.note("dynamic pays real flush costs per switch; switches logged in arrays")
     result.note("implements the paper's 'adjust dynamically' future-work remark")
@@ -75,13 +74,13 @@ def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
         "the dynamic cache approaches the best per-pair static choice without "
         "any off-line profiling, and beats every fixed wrong choice"
     )
+    result.engine_stats = stats.as_dict()
     return result
 
 
-from .warm import provides_traces, workload_spec  # noqa: E402
+from .warm import phase_name, provides_traces, trace_spec  # noqa: E402
 
 
 @provides_traces("ext-dynamic")
 def ext_dynamic_traces(config: PaperConfig):
-    names = dict.fromkeys(n for pair in PHASE_PAIRS for n in pair)
-    return [workload_spec(n, config) for n in names]
+    return [trace_spec(phase_name(pair), config) for pair in PHASE_PAIRS]

@@ -11,28 +11,37 @@ caveat, kept unclamped).
 
 from __future__ import annotations
 
-from ..core.caches import DirectMappedCache
-from ..core.three_c import classify
+from ..core.three_c import MissBreakdown
 from ..workloads.mibench import MIBENCH_ORDER
 from ..workloads.spec import SPEC_ORDER
 from .config import PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
-from .runner import register_experiment, workload_trace
+from .runner import register_experiment
 
 __all__ = ["run_ext_three_c"]
 
 
 @register_experiment("ext-3c")
 def run_ext_three_c(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
     result = ExperimentResult(
         experiment_id="ext-3c",
         title="3C breakdown of direct-mapped misses (% of total misses)",
         columns=["miss_rate%", "cold%", "capacity%", "conflict%"],
     )
-    for bench in MIBENCH_ORDER + SPEC_ORDER:
-        trace = workload_trace(bench, config)
-        breakdown = classify(DirectMappedCache(g), trace, g)
+    benches = MIBENCH_ORDER + SPEC_ORDER
+    sims, stats = ExperimentEngine(config).run(
+        make_cell("threec", bench, "direct_mapped", config) for bench in benches
+    )
+    for bench in benches:
+        sim = sims[(bench, "direct_mapped")]
+        breakdown = MissBreakdown(
+            total=sim.misses,
+            cold=sim.extra["cold"],
+            capacity=sim.extra["capacity"],
+            conflict=sim.extra["conflict"],
+            accesses=sim.accesses,
+        )
         result.add_row(
             bench,
             {
@@ -44,6 +53,7 @@ def run_ext_three_c(config: PaperConfig) -> ExperimentResult:
         )
         result.arrays[bench] = breakdown
     result.note("high conflict% predicts responsiveness to the paper's techniques")
+    result.engine_stats = stats.as_dict()
     return result
 
 

@@ -47,6 +47,8 @@ def _moment_result(
             row[col] = percent_increase(moment_fn(misses), base_m)
         result.add_row(bench, row)
     result.add_average_row()
+    # The cells behind these moments are the source run's.
+    result.engine_stats = dict(source.engine_stats)
     return result
 
 

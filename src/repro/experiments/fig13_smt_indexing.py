@@ -9,75 +9,52 @@ reductions on every mix, substantial average.
 
 from __future__ import annotations
 
-from ..core.indexing import ModuloIndexing, OddMultiplierIndexing
-from ..core.selector import ThreadSchemeTable
 from ..core.uniformity import percent_reduction
-from ..multithread import SMTSharedCache, simulate_smt
-from ..trace.interleave import round_robin
 from .config import MULTITHREAD_MIXES_FIG13, PaperConfig
+from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
 from .runner import register_experiment
 
-__all__ = ["run_fig13", "mix_label", "mixed_trace"]
+__all__ = ["run_fig13", "mix_label"]
 
 
 def mix_label(mix: tuple[str, ...]) -> str:
     return "_".join(mix)
 
 
-def mixed_trace(mix: tuple[str, ...], config: PaperConfig):
-    """Round-robin interleaving of the mix's per-thread traces.
-
-    Each thread's workload runs in its own address-space slice (the
-    interleaver re-tags threads by list position; the per-thread offset
-    comes from regenerating with ``thread=i``).  Specs and cache keys come
-    from :func:`repro.experiments.warm.mix_specs`, the same plan the
-    parallel prefetch warms — so a warmed cache is a guaranteed hit here.
-    """
-    from ..trace.io import TraceCache
-    from .warm import mix_specs
-
-    cache = TraceCache(config.trace_cache_dir)
-    traces = [
-        cache.get_or_create(spec.cache_key(), spec.generate).with_name(spec.name)
-        for spec in mix_specs(mix, config)
-    ]
-    return round_robin(traces, name=mix_label(mix))
-
-
 @register_experiment("fig13")
 def run_fig13(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
+    # Each mix's round-robin interleaving of its per-thread traces is a
+    # derived trace (see repro.experiments.warm.mix_name), cached and
+    # fingerprinted like a workload.
     result = ExperimentResult(
         experiment_id="fig13",
         title="% reduction in miss rate: per-thread odd-multiplier indexing (SMT)",
         columns=["reduction"],
     )
+    labels = ("modulo", "odd_multiplier")
+    sims, stats = ExperimentEngine(config).run(
+        make_cell("smt", mix_name(mix), label, config)
+        for mix in MULTITHREAD_MIXES_FIG13
+        for label in labels
+    )
     for mix in MULTITHREAD_MIXES_FIG13:
-        trace = mixed_trace(mix, config)
-        n = len(mix)
-        base_cache = SMTSharedCache(g, ThreadSchemeTable([ModuloIndexing(g)] * n))
-        base = simulate_smt(base_cache, trace)
-        schemes = [
-            OddMultiplierIndexing(g, config.smt_multipliers[i % len(config.smt_multipliers)])
-            for i in range(n)
-        ]
-        multi_cache = SMTSharedCache(g, ThreadSchemeTable(schemes))
-        multi = simulate_smt(multi_cache, trace)
+        base, multi = (sims[(mix_name(mix), label)] for label in labels)
         result.add_row(
             mix_label(mix), {"reduction": percent_reduction(multi.misses, base.misses)}
         )
-        result.arrays[f"{mix_label(mix)}/base_cross_evictions"] = base.cross_evictions
-        result.arrays[f"{mix_label(mix)}/multi_cross_evictions"] = multi.cross_evictions
+        result.arrays[f"{mix_label(mix)}/base_cross_evictions"] = base.extra["cross_evictions"]
+        result.arrays[f"{mix_label(mix)}/multi_cross_evictions"] = multi.extra["cross_evictions"]
     result.add_average_row()
     result.note("paper shape: significant reductions on every mix")
     result.note("baseline = both threads conventional modulo indexing, shared L1D")
+    result.engine_stats = stats.as_dict()
     return result
 
 
-from .warm import mix_specs, provides_traces  # noqa: E402
+from .warm import mix_name, provides_traces, trace_spec  # noqa: E402
 
 
 @provides_traces("fig13")
 def fig13_traces(config: PaperConfig):
-    return [s for mix in MULTITHREAD_MIXES_FIG13 for s in mix_specs(mix, config)]
+    return [trace_spec(mix_name(mix), config) for mix in MULTITHREAD_MIXES_FIG13]

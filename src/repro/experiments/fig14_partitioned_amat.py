@@ -10,14 +10,11 @@ shape: improvements on every mix, up to ~60%.
 
 from __future__ import annotations
 
+from ..core.amat import amat_adaptive, amat_direct_mapped
 from ..core.uniformity import percent_reduction
-from ..multithread import (
-    PartitionedAdaptiveCache,
-    StaticPartitionedCache,
-    simulate_partitioned,
-)
 from .config import MULTITHREAD_MIXES_FIG14, PaperConfig
-from .fig13_smt_indexing import mix_label, mixed_trace
+from .engine import ExperimentEngine, make_cell
+from .fig13_smt_indexing import mix_label
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -26,38 +23,37 @@ __all__ = ["run_fig14"]
 
 @register_experiment("fig14")
 def run_fig14(config: PaperConfig) -> ExperimentResult:
-    g = config.geometry
     result = ExperimentResult(
         experiment_id="fig14",
         title="% improvement in AMAT: adaptive partitioned vs static partitioned",
         columns=["improvement"],
     )
     timing = config.timing
+    labels = ("static", "adaptive")
+    sims, stats = ExperimentEngine(config).run(
+        make_cell("partitioned", mix_name(mix), label, config)
+        for mix in MULTITHREAD_MIXES_FIG14
+        for label in labels
+    )
     for mix in MULTITHREAD_MIXES_FIG14:
-        n = len(mix)
-        trace = mixed_trace(mix, config)
-        static = simulate_partitioned(StaticPartitionedCache(g, n), trace)
-        adaptive = simulate_partitioned(
-            PartitionedAdaptiveCache(
-                g, n, sht_fraction=config.sht_fraction, out_fraction=config.out_fraction
-            ),
-            trace,
+        static, adaptive = (sims[(mix_name(mix), label)] for label in labels)
+        s_amat = amat_direct_mapped(static.miss_rate, timing)
+        a_amat = amat_adaptive(
+            adaptive.fraction("direct_hits", "accesses"), adaptive.miss_rate, timing
         )
-        s_amat = static.amat(timing)
-        a_amat = adaptive.amat(timing, adaptive=True)
         result.add_row(mix_label(mix), {"improvement": percent_reduction(a_amat, s_amat)})
         result.arrays[f"{mix_label(mix)}/static_miss_rate"] = static.miss_rate
         result.arrays[f"{mix_label(mix)}/adaptive_miss_rate"] = adaptive.miss_rate
     result.add_average_row()
     result.note("paper shape: AMAT improves for every mix, up to ~60%")
     result.note("AMAT: static = 1 + mr*penalty; adaptive = Eq. (8)")
+    result.engine_stats = stats.as_dict()
     return result
 
 
-from .config import MULTITHREAD_MIXES_FIG14 as _MIXES14  # noqa: E402
-from .warm import mix_specs, provides_traces  # noqa: E402
+from .warm import mix_name, provides_traces, trace_spec  # noqa: E402
 
 
 @provides_traces("fig14")
-def fig14_traces(config):
-    return [s for mix in _MIXES14 for s in mix_specs(mix, config)]
+def fig14_traces(config: PaperConfig):
+    return [trace_spec(mix_name(mix), config) for mix in MULTITHREAD_MIXES_FIG14]

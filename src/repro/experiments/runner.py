@@ -15,10 +15,10 @@ from typing import Callable
 from ..core.uniformity import percent_reduction
 from ..trace.event import Trace
 from ..trace.io import TraceCache
-from ..workloads import get_workload
 from .config import PaperConfig
 from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
+from .warm import TraceSpec, load_spec, profile_spec, workload_spec
 
 __all__ = [
     "register_experiment",
@@ -85,60 +85,44 @@ def workload_trace(
     name: str, config: PaperConfig, thread: int = 0, seed: int | None = None
 ) -> Trace:
     """Workload trace via the on-disk cache (keyed by all generation knobs)."""
-    cache = TraceCache(config.trace_cache_dir)
-    seed = config.seed if seed is None else seed
-    key = TraceCache.key_for(
-        name, seed=seed, limit=config.ref_limit, scale=config.workload_scale
-    )
-    trace = cache.get_or_create(
-        key,
-        lambda: get_workload(name).generate(
-            seed=seed, ref_limit=config.ref_limit, scale=config.workload_scale
-        ),
-    )
-    return trace.with_name(name)
+    return load_spec(workload_spec(name, config, seed), config).with_name(name)
 
 
 def profile_trace(name: str, config: PaperConfig) -> Trace:
     """The off-line profiling run used to fit trainable schemes (Figure-5
     flow): same workload, a different input seed."""
-    if config.profile_seed_offset == 0:
-        return workload_trace(name, config)
-    return workload_trace(name, config, seed=config.seed + config.profile_seed_offset)
+    return load_spec(profile_spec(name, config), config).with_name(name)
+
+
+def _cached_path(spec: TraceSpec, config: PaperConfig) -> Path:
+    """On-disk path of the spec's cache entry, materialised if absent.
+
+    The parallel engine hands this path to pool workers instead of pickling
+    the full address arrays per cell; workers re-open the file read-only
+    through the process-wide trace arena (bit-identical by construction:
+    ``load_spec`` itself returns a load of the same file on every warm
+    call).  New entries are written in the raw mmap-able format (``.rtr``);
+    a legacy ``.npz`` entry migrates transparently inside ``get_or_create``.
+
+    Always warms through :func:`~repro.experiments.warm.load_spec` rather
+    than a bare existence check: ``TraceCache.get_or_create`` validates the
+    entry and regenerates corrupted/truncated files, so the returned path
+    is guaranteed loadable.
+    """
+    load_spec(spec, config)
+    return TraceCache(config.trace_cache_dir).path_for(spec.cache_key())
 
 
 def workload_trace_path(
     name: str, config: PaperConfig, seed: int | None = None
 ) -> Path:
-    """On-disk path of the cached workload trace, materialising it if absent.
-
-    The parallel engine hands this path to pool workers instead of pickling
-    the full address arrays per cell; workers re-open the file read-only
-    through the process-wide trace arena (bit-identical by construction —
-    ``workload_trace`` itself returns a load of the same file on every
-    warm call).  New entries are written in the raw mmap-able format
-    (``.rtr``); a legacy ``.npz`` entry migrates transparently inside
-    ``get_or_create``.
-
-    Always warms through :func:`workload_trace` rather than a bare
-    existence check: ``TraceCache.get_or_create`` validates the entry and
-    regenerates corrupted/truncated files, so the returned path is
-    guaranteed loadable.
-    """
-    seed = config.seed if seed is None else seed
-    cache = TraceCache(config.trace_cache_dir)
-    key = TraceCache.key_for(
-        name, seed=seed, limit=config.ref_limit, scale=config.workload_scale
-    )
-    workload_trace(name, config, seed=seed)
-    return cache.path_for(key)
+    """On-disk path of the cached workload trace (see :func:`_cached_path`)."""
+    return _cached_path(workload_spec(name, config, seed), config)
 
 
 def profile_trace_path(name: str, config: PaperConfig) -> Path:
     """On-disk path of the cached profiling trace (see :func:`profile_trace`)."""
-    if config.profile_seed_offset == 0:
-        return workload_trace_path(name, config)
-    return workload_trace_path(name, config, seed=config.seed + config.profile_seed_offset)
+    return _cached_path(profile_spec(name, config), config)
 
 
 def add_reduction_rows(

@@ -1,11 +1,14 @@
-"""Extension-experiment tests (ext-bounds, ext-patel, ext-hybrid, ext-hpc)."""
+"""Extension-experiment tests (ext-bounds, ext-patel, ext-hybrid, ext-hpc), and
+the engine routing of ext-icache, ext-dynamic, ext-3c, fig13 and fig14."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.experiments import PaperConfig, run_experiment
@@ -145,3 +148,73 @@ class TestEngineRouting:
         fig06._CACHE.clear()
         hybrid = run_experiment("ext-hybrid", small_config)
         assert hybrid.engine_stats["cache_hits"] == 3 * len(MIBENCH_ORDER)
+
+
+#: SHA-256 of id, columns, rows, notes and every array (ndarray bytes,
+#: scalars, dataclass fields) at ``ref_limit=2000``, as produced by the
+#: direct-simulator implementations these experiments replaced.  For
+#: results without dataclass arrays this is the end-to-end benchmark's
+#: ``experiment_digest`` of the one result.
+PINNED_DERIVED_DIGESTS = {
+    ("ext-icache", 2011): "c1d952a294799d0d99ab2f077497311061e4e2e81dc53643c6ca37c5d057488d",
+    ("ext-dynamic", 2011): "7b1e16d6a7b47477dd10a30cdf73168f36bd5599e850299685ccede9208de6be",
+    ("ext-3c", 2011): "22ecc17b55f655a636c0910e3ea94ce14e023df8feda9cf1b93e360bf867473e",
+    ("fig13", 2011): "097c6caf82be5942e0a34e3aa45c72509fc012d8987b261743bf11887fb751e0",
+    ("fig14", 2011): "78f20c85953fa34734ce483e84845103c6f29ddaaad62c829ded425ade3ecbe0",
+    ("ext-icache", 7): "e0f8397756decf3b945a4ed9674a8c6a19054424f6caef31a91d1c127f02fe15",
+    ("ext-dynamic", 7): "d933ce6f0d8bd107e316f286bc9b4fcf6333b17e05bc651eeff8d918ab2675fe",
+    ("ext-3c", 7): "8a64c37f658b696a36e53a5d2f318eb2bf15359c8007ec76b151491980878144",
+    ("fig13", 7): "93cec617f22239f98b54c9afdb62ba50d13037634bd2189848495bfa92c0ab2f",
+    ("fig14", 7): "1a5d1879f676d55180dea505fed3ce82f7f5f44fc64cef555a499cc764c90d79",
+}
+
+
+def _canonical(obj) -> bytes:
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.item()
+    ).encode()
+
+
+def _full_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(_canonical([result.experiment_id, result.columns, result.rows, result.notes]))
+    for key in sorted(result.arrays):
+        value = result.arrays[key]
+        if isinstance(value, np.ndarray):
+            h.update(_canonical([key, value.dtype.str, value.shape]))
+            h.update(np.ascontiguousarray(value).tobytes())
+        elif dataclasses.is_dataclass(value):
+            h.update(_canonical([key, dataclasses.asdict(value)]))
+        else:
+            h.update(_canonical([key, value]))
+    return h.hexdigest()
+
+
+class TestDerivedTraceRouting:
+    """ext-icache, ext-dynamic, ext-3c, fig13 and fig14 run as engine cells,
+    over derived traces where their inputs are not a workload's trace."""
+
+    @pytest.mark.parametrize("eid,seed", sorted(PINNED_DERIVED_DIGESTS))
+    def test_results_pinned_and_warm_rerun_simulates_nothing(self, eid, seed, small_config):
+        config = replace(small_config, seed=seed)
+        cold = run_experiment(eid, config)
+        assert _full_digest(cold) == PINNED_DERIVED_DIGESTS[(eid, seed)]
+        assert cold.engine_stats["cache_misses"] > 0
+        warm = run_experiment(eid, config)
+        assert _full_digest(warm) == PINNED_DERIVED_DIGESTS[(eid, seed)]
+        assert warm.engine_stats["cache_misses"] == 0
+        assert warm.engine_stats["cache_hits"] == warm.engine_stats["cells_total"]
+
+    def test_parallel_equals_sequential(self, small_config):
+        for eid in ("ext-icache", "fig14"):
+            seq = run_experiment(eid, replace(small_config, use_result_cache=False), jobs=1)
+            par = run_experiment(
+                eid,
+                replace(
+                    small_config,
+                    use_result_cache=False,
+                    trace_cache_dir=small_config.trace_cache_dir.parent / "par",
+                ),
+                jobs=2,
+            )
+            assert _full_digest(par) == _full_digest(seq), eid

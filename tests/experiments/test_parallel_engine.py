@@ -260,6 +260,11 @@ class TestErrorPropagation:
             ("bounds", "Bogus"),
             ("policysweep", "modulo:bogus"),
             ("auxsweep", "modulo:zz4"),
+            ("smt", "xor"),
+            ("partitioned", "dynamic"),
+            ("threec", "4way"),
+            ("dynamic", "xor+xor"),
+            ("dynamic", "xor+givargis"),
         ],
     )
     def test_unknown_label_rejected_eagerly(self, kind, label, config):
@@ -542,6 +547,54 @@ class TestCacheKeyAudit:
                 )
                 h.update(f"{label}={key}\n".encode())
             assert h.hexdigest() == self.PINNED_LATER_KEYS[kind], kind
+
+    #: The same digest for the kinds that run the derived-trace experiments
+    #: (ext-icache, ext-dynamic, ext-3c, fig13, fig14), pinned when added.
+    PINNED_DERIVED_KIND_KEYS = {
+        "smt": "519e91dcbda9ccadc19fdcf3050bb1fb461d81911789b69b8e407a5aa116603f",
+        "partitioned": "00dce8d00535dfe992a9a919b835419114bd560975f85b1fd0ac0d85f837556e",
+        "threec": "08a3ad5e6ec0c859315f1f28cf85be1e1ca6dc2973aa8eaf97b4f851b539a736",
+        "dynamic": "9ce63eb817987cf0a108a30dfa208b1fd0aa410d94c401ada79c34e195bd63d6",
+    }
+
+    def test_derived_kind_keys_unchanged(self):
+        labels = {
+            "smt": ["modulo", "odd_multiplier"],
+            "partitioned": ["static", "adaptive"],
+            "threec": ["direct_mapped"],
+            "dynamic": ["xor+odd_multiplier+prime_modulo"],
+        }
+        config = PaperConfig()
+        for kind, kind_labels in labels.items():
+            h = hashlib.sha256()
+            for label in kind_labels:
+                cell = make_cell(kind, "crc", label, config)
+                key = cell_key(
+                    cell.kind,
+                    cell.label,
+                    cell.params,
+                    config.geometry,
+                    "0" * 64,
+                    None,
+                    ways=cell.ways,
+                    policy=cell.policy,
+                )
+                h.update(f"{label}={key}\n".encode())
+            assert h.hexdigest() == self.PINNED_DERIVED_KIND_KEYS[kind], kind
+
+    @pytest.mark.parametrize(
+        "kind,label,knob",
+        [
+            ("smt", "odd_multiplier", {"smt_multipliers": (9, 31, 21, 63)}),
+            ("partitioned", "adaptive", {"sht_fraction": 1 / 4}),
+            ("partitioned", "adaptive", {"out_fraction": 1 / 8}),
+            ("dynamic", "xor+odd_multiplier+prime_modulo", {"odd_multiplier": 31}),
+        ],
+    )
+    def test_derived_kind_knobs_distinguish_keys(self, kind, label, knob, config):
+        base = make_cell(kind, "crc", label, config)
+        other = make_cell(kind, "crc", label, replace(config, **knob))
+        assert self._key(base, config) != self._key(other, config)
 
     def test_adaptive_scheme_labels(self, config):
         bare = make_cell("progassoc", "crc", "Adaptive_Cache", config)

@@ -78,6 +78,13 @@ CELL_SHAPES = [
     ("auxsweep", "modulo:sb4"),
     ("auxsweep", "xor:mc2"),
     ("auxsweep", "odd_multiplier:vc+sb8"),
+    ("smt", "modulo"),
+    ("smt", "odd_multiplier"),
+    ("partitioned", "static"),
+    ("partitioned", "adaptive"),
+    ("threec", "direct_mapped"),
+    ("dynamic", "xor+odd_multiplier+prime_modulo"),
+    ("dynamic", "modulo+xor"),
 ]
 
 WORKLOADS = ["crc", "fft", "sha", "qsort"]

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.experiments import available_experiments
+from repro.experiments import available_experiments, warm
 from repro.experiments.config import (
     MULTITHREAD_MIXES_FIG13,
     PaperConfig,
@@ -76,9 +76,9 @@ def test_profile_spec_collapses_to_workload_at_zero_offset(tmp_path):
 
 
 def test_mix_specs_match_fig13_key_discipline(tmp_path):
-    # fig13's mixed_trace consumes mix_specs directly, so equality of the
-    # constructed fields *is* the key contract: per-thread ref budget,
-    # seed offset by thread index, thread tag present.
+    # fig13's SMT mix traces are built from mix_specs directly, so equality
+    # of the constructed fields *is* the key contract: per-thread ref
+    # budget, seed offset by thread index, thread tag present.
     cfg = _cfg(tmp_path)
     mix = MULTITHREAD_MIXES_FIG13[0]
     specs = mix_specs(mix, cfg)
@@ -168,6 +168,54 @@ def test_concurrent_warmers_leave_identical_content(tmp_path):
         spec = workload_spec(name, cfg)
         trace = cache.get_or_create(spec.cache_key(), lambda: 1 / 0)
         assert trace_fingerprint(trace) == fp
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a warm call started a process pool")
+
+
+def test_fully_warm_call_starts_no_pool(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path)
+    specs = _some_specs(cfg)
+    cold = warm_traces(specs, cfg, jobs=2, fingerprints=True)
+    monkeypatch.setattr(warm, "ProcessPoolExecutor", _NoPool)
+    again = warm_traces(specs, cfg, jobs=2, fingerprints=True)
+    assert list(again) == list(cold)
+    assert not any(e.generated for e in again.values())
+    assert {s: (e.path, e.fingerprint) for s, e in again.items()} == {
+        s: (e.path, e.fingerprint) for s, e in cold.items()
+    }
+
+
+def test_corrupt_entry_is_regenerated_on_a_warm_call(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path)
+    specs = _some_specs(cfg)
+    cold = warm_traces(specs, cfg, jobs=2, fingerprints=True)
+    victim = specs[1]
+    cold[victim].path.write_bytes(b"RTRACE1\ntruncated")
+    monkeypatch.setattr(warm, "ProcessPoolExecutor", _NoPool)
+    again = warm_traces(specs, cfg, jobs=2, fingerprints=True)
+    assert again[victim].fingerprint == cold[victim].fingerprint
+    healed = TraceCache(cfg.trace_cache_dir).get_or_create(victim.cache_key(), lambda: 1 / 0)
+    assert trace_fingerprint(healed) == cold[victim].fingerprint
+
+
+def test_only_missing_specs_go_to_the_pool(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path)
+    specs = _some_specs(cfg)
+    warm_traces(specs[:2], cfg, jobs=1)
+    submitted = []
+
+    class _RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(warm, "ProcessPoolExecutor", _RecordingPool)
+    entries = warm_traces(specs, cfg, jobs=2)
+    assert submitted == specs[2:]
+    assert [s for s, e in entries.items() if e.generated] == specs[2:]
 
 
 def test_warm_error_names_spec_and_leaves_no_entry(tmp_path):
