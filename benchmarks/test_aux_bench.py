@@ -82,9 +82,10 @@ def test_aux_sweep_ladder_1m(benchmark):
     assert len(results) == len(AUX_LADDER)
 
     t0 = time.perf_counter()
-    seq = simulate_aux_sweep(
-        scheme, TRACE_1M, G, AUX_LADDER, engine="sequential"
-    )
+    seq = [
+        simulate_aux(scheme, TRACE_1M, G, combo=c, depth=d, engine="sequential")
+        for c, d in AUX_LADDER
+    ]
     sequential_seconds = time.perf_counter() - t0
     assert [r.misses for r in seq] == [r.misses for r in results]
     speedup = sequential_seconds / benchmark.stats.stats.min

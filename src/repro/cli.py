@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .core.address import PAPER_L1_GEOMETRY
 from .core.indexing import TrainableIndexingScheme, available_schemes, make_scheme
-from .core.simulator import simulate_indexing, simulate_set_associative
+from .core.simulator import ENGINES, simulate_indexing, simulate_set_associative
 from .experiments import (
     PaperConfig,
     available_experiments,
@@ -77,11 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine",
-        choices=("auto", "sequential"),
+        choices=ENGINES,
         default=None,
-        help="simulation engine for cells with a vectorised fast path "
-        "(auto = set-decomposed kernels where exact; results are "
-        "bit-identical either way)",
+        help="auto = exact fast kernels where they apply; sequential = the "
+        "per-access reference loop for progassoc, colassoc, policysweep, "
+        "auxsweep, smt, partitioned and threec cells and the stateful bounds "
+        "columns (LRU cells stay vectorised); results are bit-identical "
+        "either way",
     )
     run.add_argument(
         "--no-batch",

@@ -3,14 +3,13 @@ engines, AMAT and uniformity metrics."""
 
 from . import caches, indexing
 from .address import PAPER_L1_GEOMETRY, PAPER_L2_GEOMETRY, CacheGeometry
+from .dispatch import ENGINES, dispatch
 from .dynamic import DynamicIndexCache
 from .fastassoc import (
-    has_fast_path,
     simulate_adaptive,
     simulate_bcache,
     simulate_column_associative,
     simulate_partner,
-    simulate_progassoc,
 )
 from .three_c import MissBreakdown, classify, cold_miss_count
 from .amat import (
@@ -63,12 +62,12 @@ __all__ = [
     "simulate_indexing",
     "simulate_set_associative",
     "simulate_fully_associative",
-    "simulate_progassoc",
+    "ENGINES",
+    "dispatch",
     "simulate_column_associative",
     "simulate_bcache",
     "simulate_partner",
     "simulate_adaptive",
-    "has_fast_path",
     "warmup_split",
     "SchemeScore",
     "SchemeSelector",

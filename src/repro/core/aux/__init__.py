@@ -10,17 +10,17 @@ hit to its servicing structure (``direct`` / ``victim`` / ``miss_cache`` /
 ``stream``).
 
 Direct-mapped compositions take an exact replay fast path
-(:func:`simulate_augmented`, ``engine="auto"``) that vectorises the main
-array and replays only the miss events — see :mod:`repro.core.aux.fast`
-for the exactness argument.
+(:func:`replay_aux`, the ``fast:aux-replay`` kernel of
+:func:`repro.core.dispatch.dispatch`) that vectorises the main array and
+replays only the miss events — see :mod:`repro.core.aux.fast` for the
+exactness argument.
 """
 
 from .augmented import AugmentedCache
 from .fast import (
     AUX_COMBOS,
-    has_aux_fast_path,
     make_aux_structures,
-    simulate_augmented,
+    replay_aux,
     simulate_aux,
     simulate_aux_sweep,
 )
@@ -34,8 +34,7 @@ __all__ = [
     "AugmentedCache",
     "AUX_COMBOS",
     "make_aux_structures",
-    "has_aux_fast_path",
-    "simulate_augmented",
+    "replay_aux",
     "simulate_aux",
     "simulate_aux_sweep",
 ]

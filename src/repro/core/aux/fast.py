@@ -32,11 +32,9 @@ else answered by one vectorised set decomposition
 (``benchmarks/test_aux_bench.py`` gates ≥ 5× at one million accesses;
 bit-identity is locked by ``tests/core/test_aux_differential.py``).
 
-Anything outside the provable region — a set-associative or otherwise
-stateful base, an unregistered structure type, pre-warmed contents, a
-subclass overriding the access path — falls back to the sequential
-reference engine, the same ``engine="auto"``/``"sequential"`` contract as
-:mod:`~repro.core.fastassoc` and :mod:`~repro.core.fastpolicy`.
+:func:`replay_aux` is the ``fast:aux-replay`` kernel of
+:func:`repro.core.dispatch.dispatch`, whose refusal check bounds the
+provable region.
 """
 
 from __future__ import annotations
@@ -47,20 +45,19 @@ import numpy as np
 
 from ...trace.event import Trace
 from ..address import CacheGeometry
-from ..caches.base import EMPTY, CacheModel, CacheStats
+from ..caches.base import EMPTY, CacheStats
 from ..caches.direct_mapped import DirectMappedCache
 from ..decompose import SetStream, decode
 from ..fastsim import per_set_counts
 from ..indexing.base import IndexingScheme
-from ..simulator import SimulationResult, _result_from_stats, simulate
+from ..simulator import SimulationResult, _miss_stats, _result_from_stats
 from .augmented import AugmentedCache
 from .structures import AuxStructure, MissCache, StreamBuffer, VictimBuffer
 
 __all__ = [
     "AUX_COMBOS",
     "make_aux_structures",
-    "has_aux_fast_path",
-    "simulate_augmented",
+    "replay_aux",
     "simulate_aux",
     "simulate_aux_sweep",
 ]
@@ -68,11 +65,9 @@ __all__ = [
 #: Composition specs with first-class support (probe priority in order).
 AUX_COMBOS = ("vc", "mc", "sb", "vc+sb", "mc+sb")
 
-_ENGINES = ("auto", "sequential")
-
 #: Structure types the replay is proven against (the protocol calls they
 #: receive are identical between engines; anything else falls back).
-_EXACT_STRUCTURES = (VictimBuffer, MissCache, StreamBuffer)
+EXACT_STRUCTURES = (VictimBuffer, MissCache, StreamBuffer)
 
 
 def make_aux_structures(
@@ -208,72 +203,13 @@ def _restore_base(
     flat = np.full(num_sets, EMPTY, dtype=np.int64)
     flat[filled] = blocks[last[filled]]
     base._blocks[:] = flat
-    accesses, misses = per_set_counts(indices, miss, num_sets)
-    bs = CacheStats(num_sets)
-    bs.accesses = n
-    bs.misses = int(miss.sum())
-    bs.hits = n - bs.misses
-    bs.slot_accesses = accesses
-    bs.slot_hits = accesses - misses
-    bs.slot_misses = misses
-    if bs.hits:
-        bs.extra["direct_hits"] = bs.hits
-    base.stats = bs
+    base.stats = _miss_stats(indices, miss, num_sets)
 
 
-def has_aux_fast_path(cache: CacheModel) -> bool:
-    """True iff :func:`simulate_augmented` would take the replay engine."""
-    if not isinstance(cache, AugmentedCache):
-        return False
-    t = type(cache)
-    if (
-        t._access_block is not AugmentedCache._access_block
-        or t.access is not CacheModel.access
-    ):
-        return False
-    if type(cache.base) is not DirectMappedCache:
-        return False
-    if not all(type(st) in _EXACT_STRUCTURES for st in cache.structures):
-        return False
-    # Pristine only: the replay starts from a cold hierarchy.
-    if np.any(cache.base._blocks != EMPTY):
-        return False
-    if any(st.contents() for st in cache.structures):
-        return False
-    return cache.stats.accesses == 0 and cache.base.stats.accesses == 0
-
-
-def simulate_augmented(
-    cache: AugmentedCache,
-    trace: Trace,
-    engine: str = "auto",
-    warmup: int = 0,
-    check_invariants_every: int = 0,
-) -> SimulationResult:
-    """Drive an :class:`AugmentedCache` through the miss-event replay.
-
-    A drop-in accelerator for :func:`~repro.core.simulator.simulate` on
-    aux compositions, mirroring
-    :func:`~repro.core.fastpolicy.simulate_policy`: ``engine="auto"``
-    takes the replay when the composition is a pristine direct-mapped
-    base with registered structures, reconstructing the full end state
-    (main array, base stats, buffer contents — the replay mutates the
-    real structure objects) so follow-on inspection sees exactly what the
-    sequential engine would have left behind.  Anything else — other
-    bases, subclassed wrappers, warmup, invariant checking — falls back
-    to :func:`simulate`.
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if (
-        engine != "auto"
-        or warmup
-        or check_invariants_every
-        or not has_aux_fast_path(cache)
-    ):
-        return simulate(
-            cache, trace, warmup=warmup, check_invariants_every=check_invariants_every
-        )
+def replay_aux(cache: AugmentedCache, trace: Trace) -> SimulationResult:
+    """Run a pristine direct-mapped composition through the miss-event
+    replay, leaving the end state (main array, base stats, buffer contents)
+    that :func:`~repro.core.simulator.simulate` would."""
     geometry = cache.geometry
     num_sets = geometry.num_sets
     blocks, indices = decode(cache.base.indexing, trace, geometry)
@@ -291,20 +227,6 @@ def simulate_augmented(
 
 def _canonical_model(scheme_name: str, combo: str, depth: int) -> str:
     return f"augmented[{scheme_name},{combo}{depth}]"
-
-
-def _make_cache(
-    scheme: IndexingScheme,
-    geometry: CacheGeometry,
-    combo: str,
-    depth: int,
-    streams: int,
-    allocate: str,
-) -> AugmentedCache:
-    if geometry.ways != 1:
-        raise ValueError("aux structures augment a direct-mapped geometry")
-    base = DirectMappedCache(geometry, indexing=scheme)
-    return AugmentedCache(base, make_aux_structures(combo, depth, streams, allocate))
 
 
 def simulate_aux(
@@ -325,11 +247,16 @@ def simulate_aux(
     to the canonical ``augmented[<scheme>,<combo><depth>]`` — identical
     counters, per-set histograms and ``extra`` classes either engine.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    from ..dispatch import dispatch  # the registry imports this module
+
     geometry = geometry or scheme.geometry
-    cache = _make_cache(scheme, geometry, combo, depth, streams, allocate)
-    res = simulate_augmented(cache, trace, engine=engine)
+    if geometry.ways != 1:
+        raise ValueError("aux structures augment a direct-mapped geometry")
+    cache = AugmentedCache(
+        DirectMappedCache(geometry, indexing=scheme),
+        make_aux_structures(combo, depth, streams, allocate),
+    )
+    res = dispatch(cache, trace, engine=engine)
     return dc_replace(res, model=_canonical_model(scheme.name, combo, depth))
 
 
@@ -340,7 +267,6 @@ def simulate_aux_sweep(
     specs,
     streams: int = 4,
     allocate: str = "miss",
-    engine: str = "auto",
 ) -> list[SimulationResult]:
     """An *aux sweep*: many ``(combo, depth)`` points from one main pass.
 
@@ -351,27 +277,11 @@ def simulate_aux_sweep(
     (per-set counts included) to its :func:`simulate_aux` per-cell
     equivalent — the contract the CLI's ``sweep --aux`` rides on.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
     specs = [(str(combo), int(depth)) for combo, depth in specs]
     if geometry.ways != 1:
         raise ValueError("aux structures augment a direct-mapped geometry")
     for combo, depth in specs:
         make_aux_structures(combo, depth, streams, allocate)  # validate eagerly
-    if engine == "sequential":
-        return [
-            simulate_aux(
-                scheme,
-                trace,
-                geometry,
-                combo=combo,
-                depth=depth,
-                streams=streams,
-                allocate=allocate,
-                engine="sequential",
-            )
-            for combo, depth in specs
-        ]
     num_sets = geometry.num_sets
     blocks, indices = decode(scheme, trace, geometry)
     _miss, mpos, prev = _miss_events(blocks, indices)

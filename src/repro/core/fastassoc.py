@@ -65,6 +65,10 @@ histograms, ``extra`` counters and lookup cycles) **and** equal post-run
 cache-object state (``_blocks``, rehash/PI/stamp arrays, policy clock, SHT/
 OUT directories).  The differential suite in
 ``tests/core/test_fastassoc_differential.py`` asserts both.
+
+The kernels are entries of :data:`repro.core.dispatch.KERNELS`
+(``fast:colassoc``, ``fast:bcache``, ``fast:partner``, ``fast:adaptive``);
+:func:`~repro.core.dispatch.dispatch` decides when each one applies.
 """
 
 from __future__ import annotations
@@ -79,15 +83,13 @@ from .caches.column_associative import ColumnAssociativeCache
 from .caches.partner import PartnerIndexCache
 from .decompose import SetStream, decode
 from .replacement import LRUPolicy
-from .simulator import SimulationResult, _result_from_stats, simulate
+from .simulator import SimulationResult, _result_from_stats
 
 __all__ = [
     "simulate_column_associative",
     "simulate_bcache",
     "simulate_partner",
     "simulate_adaptive",
-    "simulate_progassoc",
-    "has_fast_path",
 ]
 
 
@@ -745,55 +747,4 @@ def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> Sim
         slot_hits=hit_l,
         slot_misses=mis_l,
         extra={"direct_hits": dh, "out_hits": oh},
-    )
-
-
-# -- dispatch --------------------------------------------------------------------------
-
-
-def has_fast_path(cache: CacheModel) -> bool:
-    """True when ``simulate_progassoc(engine="auto")`` will vectorise.
-
-    Exact-type checks, as in the fastsim dispatchers: a subclass may
-    override any hook, which would silently break bit-identity.
-    """
-    if type(cache) is ColumnAssociativeCache or type(cache) is PartnerIndexCache:
-        return True
-    if type(cache) is BalancedCache:
-        return type(cache.policy) is LRUPolicy
-    if type(cache) is AdaptiveGroupAssociativeCache:
-        return True
-    return False
-
-
-def simulate_progassoc(
-    cache: CacheModel,
-    trace: Trace,
-    engine: str = "auto",
-    warmup: int = 0,
-    check_invariants_every: int = 0,
-) -> SimulationResult:
-    """Engine dispatcher for the programmable-associativity family.
-
-    ``engine="auto"`` routes to the decomposed fast paths when they are
-    provably bit-identical (exact model type; LRU policy for the B-cache;
-    no warmup or periodic invariant checking requested) and falls back to
-    the sequential reference otherwise; ``engine="sequential"`` forces the
-    reference loop.  Results are identical either way — asserted by
-    ``tests/core/test_fastassoc_differential.py`` — so callers may treat
-    the flag as a pure performance knob.
-    """
-    if engine not in ("auto", "sequential"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'auto' or 'sequential'")
-    if engine == "auto" and warmup == 0 and check_invariants_every == 0:
-        if type(cache) is ColumnAssociativeCache:
-            return simulate_column_associative(cache, trace)
-        if type(cache) is BalancedCache and type(cache.policy) is LRUPolicy:
-            return simulate_bcache(cache, trace)
-        if type(cache) is PartnerIndexCache:
-            return simulate_partner(cache, trace)
-        if type(cache) is AdaptiveGroupAssociativeCache:
-            return simulate_adaptive(cache, trace)
-    return simulate(
-        cache, trace, warmup=warmup, check_invariants_every=check_invariants_every
     )

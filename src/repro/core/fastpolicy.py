@@ -6,7 +6,7 @@ PLRU, MRU, LFU and seeded Random — with replay kernels that are
 *bit-identical* to driving :class:`~repro.core.caches.SetAssociativeCache`
 one access at a time through :func:`~repro.core.simulator.simulate`:
 equal hits/misses/lookup cycles, equal per-set histograms, equal ``extra``
-hit classes, and (through :func:`simulate_policy`) equal cache-object end
+hit classes, and (through :func:`replay_policy`) equal cache-object end
 state, policy internals included.
 
 Design
@@ -51,11 +51,9 @@ Entry points
 * :func:`simulate_policy_sweep` — a *policy sweep*: many policies over one
   decode + one index computation + one set-grouping pass (the engine's
   "policy" family axis).
-* :func:`simulate_policy` — the cache-object dispatcher mirroring
-  :func:`~repro.core.fastassoc.simulate_progassoc`: fires only when
-  provably exact (a pristine ``SetAssociativeCache`` with a registered
-  policy), reconstructs the full end state, and otherwise falls back to
-  the sequential reference engine.
+* :func:`replay_policy` — the ``fast:policy`` kernel of
+  :func:`repro.core.dispatch.dispatch` for a pristine
+  ``SetAssociativeCache`` object, end state included.
 """
 
 from __future__ import annotations
@@ -67,10 +65,10 @@ import numpy as np
 
 from ..trace.event import Trace
 from .address import CacheGeometry
-from .caches.base import EMPTY, CacheStats
+from .caches.base import EMPTY
 from .caches.set_associative import SetAssociativeCache
 from .decompose import SetStream, decode
-from .fastsim import lru_miss_flags, per_set_counts
+from .fastsim import lru_miss_flags
 from .indexing.base import IndexingScheme
 from .replacement import (
     POLICIES,
@@ -83,24 +81,23 @@ from .replacement import (
 )
 from .simulator import (
     SimulationResult,
+    _miss_stats,
     _result_from_stats,
     _vectorised_result,
+    check_engine,
     simulate,
 )
 
 __all__ = [
     "FAST_POLICIES",
-    "has_policy_fast_path",
     "policy_miss_flags",
-    "simulate_policy",
+    "replay_policy",
     "simulate_policy_set_associative",
     "simulate_policy_sweep",
 ]
 
 #: Policy registry names with an exact fast kernel (all registered policies).
 FAST_POLICIES = ("lru", "fifo", "random", "plru", "mru", "lfu")
-
-_ENGINES = ("auto", "sequential")
 
 
 def _expand(g: SetStream, miss_kept, way_kept) -> tuple[np.ndarray, np.ndarray]:
@@ -534,8 +531,7 @@ def simulate_policy_set_associative(
     stack-distance path there is no way to re-threshold a stateful-policy
     replay, so a mismatch is a genuinely unsupported configuration.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    check_engine(engine)
     geometry = geometry or scheme.geometry
     if ways is not None and int(ways) != geometry.ways:
         raise ValueError(
@@ -574,7 +570,6 @@ def simulate_policy_sweep(
     geometry: CacheGeometry,
     policies,
     seed: int = 0,
-    engine: str = "auto",
 ) -> list[SimulationResult]:
     """One *policy sweep* under one indexing scheme and geometry.
 
@@ -586,19 +581,10 @@ def simulate_policy_sweep(
     :func:`simulate_policy_set_associative` per-cell equivalent — the
     contract behind the engine's "policy" family axis.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
     policies = [str(p) for p in policies]
     ways = geometry.ways
     for policy in policies:
         _validate_policy(policy, ways)
-    if engine == "sequential":
-        return [
-            simulate_policy_set_associative(
-                scheme, trace, geometry, policy=p, seed=seed, engine="sequential"
-            )
-            for p in policies
-        ]
     blocks, indices = decode(scheme, trace, geometry)
     g = SetStream.of(blocks, indices)
     results = []
@@ -624,7 +610,7 @@ def simulate_policy_sweep(
     return results
 
 
-# -- cache-object dispatcher ------------------------------------------------------
+# -- the cache-object kernel ------------------------------------------------------
 
 _POLICY_TYPES = {
     LRUPolicy: "lru",
@@ -656,15 +642,6 @@ def _pristine(cache: SetAssociativeCache) -> bool:
         fresh = np.random.default_rng(policy._seed)
         return policy._rng.bit_generator.state == fresh.bit_generator.state
     return False
-
-
-def has_policy_fast_path(cache) -> bool:
-    """True iff :func:`simulate_policy` would take the replay kernels."""
-    return (
-        type(cache) is SetAssociativeCache
-        and type(cache.policy) in _POLICY_TYPES
-        and _pristine(cache)
-    )
 
 
 def _restore_state(
@@ -723,35 +700,12 @@ def _restore_state(
         policy._rng = private
 
 
-def simulate_policy(
-    cache: SetAssociativeCache,
-    trace: Trace,
-    engine: str = "auto",
-    warmup: int = 0,
-    check_invariants_every: int = 0,
+def replay_policy(
+    cache: SetAssociativeCache, trace: Trace, warmup: int = 0
 ) -> SimulationResult:
-    """Drive a :class:`SetAssociativeCache` through the fast policy kernels.
-
-    A drop-in accelerator for :func:`~repro.core.simulator.simulate` on
-    set-associative caches, mirroring
-    :func:`~repro.core.fastassoc.simulate_progassoc`: ``engine="auto"``
-    takes the exact replay kernels when the cache is a pristine
-    ``SetAssociativeCache`` with a registered policy, reconstructing the
-    full end state (contents, stats, policy internals — RNG position
-    included) so follow-on inspection sees exactly what the sequential
-    engine would have left behind.  Anything else — subclasses, pre-warmed
-    contents, invariant checking — falls back to :func:`simulate`.
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if (
-        engine != "auto"
-        or check_invariants_every
-        or not has_policy_fast_path(cache)
-    ):
-        return simulate(
-            cache, trace, warmup=warmup, check_invariants_every=check_invariants_every
-        )
+    """Run a pristine ``SetAssociativeCache`` through its policy's kernel,
+    leaving the end state (contents, policy internals, stats) that
+    :func:`~repro.core.simulator.simulate` would."""
     n = len(trace)
     if warmup >= n and n > 0:
         raise ValueError("warmup consumes the entire trace")
@@ -763,20 +717,5 @@ def simulate_policy(
         blocks, indices, geometry.num_sets, geometry.ways, policy_name, seed
     )
     _restore_state(cache, blocks, indices, miss, ways_all, private)
-    counted_idx = indices[warmup:] if warmup else indices
-    counted_miss = miss[warmup:] if warmup else miss
-    accesses, misses = per_set_counts(counted_idx, counted_miss, geometry.num_sets)
-    total = int(counted_idx.size)
-    total_misses = int(counted_miss.sum())
-    hits = total - total_misses
-    stats = CacheStats(geometry.num_sets)
-    stats.accesses = total
-    stats.hits = hits
-    stats.misses = total_misses
-    stats.slot_accesses = accesses
-    stats.slot_hits = accesses - misses
-    stats.slot_misses = misses
-    if hits:
-        stats.extra["direct_hits"] = hits
-    cache.stats = stats
-    return _result_from_stats(cache.name, trace.name, stats, total)
+    cache.stats = _miss_stats(indices[warmup:], miss[warmup:], geometry.num_sets)
+    return _result_from_stats(cache.name, trace.name, cache.stats, cache.stats.accesses)

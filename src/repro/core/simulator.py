@@ -1,23 +1,15 @@
 """Trace-driven simulation engine.
 
-Two engines, equivalence-tested against each other:
-
 * :func:`simulate` — the sequential reference engine.  Drives any
   :class:`~repro.core.caches.base.CacheModel` one access at a time,
-  accumulating exact lookup cycles.  This is the only engine the stateful
-  programmable-associativity models (column-associative, adaptive, B-cache,
-  victim, partner) can use.
-* :func:`simulate_set_associative` — the vectorised fast path for any
-  *stateless-lookup* configuration: a scheme × geometry × ways grid point
-  with LRU replacement.  Direct-mapped runs (paper Figures 4, 9, 10, 13)
-  use the sort-based adjacent-compare primitive; k-way LRU runs (the
-  set-associative baselines behind Figures 6/7/8/11/12/14 and the bounds
-  tables) use the offline stack-distance kernel in
-  :mod:`repro.core.fastsim` — one to two orders of magnitude faster than
-  the sequential engine, which matters when the Givargis/Patel trainers and
-  the figure sweeps run hundreds of whole-trace simulations.
-  :func:`simulate_indexing` is the historical direct-mapped entry point,
-  kept as the ``ways=1`` specialisation.
+  accumulating exact lookup cycles.  Cache objects reach it, or the exact
+  kernel that replaces it, through :func:`repro.core.dispatch.dispatch`.
+* :func:`simulate_set_associative` — the vectorised path for a scheme ×
+  geometry × ways grid point: the sort-based adjacent-compare primitive
+  for direct-mapped runs, the offline stack-distance kernel of
+  :mod:`repro.core.fastsim` for k-way LRU, the policy kernels of
+  :mod:`repro.core.fastpolicy` otherwise.  :func:`simulate_indexing` is
+  its ``ways=1`` specialisation.
 
 Both return a :class:`SimulationResult` carrying global counters, per-slot
 arrays and enough timing classes to evaluate the paper's AMAT formulas.
@@ -43,7 +35,9 @@ from .fastsim import (
 from .indexing.base import IndexingScheme
 
 __all__ = [
+    "ENGINES",
     "SimulationResult",
+    "check_engine",
     "simulate",
     "simulate_indexing",
     "simulate_lru_sweep",
@@ -51,6 +45,16 @@ __all__ = [
     "simulate_fully_associative",
     "warmup_split",
 ]
+
+#: Engine choices: ``"auto"`` takes an exact fast path where one applies,
+#: ``"sequential"`` forces the per-access reference loop.
+ENGINES = ("auto", "sequential")
+
+
+def check_engine(engine: str) -> None:
+    """Reject an engine name outside :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 @dataclass
@@ -67,6 +71,10 @@ class SimulationResult:
     slot_hits: np.ndarray
     slot_misses: np.ndarray
     extra: dict[str, int] = field(default_factory=dict)
+    #: How :func:`~repro.core.dispatch.dispatch` produced the result
+    #: (``fast:<kernel>`` or ``sequential:<reason>``; empty when it did not).
+    #: Metadata only: never stored, sent or keyed.
+    path: str = field(default="", compare=False)
 
     @property
     def miss_rate(self) -> float:
@@ -151,6 +159,22 @@ def simulate(
         if checker is not None and (i + 1) % check_invariants_every == 0:
             checker()
     return _result_from_stats(cache.name, trace.name, cache.stats, cycles)
+
+
+def _miss_stats(indices: np.ndarray, miss: np.ndarray, num_sets: int) -> CacheStats:
+    """Stats of a run in which every hit is a direct hit, from its per-access
+    set indices and miss flags."""
+    accesses, misses = per_set_counts(indices, miss, num_sets)
+    stats = CacheStats(num_sets)
+    stats.accesses = int(indices.size)
+    stats.misses = int(miss.sum())
+    stats.hits = stats.accesses - stats.misses
+    stats.slot_accesses = accesses
+    stats.slot_hits = accesses - misses
+    stats.slot_misses = misses
+    if stats.hits:
+        stats.extra["direct_hits"] = stats.hits
+    return stats
 
 
 def _vectorised_result(

@@ -30,16 +30,9 @@ from dataclasses import dataclass
 from ..trace.event import Trace
 from .address import CacheGeometry
 from .caches.base import CacheModel
-from .caches.direct_mapped import DirectMappedCache
 from .caches.fully_associative import FullyAssociativeCache
-from .caches.set_associative import SetAssociativeCache
-from .replacement import LRUPolicy
-from .simulator import (
-    simulate,
-    simulate_fully_associative,
-    simulate_indexing,
-    simulate_set_associative,
-)
+from .dispatch import dispatch
+from .simulator import simulate, simulate_fully_associative
 
 __all__ = ["MissBreakdown", "cold_miss_count", "classify"]
 
@@ -78,22 +71,6 @@ def cold_miss_count(trace: Trace, geometry: CacheGeometry) -> int:
     return int(trace.unique_blocks(geometry.offset_bits).size)
 
 
-def _target_misses(cache: CacheModel, trace: Trace, engine: str) -> int:
-    """Miss count of the target organisation, vectorised where exact.
-
-    Plain direct-mapped and k-way LRU structures (exactly those classes, not
-    subclasses, so specialised models keep their own semantics) are computed
-    with the stack-distance fast path; everything else runs sequentially.
-    Both paths are pinned to each other by the differential test-suite.
-    """
-    if engine != "sequential":
-        if type(cache) is DirectMappedCache:
-            return simulate_indexing(cache.indexing, trace, cache.geometry).misses
-        if type(cache) is SetAssociativeCache and type(cache.policy) is LRUPolicy:
-            return simulate_set_associative(cache.indexing, trace, cache.geometry).misses
-    return simulate(cache, trace).misses
-
-
 def classify(
     cache: CacheModel,
     trace: Trace,
@@ -103,16 +80,13 @@ def classify(
     """3C breakdown of ``cache``'s misses on ``trace``.
 
     ``geometry`` defaults to the cache's own geometry and determines the
-    capacity of the fully-associative reference.  ``engine="auto"`` (the
-    default) answers the direct-mapped / k-way-LRU / fully-associative runs
-    with the vectorised stack-distance kernel — the classifier used to pay
-    two whole sequential simulations per workload; ``engine="sequential"``
-    forces the reference engines (used by the differential tests).
+    capacity of the fully-associative reference.  The target runs through
+    :func:`~repro.core.dispatch.dispatch` and the fully-associative
+    reference through the stack-distance kernel; ``engine="sequential"``
+    forces the reference loop for both (used by the differential tests).
     """
-    if engine not in ("auto", "sequential"):
-        raise ValueError("engine must be 'auto' or 'sequential'")
+    target = dispatch(cache, trace, engine=engine)
     geometry = geometry or cache.geometry
-    total = _target_misses(cache, trace, engine)
     cold = cold_miss_count(trace, geometry)
     fa_geometry = CacheGeometry(
         geometry.capacity_bytes, geometry.line_bytes, 1, geometry.address_bits
@@ -122,9 +96,9 @@ def classify(
     else:
         fa = simulate_fully_associative(trace, fa_geometry).misses
     capacity = fa - cold
-    conflict = total - fa
+    conflict = target.misses - fa
     return MissBreakdown(
-        total=total,
+        total=target.misses,
         cold=cold,
         capacity=capacity,
         conflict=conflict,

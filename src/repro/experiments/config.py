@@ -135,10 +135,16 @@ class PaperConfig:
     #: Cluster-visible results directory for ``result_store="shared"``
     #: (every node of one cluster points here; ``None`` elsewhere).
     shared_store_dir: Path | None = None
-    #: Simulation-engine selection for cells with a vectorised fast path:
-    #: ``"auto"`` picks the set-decomposed engines (fastsim/fastassoc) when
-    #: available, ``"sequential"`` forces the reference loop.  Results are
-    #: bit-identical either way, so this knob is *not* part of cache keys.
+    #: Simulation-engine selection (one of ``repro.core.simulator.ENGINES``):
+    #: ``"auto"`` takes the exact fast kernels where they apply;
+    #: ``"sequential"`` forces the per-access reference loop for the
+    #: ``progassoc``, ``colassoc``, ``bounds``, ``policysweep``, ``auxsweep``,
+    #: ``smt``, ``partitioned`` and ``threec`` cells and turns sweep-family
+    #: batching off.  ``baseline``, ``indexing``, ``setassoc`` and
+    #: ``assocsweep`` cells (and the k-way and ``FullAssoc`` ``bounds``
+    #: columns) stay on the vectorised kernels: their results are stored
+    #: under the same keys either way.  Results are bit-identical either
+    #: way, so this knob is *not* part of cache keys.
     engine: str = "auto"
     #: Batch provably-equivalent cells into *sweep families* (see
     #: :mod:`repro.experiments.engine.families`): same-mapping LRU cells of

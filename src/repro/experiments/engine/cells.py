@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ...core.aux import AUX_COMBOS, simulate_augmented, simulate_aux
+from ...core.aux import AUX_COMBOS, simulate_aux
 from ...core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
@@ -33,8 +33,8 @@ from ...core.caches import (
     SkewedAssociativeCache,
     VictimCache,
 )
+from ...core.dispatch import dispatch
 from ...core.dynamic import DynamicIndexCache
-from ...core.fastassoc import simulate_progassoc
 from ...core.fastpolicy import simulate_policy_set_associative
 from ...core.replacement import POLICIES
 from ...core.indexing import (
@@ -50,7 +50,6 @@ from ...core.selector import ThreadSchemeTable
 from ...core.simulator import (
     SimulationResult,
     _result_from_stats,
-    simulate,
     simulate_fully_associative,
     simulate_indexing,
     simulate_set_associative,
@@ -289,13 +288,12 @@ def _named_lru(name: str, config: PaperConfig, geometry, style: str, **fields) -
 
 def _prog(model: str, scheme_name: str, config: PaperConfig, params: tuple) -> _Spec:
     """A programmable-associativity cache under the primary index
-    ``scheme_name``; ``simulate_progassoc`` takes the fastassoc engine
-    under ``config.engine == "auto"``."""
+    ``scheme_name``, run by :func:`~repro.core.dispatch.dispatch`."""
 
     def run(cell, trace, profile_path):
         index = _SCHEMES[scheme_name][0](config.geometry, config)
         cache = _PROGASSOC_MODELS[model][1](config, index)
-        return simulate_progassoc(cache, trace, engine=config.engine)
+        return dispatch(cache, trace, engine=config.engine)
 
     return _Spec(run, params=params)
 
@@ -430,27 +428,22 @@ _BOUNDS_MODELS = {
     "ColAssoc": "Column_associative",
 }
 
-#: The other ``bounds`` columns: their knobs and runner ``(trace, config)``.
-#: Only the sequential reference engine is exact for these structures
-#: (the victim cache's aux replay is exact too).
+#: The other ``bounds`` columns: their knobs and cache ``(trace, config)``,
+#: run by :func:`~repro.core.dispatch.dispatch` (the victim cache takes the
+#: aux replay; skewed and Belady have no kernel).
 _STATEFUL_BOUNDS: dict[str, tuple[Callable, Callable]] = {
     "Skewed2": (
         lambda c: (("skew_ways", 2),),
-        lambda trace, c: simulate(SkewedAssociativeCache(c.geometry, ways=2), trace),
+        lambda trace, c: SkewedAssociativeCache(c.geometry, ways=2),
     ),
     "Victim8": (
         lambda c: (("victim_lines", c.victim_lines),),
-        lambda trace, c: simulate_augmented(
-            VictimCache(c.geometry, victim_lines=c.victim_lines), trace, engine=c.engine
-        ),
+        lambda trace, c: VictimCache(c.geometry, victim_lines=c.victim_lines),
     ),
     "Belady": (
         lambda c: (),
-        lambda trace, c: simulate(
-            BeladyCache(
-                c.geometry, trace.blocks(c.geometry.offset_bits).astype("int64")
-            ),
-            trace,
+        lambda trace, c: BeladyCache(
+            c.geometry, trace.blocks(c.geometry.offset_bits).astype("int64")
         ),
     ),
 }
@@ -464,9 +457,12 @@ def _bounds(label: str, config: PaperConfig) -> _Spec:
         return _prog(model, "modulo", config, _PROGASSOC_MODELS[model][0](config))
     if label not in _STATEFUL_BOUNDS:
         raise ValueError(f"unknown bounds cell label {label!r}")
-    knobs, runner = _STATEFUL_BOUNDS[label]
+    knobs, build = _STATEFUL_BOUNDS[label]
     return _Spec(
-        lambda cell, trace, profile_path: runner(trace, config), params=knobs(config)
+        lambda cell, trace, profile_path: dispatch(
+            build(trace, config), trace, engine=config.engine
+        ),
+        params=knobs(config),
     )
 
 
@@ -645,7 +641,7 @@ def _dynamic(label: str, config: PaperConfig) -> _Spec:
 
     def run(cell, trace, profile_path):
         cache = DynamicIndexCache(g, [_SCHEMES[n][0](g, config) for n in names])
-        result = simulate(cache, trace)
+        result = dispatch(cache, trace, engine=config.engine)
         result.extra["switches"] = cache.switches
         return result
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import CancelledError as FutureCancelledError
 from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -160,6 +161,9 @@ class EngineStats:
     cells_batched: int = 0
     #: Per-cell simulation wall time, keyed ``"workload/label"``.
     cell_seconds: dict[str, float] = field(default_factory=dict)
+    #: Simulated cells by :func:`~repro.core.dispatch.dispatch` path
+    #: (cells that do not go through it carry none).
+    paths: Counter = field(default_factory=Counter)
 
     @property
     def simulated(self) -> int:
@@ -174,6 +178,7 @@ class EngineStats:
         self.families_batched += other.families_batched
         self.cells_batched += other.cells_batched
         self.cell_seconds.update(other.cell_seconds)
+        self.paths.update(other.paths)
         return self
 
     def as_dict(self) -> dict[str, Any]:
@@ -186,6 +191,7 @@ class EngineStats:
             "families_batched": self.families_batched,
             "cells_batched": self.cells_batched,
             "cell_seconds": {k: round(v, 6) for k, v in self.cell_seconds.items()},
+            "paths": dict(sorted(self.paths.items())),
         }
 
     def summary(self) -> str:
@@ -545,6 +551,8 @@ def _run_cells(
         results[(cell.workload, cell.label)] = result
         stats.cache_misses += 1
         stats.cell_seconds[cell.name] = seconds
+        if result.path:
+            stats.paths[result.path] += 1
         if result_cache is not None:
             result_cache.store(keys[cell], result)
 

@@ -90,11 +90,13 @@ class ExperimentResult:
             if s.get("families_batched")
             else ""
         )
+        paths = ", ".join(f"{p}={n}" for p, n in s.get("paths", {}).items())
         return (
             f"engine: {s.get('cells_total', 0)} cells, "
             f"{s.get('cache_hits', 0)} cached, "
             f"{s.get('cache_misses', 0)} simulated{batched}, "
             f"jobs={s.get('jobs', 1)}, {s.get('wall_seconds', 0.0):.2f}s"
+            + (f"; paths: {paths}" if paths else "")
         )
 
     def __str__(self) -> str:

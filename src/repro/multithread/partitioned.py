@@ -34,6 +34,7 @@ from ..core.address import CacheGeometry, is_power_of_two
 from ..core.amat import TimingModel, amat_adaptive, amat_direct_mapped
 from ..core.caches.base import EMPTY, CacheStats
 from ..core.fastsim import direct_mapped_miss_flags, per_set_counts
+from ..core.simulator import check_engine
 from ..trace.event import Trace
 
 __all__ = [
@@ -295,8 +296,7 @@ def simulate_partitioned(
     runs the sequential reference loop, which ``engine="sequential"`` forces
     for every model.
     """
-    if engine not in ("auto", "sequential"):
-        raise ValueError("engine must be 'auto' or 'sequential'")
+    check_engine(engine)
     addresses = trace.addresses
     threads = trace.thread
     is_write = trace.is_write

@@ -37,6 +37,7 @@ from ..core.caches.base import EMPTY, CacheStats
 from ..core.decompose import SetStream
 from ..core.fastsim import per_set_counts
 from ..core.selector import ThreadSchemeTable
+from ..core.simulator import check_engine
 from ..trace.event import Trace
 
 __all__ = ["SMTSharedCache", "SMTResult", "simulate_smt"]
@@ -183,8 +184,7 @@ def simulate_smt(cache: SMTSharedCache, trace: Trace, engine: str = "auto") -> S
     fresh state; ``engine="sequential"`` forces the one-access-at-a-time
     reference loop (used by the differential tests).
     """
-    if engine not in ("auto", "sequential"):
-        raise ValueError("engine must be 'auto' or 'sequential'")
+    check_engine(engine)
     addresses = trace.addresses
     threads = trace.thread
     is_write = trace.is_write

@@ -56,7 +56,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.simulator import SimulationResult
+from ..core.simulator import ENGINES, SimulationResult
 from ..experiments.config import PaperConfig
 from ..experiments.engine.cells import CELL_KINDS, SimCell, make_cell
 from ..experiments.report import ExperimentResult
@@ -195,8 +195,8 @@ def config_from_overrides(
             updates[key] = coerce(value)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"config override {key!r}: {exc}") from exc
-    if "engine" in updates and updates["engine"] not in ("auto", "sequential"):
-        raise ProtocolError("config override 'engine' must be 'auto' or 'sequential'")
+    if "engine" in updates and updates["engine"] not in ENGINES:
+        raise ProtocolError(f"config override 'engine' must be one of {ENGINES}")
     if "aux_allocate" in updates and updates["aux_allocate"] not in (
         "miss",
         "always",

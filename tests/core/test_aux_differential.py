@@ -15,8 +15,9 @@ queue contents and LRU order), across:
 * buffer depths 1/2/4/8, stream counts, both allocate-on-miss modes;
 * the :func:`~repro.core.aux.simulate_aux_sweep` sweep path — shared
   main-array pass ≡ the per-cell path ≡ sequential;
-* pristine-gate fallbacks (dirty/warmed compositions take the sequential
-  engine but still agree) and engine/config rejection;
+* the ``fast:aux-replay`` entry of :func:`~repro.core.dispatch.dispatch`:
+  pristine-state fallbacks (dirty/warmed compositions take the sequential
+  engine but still agree), their paths, and engine/config rejection;
 * victim-cache swap semantics regressions (a miss-in-main/hit-in-VC
   access swaps exactly one pair of blocks).
 """
@@ -34,13 +35,12 @@ from repro.core.aux import (
     AugmentedCache,
     StreamBuffer,
     VictimBuffer,
-    has_aux_fast_path,
     make_aux_structures,
-    simulate_augmented,
     simulate_aux,
     simulate_aux_sweep,
 )
 from repro.core.caches import DirectMappedCache, VictimCache
+from repro.core.dispatch import dispatch
 from repro.core.indexing import (
     BitSelectIndexing,
     GivargisIndexing,
@@ -260,9 +260,13 @@ class TestAuxSweep:
         specs = [(combo, depth) for combo in AUX_COMBOS for depth in (1, 2, 8)]
         for trace in trace_zoo(geometry):
             swept = simulate_aux_sweep(scheme, trace, geometry, specs)
-            seq = simulate_aux_sweep(
-                scheme, trace, geometry, specs, engine="sequential"
-            )
+            seq = [
+                simulate_aux(
+                    scheme, trace, geometry, combo=combo, depth=depth,
+                    engine="sequential",
+                )
+                for combo, depth in specs
+            ]
             assert len(swept) == len(specs)
             for (combo, depth), a, b in zip(specs, swept, seq):
                 ctx = f"{combo}{depth}/{trace.name}"
@@ -290,7 +294,7 @@ class TestAuxSweep:
         ]
 
 
-# -- the cache-object dispatcher --------------------------------------------------
+# -- the cache-object dispatch entry ----------------------------------------------
 
 
 class TestSimulateAugmented:
@@ -301,8 +305,8 @@ class TestSimulateAugmented:
         for trace in trace_zoo(geometry):
             ctx = f"{combo}/{trace.name}"
             fast_cache, slow_cache = make_pair(scheme, combo, 4)
-            assert has_aux_fast_path(fast_cache), ctx
-            fast = simulate_augmented(fast_cache, trace)
+            fast = dispatch(fast_cache, trace)
+            assert fast.path == "fast:aux-replay", ctx
             slow = simulate(slow_cache, trace)
             assert_results_identical(fast, slow, ctx)
             assert_cache_state_identical(fast_cache, slow_cache, ctx)
@@ -318,10 +322,10 @@ class TestSimulateAugmented:
         t1 = hot_trace(geometry, n=800, seed=3)
         t2 = random_trace(geometry, n=800, seed=4)
         fast_cache, slow_cache = make_pair(scheme, combo, 4)
-        simulate_augmented(fast_cache, t1)
+        dispatch(fast_cache, t1)
         simulate(slow_cache, t1)
-        assert not has_aux_fast_path(fast_cache)
-        fast = simulate_augmented(fast_cache, t2)
+        fast = dispatch(fast_cache, t2)
+        assert fast.path == "sequential:warm-state"
         slow = simulate(slow_cache, t2)
         assert_results_identical(fast, slow, f"{combo}/dirty")
         assert_cache_state_identical(fast_cache, slow_cache, f"{combo}/dirty")
@@ -331,7 +335,8 @@ class TestSimulateAugmented:
         scheme = ModuloIndexing(geometry)
         trace = random_trace(geometry, n=2000, seed=19)
         fast_cache, slow_cache = make_pair(scheme, "vc", 4)
-        fast = simulate_augmented(fast_cache, trace, warmup=300)
+        fast = dispatch(fast_cache, trace, warmup=300)
+        assert fast.path == "sequential:warmup"
         slow = simulate(slow_cache, trace, warmup=300)
         assert_results_identical(fast, slow, "warmup")
         assert_cache_state_identical(fast_cache, slow_cache, "warmup")
@@ -355,11 +360,10 @@ class TestSimulateAugmented:
             base = DirectMappedCache(geometry, indexing=scheme)
             return cls(base, make_aux_structures("vc", 4))
 
-        assert has_aux_fast_path(build(Plain))
-        sub = build(Overrides)
-        assert not has_aux_fast_path(sub)
         trace = hot_trace(geometry, n=400)
-        res = simulate_augmented(sub, trace)
+        assert dispatch(build(Plain), trace).path == "fast:aux-replay"
+        res = dispatch(build(Overrides), trace)
+        assert res.path == "sequential:no-kernel"
         ref_cache, _ = make_pair(scheme, "vc", 4)
         seq = simulate(ref_cache, trace)
         assert res.misses == seq.misses
@@ -371,9 +375,9 @@ class TestSimulateAugmented:
         geometry = SMALL
         base = DirectMappedCache(geometry)
         cache = AugmentedCache(base, (WeirdBuffer(4),))
-        assert not has_aux_fast_path(cache)
         trace = hot_trace(geometry, n=400)
-        res = simulate_augmented(cache, trace)
+        res = dispatch(cache, trace)
+        assert res.path == "sequential:no-kernel"
         seq = simulate(
             AugmentedCache(DirectMappedCache(geometry), (VictimBuffer(4),)),
             trace,
@@ -382,14 +386,14 @@ class TestSimulateAugmented:
 
     def test_victim_cache_subclass_takes_fast_path(self):
         """The migrated VictimCache adds no access-path override, so the
-        dispatcher's method-identity gate admits it."""
+        entry's method-identity check admits it."""
         cache = VictimCache(SMALL, victim_lines=4)
-        assert has_aux_fast_path(cache)
+        assert dispatch(cache, hot_trace(SMALL, n=400)).path == "fast:aux-replay"
 
     def test_rejects_unknown_engine(self):
         cache = VictimCache(SMALL, victim_lines=2)
         with pytest.raises(ValueError, match="unknown engine"):
-            simulate_augmented(cache, single_access_trace(SMALL), engine="turbo")
+            dispatch(cache, single_access_trace(SMALL), engine="turbo")
 
 
 # -- Hypothesis: arbitrary address streams ----------------------------------------
@@ -407,7 +411,7 @@ class TestHypothesisDifferential:
         trace = Trace(np.array(addrs, dtype=np.uint64), name="hyp")
         scheme = XorIndexing(SMALL)
         fast_cache, slow_cache = make_pair(scheme, combo, depth)
-        fast = simulate_augmented(fast_cache, trace)
+        fast = dispatch(fast_cache, trace)
         slow = simulate(slow_cache, trace)
         ctx = f"{combo}{depth}"
         assert_results_identical(fast, slow, ctx)
@@ -427,7 +431,7 @@ class TestHypothesisDifferential:
             )
 
         fast_cache, slow_cache = build(), build()
-        fast = simulate_augmented(fast_cache, trace)
+        fast = dispatch(fast_cache, trace)
         slow = simulate(slow_cache, trace)
         assert_results_identical(fast, slow, allocate)
         assert_cache_state_identical(fast_cache, slow_cache, allocate)

@@ -20,8 +20,8 @@ cache-object state, across:
   (but still sequential-order) transliteration under modulo, XOR,
   odd-multiplier and prime-modulo primary indexes, SHT/OUT/cold-pool dict
   *ordering* included;
-* the :func:`~repro.core.fastassoc.simulate_progassoc` dispatcher —
-  ``auto`` ≡ ``sequential``, fallbacks for warmup / invariant checking /
+* their :func:`~repro.core.dispatch.dispatch` entries — ``auto`` ≡
+  ``sequential``, the paths of fallbacks for warmup / invariant checking /
   non-LRU policies, and rejection of unknown engines.
 
 ``check_invariants()`` is spot-checked on the fast-path cache objects: the
@@ -40,13 +40,12 @@ from repro.core.caches import (
     ColumnAssociativeCache,
     PartnerIndexCache,
 )
+from repro.core.dispatch import dispatch
 from repro.core.fastassoc import (
-    has_fast_path,
     simulate_adaptive,
     simulate_bcache,
     simulate_column_associative,
     simulate_partner,
-    simulate_progassoc,
 )
 from repro.core.indexing import (
     BitSelectIndexing,
@@ -392,7 +391,7 @@ class TestAdaptive:
         assert_adaptive_state_identical(fast_cache, slow_cache, f"seed={seed}")
 
 
-# -- the dispatcher ---------------------------------------------------------------
+# -- the dispatch entries ---------------------------------------------------------
 
 
 class TestSimulateProgassoc:
@@ -408,19 +407,30 @@ class TestSimulateProgassoc:
     def test_auto_equals_sequential(self):
         trace = random_trace(SMALL, n=5000, seed=23)
         for auto_cache, seq_cache in zip(self._models(SMALL), self._models(SMALL)):
-            auto = simulate_progassoc(auto_cache, trace, engine="auto")
-            seq = simulate_progassoc(seq_cache, trace, engine="sequential")
+            auto = dispatch(auto_cache, trace, engine="auto")
+            seq = dispatch(seq_cache, trace, engine="sequential")
             assert_results_identical(auto, seq, type(auto_cache).__name__)
+            assert auto.path.startswith("fast:"), type(auto_cache).__name__
+            assert seq.path == "sequential:forced"
 
     def test_has_fast_path(self):
-        for cache in self._models(SMALL):
-            assert has_fast_path(cache), type(cache).__name__
-        assert not has_fast_path(BalancedCache(SMALL, policy="random"))
+        trace = random_trace(SMALL, n=200, seed=41)
+        paths = [dispatch(cache, trace).path for cache in self._models(SMALL)]
+        assert paths == [
+            "fast:colassoc",
+            "fast:colassoc",
+            "fast:bcache",
+            "fast:partner",
+            "fast:adaptive",
+        ]
+        rand = dispatch(BalancedCache(SMALL, policy="random"), trace)
+        assert rand.path == "sequential:no-kernel"
 
     def test_warmup_falls_back_but_agrees(self):
         trace = random_trace(SMALL, n=3000, seed=29)
-        fast = simulate_progassoc(ColumnAssociativeCache(SMALL), trace, warmup=500)
+        fast = dispatch(ColumnAssociativeCache(SMALL), trace, warmup=500)
         slow = simulate(ColumnAssociativeCache(SMALL), trace, warmup=500)
+        assert fast.path == "sequential:warmup"
         assert (fast.accesses, fast.hits, fast.misses) == (
             slow.accesses,
             slow.hits,
@@ -429,22 +439,22 @@ class TestSimulateProgassoc:
 
     def test_invariant_checking_falls_back(self):
         trace = random_trace(SMALL, n=1000, seed=31)
-        res = simulate_progassoc(
-            BalancedCache(SMALL), trace, check_invariants_every=100
-        )
+        res = dispatch(BalancedCache(SMALL), trace, check_invariants_every=100)
         seq = simulate(BalancedCache(SMALL), trace)
         assert res.misses == seq.misses
+        assert res.path == "sequential:invariants"
 
     def test_non_lru_bcache_takes_sequential_under_auto(self):
         trace = random_trace(SMALL, n=2000, seed=37)
         rand_cache = BalancedCache(SMALL, policy="random", seed=4)
         ref_cache = BalancedCache(SMALL, policy="random", seed=4)
-        auto = simulate_progassoc(rand_cache, trace)
+        auto = dispatch(rand_cache, trace)
         seq = simulate(ref_cache, trace)
         assert_results_identical(auto, seq, "rand-policy fallback")
+        assert auto.path == "sequential:no-kernel"
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
-            simulate_progassoc(
+            dispatch(
                 ColumnAssociativeCache(SMALL), random_trace(SMALL, n=10), engine="turbo"
             )

@@ -34,11 +34,11 @@ from repro.core.caches import (
     ColumnAssociativeCache,
     PartnerIndexCache,
 )
+from repro.core.dispatch import dispatch
 from repro.core.fastassoc import (
     simulate_bcache,
     simulate_column_associative,
     simulate_partner,
-    simulate_progassoc,
 )
 from repro.core.simulator import simulate
 from repro.trace import Trace
@@ -156,7 +156,7 @@ class TestExtrasPartitionTotals:
     @settings(max_examples=40, deadline=None)
     def test_every_model(self, raw):
         trace = make_trace(raw)
-        col = simulate_progassoc(ColumnAssociativeCache(TINY), trace)
+        col = dispatch(ColumnAssociativeCache(TINY), trace)
         assert (
             col.extra.get("first_probe_hits", 0) + col.extra.get("rehash_hits", 0)
             == col.hits
@@ -165,13 +165,13 @@ class TestExtrasPartitionTotals:
             col.extra.get("direct_misses", 0) + col.extra.get("rehash_misses", 0)
             == col.misses
         )
-        bc = simulate_progassoc(BalancedCache(TINY), trace)
+        bc = dispatch(BalancedCache(TINY), trace)
         assert bc.extra.get("direct_hits", 0) == bc.hits
-        pc = simulate_progassoc(PartnerIndexCache(TINY, rebalance_period=32), trace)
+        pc = dispatch(PartnerIndexCache(TINY, rebalance_period=32), trace)
         assert (
             pc.extra.get("direct_hits", 0) + pc.extra.get("partner_hits", 0) == pc.hits
         )
-        ad = simulate_progassoc(AdaptiveGroupAssociativeCache(TINY), trace)
+        ad = dispatch(AdaptiveGroupAssociativeCache(TINY), trace)
         assert ad.extra.get("direct_hits", 0) + ad.extra.get("out_hits", 0) == ad.hits
         for res in (col, bc, pc, ad):
             assert res.hits + res.misses == res.accesses

@@ -16,8 +16,10 @@ policy's exact generator position), across:
 * the :func:`~repro.core.fastpolicy.simulate_policy_sweep` sweep path —
   shared set decomposition ≡ the per-cell path ≡ sequential, per-set
   counts included;
-* warmup splits, pristine-gate fallbacks (dirty caches take the
-  sequential engine but still agree), and engine/config rejection.
+* the ``fast:policy`` entry of :func:`~repro.core.dispatch.dispatch`:
+  warmup splits, pristine-state fallbacks (dirty caches take the
+  sequential engine but still agree), their paths, and engine/config
+  rejection.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ import pytest
 
 from repro.core.address import CacheGeometry
 from repro.core.caches.set_associative import SetAssociativeCache
+from repro.core.dispatch import dispatch
 from repro.core.fastpolicy import (
     FAST_POLICIES,
-    has_policy_fast_path,
     policy_miss_flags,
-    simulate_policy,
     simulate_policy_set_associative,
     simulate_policy_sweep,
 )
@@ -285,9 +286,12 @@ class TestPolicySweep:
         policies = list(FAST_POLICIES)
         for trace in trace_zoo(geometry):
             swept = simulate_policy_sweep(scheme, trace, geometry, policies, seed=3)
-            seq = simulate_policy_sweep(
-                scheme, trace, geometry, policies, seed=3, engine="sequential"
-            )
+            seq = [
+                simulate_policy_set_associative(
+                    scheme, trace, geometry, policy=p, seed=3, engine="sequential"
+                )
+                for p in policies
+            ]
             assert len(swept) == len(policies)
             for policy, a, b in zip(policies, swept, seq):
                 ctx = f"{policy}/{trace.name}"
@@ -317,7 +321,7 @@ class TestPolicySweep:
         ]
 
 
-# -- the cache-object dispatcher --------------------------------------------------
+# -- the cache-object dispatch entry ----------------------------------------------
 
 
 class TestSimulatePolicy:
@@ -328,8 +332,8 @@ class TestSimulatePolicy:
             ctx = f"{policy}/{trace.name}"
             fast_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
             slow_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-            assert has_policy_fast_path(fast_cache), ctx
-            fast = simulate_policy(fast_cache, trace)
+            fast = dispatch(fast_cache, trace)
+            assert fast.path == "fast:policy", ctx
             slow = simulate(slow_cache, trace)
             assert_results_identical(fast, slow, ctx)
             assert_cache_state_identical(fast_cache, slow_cache, ctx)
@@ -344,10 +348,10 @@ class TestSimulatePolicy:
         t2 = random_trace(geometry, n=800, seed=4)
         fast_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
         slow_cache = SetAssociativeCache(geometry, policy=policy, seed=11)
-        simulate_policy(fast_cache, t1)
+        dispatch(fast_cache, t1)
         simulate(slow_cache, t1)
-        assert not has_policy_fast_path(fast_cache)
-        fast = simulate_policy(fast_cache, t2)
+        fast = dispatch(fast_cache, t2)
+        assert fast.path == "sequential:warm-state"
         slow = simulate(slow_cache, t2)
         assert_results_identical(fast, slow, f"{policy}/dirty")
         assert_cache_state_identical(fast_cache, slow_cache, f"{policy}/dirty")
@@ -357,7 +361,8 @@ class TestSimulatePolicy:
         trace = random_trace(geometry, n=2000, seed=19)
         fast_cache = SetAssociativeCache(geometry, policy="fifo")
         slow_cache = SetAssociativeCache(geometry, policy="fifo")
-        fast = simulate_policy(fast_cache, trace, warmup=300)
+        fast = dispatch(fast_cache, trace, warmup=300)
+        assert fast.path == "fast:policy"
         slow = simulate(slow_cache, trace, warmup=300)
         assert_results_identical(fast, slow, "warmup")
         assert_cache_state_identical(fast_cache, slow_cache, "warmup")
@@ -365,27 +370,28 @@ class TestSimulatePolicy:
     def test_invariant_checking_falls_back(self):
         geometry = TINY4
         trace = random_trace(geometry, n=500, seed=23)
-        res = simulate_policy(
+        res = dispatch(
             SetAssociativeCache(geometry, policy="lfu"),
             trace,
             check_invariants_every=100,
         )
         seq = simulate(SetAssociativeCache(geometry, policy="lfu"), trace)
         assert res.misses == seq.misses
+        assert res.path == "sequential:invariants"
 
     def test_subclass_falls_back(self):
         class Sub(SetAssociativeCache):
             pass
 
         geometry = TINY4
-        assert not has_policy_fast_path(Sub(geometry, policy="fifo"))
         trace = hot_trace(geometry, n=400)
-        res = simulate_policy(Sub(geometry, policy="fifo"), trace)
+        res = dispatch(Sub(geometry, policy="fifo"), trace)
+        assert res.path == "sequential:no-kernel"
         seq = simulate(SetAssociativeCache(geometry, policy="fifo"), trace)
         assert res.misses == seq.misses
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            simulate_policy(
+            dispatch(
                 SetAssociativeCache(TINY4), single_access_trace(TINY4), engine="turbo"
             )

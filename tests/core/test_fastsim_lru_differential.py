@@ -34,6 +34,7 @@ from repro.core.caches import (
     DirectMappedCache,
     FullyAssociativeCache,
     SetAssociativeCache,
+    SkewedAssociativeCache,
     VictimCache,
 )
 from repro.core.fastsim import (
@@ -363,13 +364,16 @@ class TestClassifierEngines:
         assert auto.as_dict() == seq.as_dict()
 
     def test_stateful_model_falls_back_to_sequential(self):
-        """A victim cache has no fast path; both engines must still agree."""
+        """A skewed cache has no kernel and falls back, a victim cache takes
+        the aux replay; both engines must still agree."""
         trace = random_trace(SMALL, n=1500, seed=57)
-        auto = classify(VictimCache(SMALL, victim_lines=4), trace)
-        seq = classify(
-            VictimCache(SMALL, victim_lines=4), trace, engine="sequential"
-        )
-        assert auto.as_dict() == seq.as_dict()
+        for build in (
+            lambda: SkewedAssociativeCache(SMALL, ways=2),
+            lambda: VictimCache(SMALL, victim_lines=4),
+        ):
+            auto = classify(build(), trace)
+            seq = classify(build(), trace, engine="sequential")
+            assert auto.as_dict() == seq.as_dict()
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
