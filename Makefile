@@ -6,7 +6,7 @@ REFS ?= 120000
 # 1 = deterministic sequential fallback.  Output is bit-identical either way.
 JOBS ?= 0
 
-.PHONY: install test test-fast bench bench-check serve-smoke cluster-smoke warm-traces replay examples clean-traces clean-results all
+.PHONY: install test test-fast bench-floors serve-smoke cluster-smoke warm-traces replay examples clean-traces clean-results all
 
 install:
 	pip install -e . --no-build-isolation
@@ -19,29 +19,13 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -x -q
 
-# Full benchmark suite, with the run archived as BENCH_<sha>.json so the
-# engine canaries (benchmarks/test_engine_micro.py) can be regression-gated.
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only \
-	  --benchmark-json=BENCH_$$(git rev-parse --short HEAD).json
-
-# Replay the regression canaries (engine micro-benchmarks + trace
-# generation + trace store + sweep batching + serving + cluster scaling)
-# and gate them against the committed BENCH_*.json baseline (>25%
-# slowdown on any canary fails).  The trace-gen, trace-store,
-# sweep-batching, policy-kernel, aux and cluster files also enforce
-# machine-independent speedup floors in-test (trace store: mmap >=5x over
-# npz decode at 1M refs; aux: miss-event replay >=5x over the sequential
-# wrapper at 1M refs; cluster: >=1.7x at 2 workers, >=3.0x at 4).
-bench-check:
-	$(PY) -m pytest benchmarks/test_engine_micro.py benchmarks/test_trace_gen.py \
-	  benchmarks/test_trace_store_bench.py \
-	  benchmarks/test_service_bench.py benchmarks/test_sweep_batching_bench.py \
-	  benchmarks/test_policy_kernel_bench.py \
-	  benchmarks/test_aux_bench.py \
-	  benchmarks/test_cluster_bench.py \
-	  --benchmark-only --benchmark-json=bench-candidate.json
-	$(PY) benchmarks/check_regression.py bench-candidate.json
+# In-run speedup floors (fast path vs its reference, both timed in the same
+# process, so they hold on any host): trace generation, trace store,
+# engine kernels, sweep batching, policy kernels, aux replay, cluster
+# scaling.  Absolute times are the end-to-end benchmark's business
+# (BENCHMARK.json, benchmarks/e2e/).
+bench-floors:
+	$(PY) -m pytest benchmarks/ --ignore=benchmarks/e2e -q
 
 # Boot a real `repro-cache serve` daemon as a subprocess and exercise the
 # serving contract end to end: warm-cache resubmission, single-flight
@@ -79,4 +63,4 @@ clean-traces:
 clean-results:
 	rm -rf .trace_cache/results
 
-all: test bench replay
+all: test bench-floors replay

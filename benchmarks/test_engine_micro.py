@@ -1,25 +1,22 @@
-"""Engine micro-benchmarks: throughput of the two simulation engines and of
-every indexing scheme's vectorised path.
+"""Engine speedup floors: each exact fast kernel against the sequential
+engine on a million-access trace.
 
-These are the repository's performance-regression canaries (CI replays this
-file against the committed ``BENCH_*.json`` baseline and fails on >25%
-regression): the vectorised direct-mapped path should sustain millions of
-references per second, the k-way stack-distance kernel should clear a
-4-way, million-access trace in seconds, and both must stay an order of
-magnitude faster than the sequential engine.
+Each test times its kernel over one million accesses and the sequential
+engine over a 25k-access slice (best of 3 each) in the same process, and
+asserts the per-access speedup: k-way LRU ≥ 10×, column-associative and
+B-cache ≥ 5×, partner ≥ 3×.  Running the sequential engine over the full
+million accesses would take minutes, which is the point.  Bit-identity of
+every kernel is locked by the differential suites under ``tests/core/``.
 """
 
 from __future__ import annotations
 
-import time
-
-import pytest
+from bench_timing import best_of
 
 from repro.core.address import CacheGeometry, PAPER_L1_GEOMETRY
 from repro.core.caches import (
     BalancedCache,
     ColumnAssociativeCache,
-    DirectMappedCache,
     PartnerIndexCache,
     SetAssociativeCache,
 )
@@ -28,206 +25,65 @@ from repro.core.fastassoc import (
     simulate_column_associative,
     simulate_partner,
 )
-from repro.core.simulator import simulate, simulate_indexing, simulate_set_associative
-from repro.core.indexing import (
-    GivargisIndexing,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
+from repro.core.indexing import ModuloIndexing
+from repro.core.simulator import simulate, simulate_set_associative
 from repro.trace import zipf_trace
 
 G = PAPER_L1_GEOMETRY
 G4 = CacheGeometry(G.capacity_bytes, G.line_bytes, 4, G.address_bits)
-TRACE = zipf_trace(200_000, seed=17)
 TRACE_1M = zipf_trace(1_000_000, seed=17)
+#: The sequential engine's slice; its per-access cost is extrapolated.
+SEQUENTIAL_REFS = 25_000
 
 
-def test_vectorised_engine_throughput(benchmark):
-    scheme = ModuloIndexing(G)
-    result = benchmark(lambda: simulate_indexing(scheme, TRACE, G))
-    assert result.accesses == len(TRACE)
+def _assert_speedup(label: str, fast_s: float, make_cache, floor: float) -> None:
+    """Per-access speedup of a 1M-access fast run over the sequential
+    engine, timed on a ``SEQUENTIAL_REFS`` slice."""
+    short = TRACE_1M[:SEQUENTIAL_REFS]
+    sequential_s, slow = best_of(lambda: simulate(make_cache(), short), warmup=0)
+    assert slow.accesses == len(short)
+    speedup = (sequential_s / len(short)) / (fast_s / len(TRACE_1M))
+    assert speedup >= floor, (
+        f"{label} fast path only {speedup:.1f}x over sequential (floor {floor}x)"
+    )
 
 
-def test_sequential_engine_throughput(benchmark):
-    short = TRACE[:20_000]
+def test_kway_stack_distance_kernel_1m():
+    """A 4-way LRU run over one million accesses (≥ 10×).
 
-    def run():
-        return simulate(DirectMappedCache(G), short)
-
-    assert benchmark(run).accesses == 20_000
-
-
-@pytest.mark.parametrize(
-    "scheme_factory",
-    [ModuloIndexing, XorIndexing, PrimeModuloIndexing,
-     lambda g: OddMultiplierIndexing(g, 31)],
-    ids=["modulo", "xor", "prime_modulo", "odd_multiplier"],
-)
-def test_scheme_mapping_throughput(benchmark, scheme_factory):
-    scheme = scheme_factory(G)
-    idx = benchmark(lambda: scheme.indices_of(TRACE.addresses))
-    assert idx.size == len(TRACE)
-
-
-def test_givargis_training_cost(benchmark):
-    def run():
-        return GivargisIndexing(G).fit(TRACE.addresses)
-
-    assert benchmark(run).fitted
-
-
-def test_kway_stack_distance_kernel_1m(benchmark):
-    """The tentpole workload: a 4-way LRU run over one million accesses.
-
-    Measures the offline stack-distance kernel end to end (index mapping,
-    reuse distances, per-set histograms) and — inside the same test so the
-    claim travels with the number — checks it beats the sequential engine by
-    at least 10× on per-access cost, extrapolating the sequential engine
-    from a 25k-access slice (running it over the full million accesses would
-    take minutes, which is the point).
+    Times the offline stack-distance kernel end to end: index mapping,
+    reuse distances, per-set histograms.
     """
     scheme = ModuloIndexing(G4)
-    result = benchmark.pedantic(
-        lambda: simulate_set_associative(scheme, TRACE_1M, G4),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
+    fast_s, result = best_of(lambda: simulate_set_associative(scheme, TRACE_1M, G4))
     assert result.accesses == len(TRACE_1M)
     assert result.model == "set_associative[modulo,4way]"
-
-    short = TRACE_1M[:25_000]
-    t0 = time.perf_counter()
-    slow = simulate(SetAssociativeCache(G4, policy="lru"), short)
-    sequential_per_access = (time.perf_counter() - t0) / len(short)
-    assert slow.accesses == len(short)
-    fast_per_access = benchmark.stats.stats.min / len(TRACE_1M)
-    speedup = sequential_per_access / fast_per_access
-    assert speedup >= 10.0, f"k-way fast path only {speedup:.1f}x over sequential"
+    _assert_speedup("k-way", fast_s, lambda: SetAssociativeCache(G4, policy="lru"), 10.0)
 
 
-def test_kway_sequential_engine_throughput(benchmark):
-    """Sequential k-way reference cost (the denominator of the speedup)."""
-    short = TRACE_1M[:20_000]
-
-    def run():
-        return simulate(SetAssociativeCache(G4, policy="lru"), short)
-
-    assert benchmark(run).accesses == 20_000
-
-
-# -- programmable-associativity fast paths (PR 3) ---------------------------------
-
-
-def _assert_progassoc_speedup(benchmark, make_cache, trace, floor: float) -> None:
-    """Extrapolated sequential-vs-fast comparison, as in the k-way canary."""
-    short = trace[:25_000]
-    t0 = time.perf_counter()
-    slow = simulate(make_cache(), short)
-    sequential_per_access = (time.perf_counter() - t0) / len(short)
-    assert slow.accesses == len(short)
-    fast_per_access = benchmark.stats.stats.min / len(trace)
-    speedup = sequential_per_access / fast_per_access
-    assert speedup >= floor, (
-        f"progassoc fast path only {speedup:.1f}x over sequential (floor {floor}x)"
-    )
-
-
-def test_colassoc_fast_engine_1m(benchmark):
-    """Pair-decomposed column-associative run over one million accesses.
-
-    The acceptance bar of the fastassoc PR: ≥ 5× over the sequential
-    reference (extrapolated from a 25k slice), bit-identity being locked by
-    ``tests/core/test_fastassoc_differential.py``.
-    """
-    result = benchmark.pedantic(
-        lambda: simulate_column_associative(ColumnAssociativeCache(G), TRACE_1M),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
+def test_colassoc_fast_engine_1m():
+    """Pair-decomposed column-associative run (≥ 5×)."""
+    fast_s, result = best_of(
+        lambda: simulate_column_associative(ColumnAssociativeCache(G), TRACE_1M)
     )
     assert result.accesses == len(TRACE_1M)
     assert result.hits == result.extra.get("first_probe_hits", 0) + result.extra.get(
         "rehash_hits", 0
     )
-    _assert_progassoc_speedup(
-        benchmark, lambda: ColumnAssociativeCache(G), TRACE_1M, 5.0
-    )
+    _assert_speedup("colassoc", fast_s, lambda: ColumnAssociativeCache(G), 5.0)
 
 
-def test_bcache_fast_engine_1m(benchmark):
-    """Cluster-decomposed B-cache run over one million accesses (≥ 5×)."""
-    result = benchmark.pedantic(
-        lambda: simulate_bcache(BalancedCache(G), TRACE_1M),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
+def test_bcache_fast_engine_1m():
+    """Cluster-decomposed B-cache run (≥ 5×)."""
+    fast_s, result = best_of(lambda: simulate_bcache(BalancedCache(G), TRACE_1M))
     assert result.accesses == len(TRACE_1M)
     assert result.lookup_cycles == len(TRACE_1M)  # single-cycle decode
-    _assert_progassoc_speedup(benchmark, lambda: BalancedCache(G), TRACE_1M, 5.0)
+    _assert_speedup("bcache", fast_s, lambda: BalancedCache(G), 5.0)
 
 
-def test_partner_fast_engine_1m(benchmark):
-    """Windowed partner-cache run over one million accesses."""
-    result = benchmark.pedantic(
-        lambda: simulate_partner(PartnerIndexCache(G), TRACE_1M),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
+def test_partner_fast_engine_1m():
+    """Windowed partner-cache run (≥ 3×; ten runs on a 2-vCPU x86-64 host
+    measured 5.2–8.6×)."""
+    fast_s, result = best_of(lambda: simulate_partner(PartnerIndexCache(G), TRACE_1M))
     assert result.accesses == len(TRACE_1M)
-
-
-def test_colassoc_sequential_engine_throughput(benchmark):
-    """Sequential column-associative reference cost (speedup denominator)."""
-    short = TRACE_1M[:20_000]
-
-    def run():
-        return simulate(ColumnAssociativeCache(G), short)
-
-    assert benchmark(run).accesses == 20_000
-
-
-def test_bcache_sequential_engine_throughput(benchmark):
-    """Sequential B-cache reference cost (speedup denominator)."""
-    short = TRACE_1M[:20_000]
-
-    def run():
-        return simulate(BalancedCache(G), short)
-
-    assert benchmark(run).accesses == 20_000
-
-
-def test_parallel_engine_fanout_overhead(benchmark):
-    """Cost of one warm 4-cell engine pass at jobs=2.
-
-    Workers receive npz *paths*, so this measures pool + path-transfer
-    overhead, not trace pickling: the number should track process startup
-    and stay flat as ``ref_limit`` grows.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.experiments.config import PaperConfig
-    from repro.experiments.engine import make_cell, run_cells
-
-    tmp = Path(tempfile.mkdtemp(prefix="bench_fanout_"))
-    config = PaperConfig(
-        ref_limit=50_000, trace_cache_dir=tmp, use_result_cache=False
-    )
-    cells = [
-        make_cell("progassoc", w, label, config)
-        for w in ("crc", "fft")
-        for label in ("B_Cache", "Column_associative")
-    ]
-    run_cells(cells, config, jobs=1)  # pre-warm the trace cache
-
-    def run():
-        return run_cells(cells, config, jobs=2)
-
-    results, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    assert stats.cache_misses == len(cells)
-    assert len(results) == len(cells)
+    _assert_speedup("partner", fast_s, lambda: PartnerIndexCache(G), 3.0)

@@ -1,36 +1,31 @@
-"""Sweep-batching canaries: one stack-distance pass vs per-cell passes.
+"""Sweep-batching speedup floors: one stack-distance pass vs per-cell passes.
 
-Two regression gates for the sweep-batching PR (CI replays this file
-against the committed ``BENCH_*.json`` baseline):
+Two floors, each timing both of its sides in the same process:
 
 * the kernel: :func:`~repro.core.simulator.simulate_lru_sweep` answering a
-  five-point associativity ladder from one pass must stay well ahead of
+  five-point associativity ladder from one pass must stay ≥ 2.5× ahead of
   five independent :func:`~repro.core.simulator.simulate_set_associative`
-  calls — the floor is asserted *inside* the bench so the claim travels
-  with the number;
+  calls;
 * the engine: a cold ``run_cells`` pass over an ext-assoc-shaped Mattson
   family must beat the same cells executed per-cell with
-  ``batch_sweeps=False``.
+  ``batch_sweeps=False`` by ≥ 2×.
 
-The decode axis (fig 4/6/7/8-shaped families) is tracked without a floor:
-its win is task granularity and per-worker decode locality on the process
-pool, which hosted runners measure too noisily to gate.  Bit-identity of
-everything measured here is locked by
+Bit-identity of everything measured here is locked by
 ``tests/core/test_sweep_batching_differential.py``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
+
+from bench_timing import best_of
 
 from repro.core.address import PAPER_L1_GEOMETRY
 from repro.core.indexing import ModuloIndexing
 from repro.core.simulator import simulate_lru_sweep, simulate_set_associative
+from repro.experiments import PaperConfig
 from repro.experiments.engine import make_cell, run_cells
 from repro.trace import zipf_trace
-
-from conftest import run_once
 
 G = PAPER_L1_GEOMETRY
 TRACE_1M = zipf_trace(1_000_000, seed=23)
@@ -42,81 +37,50 @@ LADDER = [("baseline", "baseline")] + [
 ]
 
 
-def test_mattson_sweep_kernel_1m(benchmark):
+def test_mattson_sweep_kernel_1m():
     """Five associativities from one pass over a million accesses (≥ 2.5×).
 
     The per-cell reference runs one full stack-distance pass per ladder
-    point; the sweep runs exactly one.  The floor is conservative — the
+    point; the sweep runs exactly one.  The floor is conservative: the
     shared pass amortises everything but the per-member thresholding and
     per-set histograms.
     """
     scheme = ModuloIndexing(G)
     specs = [(w, "setassoc") for w in SWEEP_WAYS]
-    results = benchmark.pedantic(
-        lambda: simulate_lru_sweep(scheme, TRACE_1M, G, specs),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
+    sweep_s, results = best_of(lambda: simulate_lru_sweep(scheme, TRACE_1M, G, specs))
     assert [r.accesses for r in results] == [len(TRACE_1M)] * len(SWEEP_WAYS)
 
-    t0 = time.perf_counter()
-    for ways in SWEEP_WAYS:
-        per_cell = simulate_set_associative(
-            scheme, TRACE_1M, G.with_fixed_sets(ways), ways=ways
-        )
-        assert per_cell.accesses == len(TRACE_1M)
-    per_cell_seconds = time.perf_counter() - t0
-    speedup = per_cell_seconds / benchmark.stats.stats.min
+    def per_cell():
+        return [
+            simulate_set_associative(scheme, TRACE_1M, G.with_fixed_sets(ways), ways=ways)
+            for ways in SWEEP_WAYS
+        ]
+
+    per_cell_s, singles = best_of(per_cell, rounds=1, warmup=0)
+    assert [r.accesses for r in singles] == [len(TRACE_1M)] * len(SWEEP_WAYS)
+    speedup = per_cell_s / sweep_s
     assert speedup >= 2.5, f"sweep kernel only {speedup:.1f}x over per-cell passes"
 
 
-def test_engine_mattson_family_cold(benchmark, config):
+def test_engine_mattson_family_cold(tmp_path):
     """Cold engine pass over one ext-assoc Mattson family (≥ 2× per-cell).
 
     ``run_cells`` with batching on answers the five-cell ladder from one
     kernel pass; the reference is the same grid with ``batch_sweeps=False``
-    (cells, keys and results identical — only the execution plan differs).
+    (cells, keys and results identical: only the execution plan differs).
     """
-    cfg = replace(config, use_result_cache=False)
+    cfg = PaperConfig(ref_limit=60_000, trace_cache_dir=tmp_path, use_result_cache=False)
     cells = [make_cell(kind, "crc", lab, cfg) for kind, lab in LADDER]
     plain_cfg = replace(cfg, batch_sweeps=False)
     run_cells(cells, plain_cfg, jobs=1)  # pre-warm the on-disk trace cache
 
-    results, stats = benchmark.pedantic(
-        lambda: run_cells(cells, cfg, jobs=1), rounds=3, iterations=1, warmup_rounds=1
-    )
+    batched_s, (results, stats) = best_of(lambda: run_cells(cells, cfg, jobs=1))
     assert stats.families_batched == 1 and stats.cells_batched == len(cells)
     assert len(results) == len(cells)
 
-    t0 = time.perf_counter()
-    _, plain_stats = run_cells(cells, plain_cfg, jobs=1)
-    per_cell_seconds = time.perf_counter() - t0
+    per_cell_s, (_, plain_stats) = best_of(
+        lambda: run_cells(cells, plain_cfg, jobs=1), rounds=1, warmup=0
+    )
     assert plain_stats.cells_batched == 0
-    speedup = per_cell_seconds / benchmark.stats.stats.min
+    speedup = per_cell_s / batched_s
     assert speedup >= 2.0, f"batched family only {speedup:.1f}x over per-cell run"
-
-
-def test_engine_decode_families_jobs2(benchmark, config):
-    """Fig4-shaped decode families fanned out at jobs=2 (tracked, no floor).
-
-    Eight cells travel as two per-workload family units instead of eight
-    pool tasks; the measured time tracks submission overhead and per-worker
-    trace-decode locality.
-    """
-    cfg = replace(config, use_result_cache=False)
-    cells = [
-        make_cell(kind, bench, lab, cfg)
-        for bench in ("crc", "fft")
-        for kind, lab in [
-            ("baseline", "baseline"),
-            ("indexing", "XOR"),
-            ("indexing", "Odd_Multiplier"),
-            ("indexing", "Prime_Modulo"),
-        ]
-    ]
-    run_cells(cells, cfg, jobs=1)  # pre-warm the on-disk trace cache
-
-    results, stats = run_once(benchmark, lambda: run_cells(cells, cfg, jobs=2))
-    assert stats.families_batched == 2 and stats.cells_batched == len(cells)
-    assert len(results) == len(cells)

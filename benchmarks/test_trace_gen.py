@@ -1,34 +1,19 @@
-"""Trace-generation canaries: throughput of the bulk-emission kernels and
-the parallel prefetch.
+"""Trace-generation speedup floors: each bulk-emission kernel against its
+own scalar emission path.
 
-Three families, all regression-gated against the committed ``BENCH_*.json``
-baseline (``make bench-check`` replays this file together with the engine
-micro-benchmarks):
-
-* per-kernel ``refs/sec`` of every rewritten bulk path — the numbers that
-  made the experiment sweeps trace-bound before the rewrite;
-* **in-bench speedup floors**: each rewritten kernel is timed against its
-  own scalar emission path in the same process and must clear 5x — a
-  machine-independent assertion, so a silently disabled fast path fails the
-  suite even without a baseline to compare against;
-* cold-start :func:`~repro.experiments.warm.warm_traces` wall time into a
-  fresh cache, sequential and parallel.
-
-The scalar/bulk pairs here double as differential fixtures: both paths must
-also agree bit-for-bit (the golden-hash contract), asserted on the shorter
-floor-check traces so the bench run re-verifies the contract it is timing.
+Each rewritten kernel is timed against its scalar path in the same process
+and must clear its floor, so a silently disabled fast path fails the suite
+on any host.  The scalar/bulk pairs double as differential fixtures: both
+paths must also agree bit-for-bit (the golden-hash contract), so the floor
+run re-verifies the contract it is timing.
 """
 
 from __future__ import annotations
 
-import shutil
-import time
-
 import numpy as np
 import pytest
+from bench_timing import best_of
 
-from repro.experiments.config import PaperConfig
-from repro.experiments.warm import TraceSpec, warm_traces
 from repro.workloads import get_workload
 
 #: The kernels rewritten onto the bulk emitters (the trace-generation
@@ -47,74 +32,26 @@ REWRITTEN = {
     "transpose": 5.0,
 }
 
-BENCH_REFS = 120_000
 FLOOR_REFS = 60_000
 
 
 @pytest.mark.parametrize("name", sorted(REWRITTEN))
-def test_trace_gen_throughput(benchmark, name):
-    """refs/sec of the bulk path at the paper's default trace length."""
-    wl = get_workload(name)
-    trace = benchmark(lambda: wl.generate(seed=2011, ref_limit=BENCH_REFS))
-    # Some kernels complete naturally just short of the paper-default limit
-    # at scale 1.0 (stream, transpose); the limit is an upper bound.
-    assert 0 < len(trace) <= BENCH_REFS
-
-
-@pytest.mark.parametrize("name", sorted(REWRITTEN))
-def test_bulk_speedup_floor(benchmark, name):
-    """Bulk emission must stay >= its floor vs scalar, and bit-identical.
-
-    A benchmark test (so ``--benchmark-only`` runs enforce it): the timed
-    quantity is the bulk path; the scalar denominator is measured in-test,
-    making the floor machine-independent.
-    """
+def test_bulk_speedup_floor(name):
+    """Bulk emission must stay >= its floor vs scalar, and bit-identical."""
     wl = get_workload(name)
     floor = REWRITTEN[name]
     # Warmup (imports, allocator, rng replay caches), then best of 2 scalar.
     wl.generate(seed=2011, ref_limit=2000)
-    scalar_s, scalar_trace = float("inf"), None
-    for _ in range(2):
-        t0 = time.perf_counter()
-        scalar_trace = wl.generate(seed=2011, ref_limit=FLOOR_REFS, emission="scalar")
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
-
-    bulk_trace = benchmark.pedantic(
-        lambda: wl.generate(seed=2011, ref_limit=FLOOR_REFS),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
+    scalar_s, scalar_trace = best_of(
+        lambda: wl.generate(seed=2011, ref_limit=FLOOR_REFS, emission="scalar"),
+        rounds=2,
+        warmup=0,
     )
-    bulk_s = benchmark.stats.stats.min
+    bulk_s, bulk_trace = best_of(lambda: wl.generate(seed=2011, ref_limit=FLOOR_REFS))
     np.testing.assert_array_equal(bulk_trace.addresses, scalar_trace.addresses)
     np.testing.assert_array_equal(bulk_trace.is_write, scalar_trace.is_write)
     speedup = scalar_s / bulk_s
-    benchmark.extra_info["speedup_vs_scalar"] = round(speedup, 2)
     assert speedup >= floor, (
         f"{name}: bulk path only {speedup:.1f}x over scalar "
         f"(floor {floor}x; scalar {scalar_s:.3f}s, bulk {bulk_s:.3f}s)"
     )
-
-
-def _warm_specs() -> list[TraceSpec]:
-    return [
-        TraceSpec(name=n, seed=2011, ref_limit=BENCH_REFS, scale=1.0)
-        for n in sorted(REWRITTEN)
-    ]
-
-
-@pytest.mark.parametrize("jobs", [1, 0], ids=["sequential", "all-cores"])
-def test_cold_warm_traces(benchmark, tmp_path_factory, jobs):
-    """Cold-start prefetch of the rewritten-kernel traces into a fresh cache."""
-    specs = _warm_specs()
-    cfg = PaperConfig(ref_limit=BENCH_REFS)
-
-    def cold_run():
-        cache_dir = tmp_path_factory.mktemp("warm")
-        try:
-            entries = warm_traces(specs, cfg, cache_dir=cache_dir, jobs=jobs)
-            assert all(e.generated for e in entries.values())
-        finally:
-            shutil.rmtree(cache_dir, ignore_errors=True)
-
-    benchmark.pedantic(cold_run, rounds=1, iterations=1, warmup_rounds=0)

@@ -1,33 +1,26 @@
-"""Trace-store canaries: warm load latency of the raw mmap format.
+"""Trace-store speedup floor: warm load of the raw mmap format against an
+npz decode of the same trace.
 
-PR 8's tentpole claim is that serving a cached trace is an ``mmap`` away
-instead of an npz decode.  This file times both paths on the same
-1M-reference trace with the file warm in the OS page cache (the steady
-state of every figure replay, ``repro serve`` worker, and cluster node)
-and gates the headline:
+Both paths load the same 1M-reference trace with the file warm in the OS
+page cache (the steady state of every figure replay, ``repro serve``
+worker and cluster node):
 
-* **in-bench speedup floor**: the zero-copy ``load_raw`` must clear 5x
-  over ``load_npz`` of the identical trace — machine-independent, so a
-  silently disabled mmap path (e.g. an accidental copy-mode default)
-  fails the suite even without a baseline to compare against;
-* the mapped and decoded traces are re-checked **bit-identical** in the
-  bench, field for field — the timed artefact is the verified artefact;
-* absolute warm-load latency and the arena's hit path are recorded into
-  ``BENCH_*.json`` for the ``make bench-check`` regression gate.
+* the zero-copy ``load_raw`` must clear 5x over ``load_npz`` of the
+  identical trace, timed in the same process, so a silently disabled mmap
+  path (e.g. an accidental copy-mode default) fails on any host;
+* the mapped and decoded traces are re-checked **bit-identical**, field
+  for field: the timed artefact is the verified artefact.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
+from bench_timing import best_of
 
 from repro.trace import zipf_trace
-from repro.trace.arena import TraceArena
 from repro.trace.io import RAW_SUFFIX, load_npz, load_raw, save_npz, save_raw
 
-#: Paper-scale trace length for the load-latency numbers (ISSUE.md gate).
+#: Paper-scale trace length for the load-latency numbers.
 REFS = 1_000_000
 #: Floor for mmap vs npz decode at REFS.  Observed ~100-1000x warm (the
 #: map is O(header) while the decode is O(bytes)); 5x leaves huge margin
@@ -36,74 +29,24 @@ REFS = 1_000_000
 SPEEDUP_FLOOR = 5.0
 
 
-@pytest.fixture(scope="module")
-def store(tmp_path_factory):
-    """One 1M-ref trace persisted in both formats, page cache warmed."""
-    tmp = tmp_path_factory.mktemp("trace_store")
+def test_warm_raw_load_speedup_floor(tmp_path):
+    """Zero-copy map must beat npz decode >= 5x at 1M refs, bit-identically."""
     trace = zipf_trace(REFS, seed=2011)
-    raw = save_raw(trace, tmp / f"t{RAW_SUFFIX}")
-    npz = save_npz(trace, tmp / "t.npz")
+    raw = save_raw(trace, tmp_path / f"t{RAW_SUFFIX}")
+    npz = save_npz(trace, tmp_path / "t.npz")
     raw.read_bytes()  # fault both files into the page cache so the
     npz.read_bytes()  # measured quantity is load latency, not disk I/O
-    return {"raw": raw, "npz": npz}
 
+    npz_s, npz_trace = best_of(lambda: load_npz(npz))
+    raw_s, mapped = best_of(lambda: load_raw(raw), rounds=5)
 
-def test_warm_raw_load_speedup_floor(benchmark, store):
-    """Zero-copy map must beat npz decode >= 5x at 1M refs, bit-identically."""
-    # Denominator: best-of-3 warm npz decode, measured in-test so the
-    # floor is machine-independent.
-    load_npz(store["npz"])  # warmup (imports, allocator)
-    npz_s, npz_trace = float("inf"), None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        npz_trace = load_npz(store["npz"])
-        npz_s = min(npz_s, time.perf_counter() - t0)
-
-    mapped = benchmark.pedantic(
-        lambda: load_raw(store["raw"]), rounds=5, iterations=1, warmup_rounds=1
-    )
-    raw_s = benchmark.stats.stats.min
-
-    # The timed artefact is the verified artefact: field-for-field identity
-    # with the npz decode of the same trace, dtypes included.
     for field in ("addresses", "is_write", "thread"):
         a, b = getattr(mapped, field), getattr(npz_trace, field)
         np.testing.assert_array_equal(a, b)
         assert a.dtype == b.dtype
 
     speedup = npz_s / raw_s
-    benchmark.extra_info["speedup_vs_npz"] = round(speedup, 1)
-    benchmark.extra_info["npz_decode_ms"] = round(npz_s * 1e3, 3)
-    benchmark.extra_info["raw_map_ms"] = round(raw_s * 1e3, 3)
     assert speedup >= SPEEDUP_FLOOR, (
         f"raw map only {speedup:.1f}x over npz decode "
         f"(floor {SPEEDUP_FLOOR}x; npz {npz_s * 1e3:.2f}ms, raw {raw_s * 1e3:.2f}ms)"
     )
-
-
-def test_npz_decode_reference(benchmark, store):
-    """The displaced path, recorded for the baseline tables."""
-    trace = benchmark.pedantic(
-        lambda: load_npz(store["npz"]), rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert len(trace) == REFS
-
-
-def test_arena_warm_hit(benchmark, store):
-    """Steady-state engine path: an arena hit is a dict move-to-end."""
-    arena = TraceArena()
-    first = arena.get(store["raw"])
-    trace = benchmark(lambda: arena.get(store["raw"], name="fft"))
-    assert trace.addresses is first.addresses  # shared mapping, no reload
-    stats = arena.stats()
-    assert stats.misses == 1 and stats.entries == 1
-
-
-def test_raw_save_throughput(benchmark, store):
-    """Atomic raw publish of a 1M-ref trace (the migration/warm write path)."""
-    trace = load_raw(store["raw"])
-    out = store["raw"].parent / f"out{RAW_SUFFIX}"
-    path = benchmark.pedantic(
-        lambda: save_raw(trace, out), rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert load_raw(path, verify=True).addresses.shape == (REFS,)

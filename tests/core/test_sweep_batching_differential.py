@@ -338,6 +338,14 @@ class TestEngineBatchedVsPerCell:
         assert bstats.families_batched == 2  # one family per bench
         assert pstats.cells_batched == 0 and pstats.families_batched == 0
 
+    def test_figure_families_bit_identical_on_pool(self, engine_config):
+        """jobs=2 ships each bench's decode family as one pool task."""
+        bstats, _ = self._run_both(
+            FIGURE_SHAPES["fig4"], ("crc", "fft"), engine_config, jobs=2
+        )
+        assert bstats.cells_batched == bstats.cells_total
+        assert bstats.families_batched == 2
+
     def test_mattson_family_bit_identical(self, engine_config):
         """The ext-assoc shape: baseline + assocsweep ladder is one shared
         stack-distance pass under auto, per-cell under sequential."""

@@ -45,6 +45,8 @@ class TestHitsAndIdentity:
         renamed = arena.get(path, name="fft")
         assert renamed.name == "fft"
         assert renamed.addresses is plain.addresses
+        stats = arena.stats()
+        assert (stats.misses, stats.entries) == (1, 1)  # one mapping, no reload
 
     def test_npz_entries_also_served(self, tmp_path):
         arena = TraceArena()
