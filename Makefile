@@ -21,8 +21,8 @@ test-fast:
 
 # In-run speedup floors (fast path vs its reference, both timed in the same
 # process, so they hold on any host): trace generation, trace store,
-# engine kernels, sweep batching, policy kernels, aux replay, cluster
-# scaling.  Absolute times are the end-to-end benchmark's business
+# result store, engine kernels, sweep batching, policy kernels, aux replay,
+# cluster scaling.  Absolute times are the end-to-end benchmark's business
 # (BENCHMARK.json, benchmarks/e2e/).
 bench-floors:
 	$(PY) -m pytest benchmarks/ --ignore=benchmarks/e2e -q

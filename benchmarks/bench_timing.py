@@ -9,7 +9,7 @@ end-to-end benchmark's business (``benchmarks/e2e/``).
 from __future__ import annotations
 
 import time
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -25,3 +25,22 @@ def best_of(fn: Callable[[], T], rounds: int = 3, warmup: int = 1) -> tuple[floa
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def best_of_alternating(
+    fns: list[Callable[[], Any]], rounds: int = 3, warmup: int = 1
+) -> list[tuple[float, Any]]:
+    """:func:`best_of` for several callables at once, their timed calls
+    alternating round by round, so a slow spell of a shared host hits
+    every side of a ratio alike.  One ``(seconds, result)`` per callable."""
+    for fn in fns:
+        for _ in range(warmup):
+            fn()
+    best = [float("inf")] * len(fns)
+    results: list[Any] = [None] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, results))

@@ -41,7 +41,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster.ring import HashRing  # noqa: E402
 from repro.experiments import PaperConfig  # noqa: E402
-from repro.experiments.engine import plan_cells  # noqa: E402
+from repro.experiments.engine import ResultCache, plan_cells  # noqa: E402
 from repro.experiments.engine.cells import execute_cell  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.protocol import sweep_cell  # noqa: E402
@@ -238,8 +238,8 @@ def main() -> int:
                     "warm rerun simulated nothing (exactly-once)",
                 )
                 # ...and every requested key is in the shared store once
-                # (one .npz per content key, by construction and on disk).
-                on_disk = {p.stem for p in shared.glob("*.npz")}
+                # (one entry per content key, by construction and on disk).
+                on_disk = set(ResultCache(shared).keys())
                 wanted = {key for _res, key in burst_reference.values()} | {
                     key for _res, key in reference.values()
                 }

@@ -558,8 +558,10 @@ def _cmd_cache(args) -> int:
         f"trace cache   {trace_dir}: {n_traces} trace file(s) "
         f"({n_raw} raw, {n_npz} npz)"
     )
+    st = results.stats()
     print(
-        f"result cache  {result_dir}: {len(results)} cell result(s), "
+        f"result cache  {result_dir}: {len(results)} cell result(s) "
+        f"({st['raw_entries']} raw, {st['npz_entries']} npz), "
         f"{results.size_bytes() / 1024:.1f} KiB"
     )
     if args.clear or args.clear_traces:

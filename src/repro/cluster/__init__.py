@@ -3,7 +3,7 @@
 The single-process job server (:mod:`repro.service`) coalesces duplicate
 work on content-addressed result-cache keys.  Because those keys fully
 determine a cell's outcome, *placement* of a cell is free — any worker
-computes the identical ``.npz`` payload.  This package scales the service
+computes the identical result entry.  This package scales the service
 out by exploiting exactly that:
 
 :mod:`repro.cluster.ring`

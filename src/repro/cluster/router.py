@@ -5,7 +5,7 @@ that owns no simulation workers of its own: it speaks the identical wire
 protocol to clients, but serves ``cell``/``sweep``/``experiment`` requests
 by consistent-hashing their result-cache keys onto a ring of ordinary
 worker daemons and forwarding the frames.  Because keys are
-content-addressed, any worker computes the identical ``.npz`` payload —
+content-addressed, any worker computes the identical result entry —
 placement is purely a locality/caching decision, which is what makes the
 whole design safe:
 

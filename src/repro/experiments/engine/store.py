@@ -9,9 +9,10 @@ it lands in is shared.  This module defines the interface and the two
 backends:
 
 :class:`LocalDirStore`
-    Today's behavior, verbatim: one private ``results/`` directory of
-    ``.npz`` entries with embedded checksums.  Bit-identical keys and file
-    format — a repo that never opts into clustering sees no change.
+    Today's behavior, verbatim: one private ``results/`` directory of raw
+    ``.rres`` entries with embedded checksums (legacy ``.npz`` entries
+    migrate on first read).  Bit-identical keys and file format — a repo
+    that never opts into clustering sees no change.
 
 :class:`SharedDirStore`
     A two-tier read-through / write-behind store for clusters.  ``load``
@@ -27,7 +28,10 @@ backends:
     every write on either tier is atomic (tmp + ``os.replace``, inherited
     from :class:`ResultCache`), and ``load`` treats a transient ``OSError``
     as a miss *without deleting the entry* — only verified corruption
-    (checksum/zip/staleness failures) unlinks.  Two nodes publishing the
+    (undecodable entry, checksum or staleness failures) unlinks.  Both
+    tiers are plain :class:`ResultCache` directories, so an ``.npz`` entry
+    in the shared tier migrates to raw in place the first time any node
+    reads it.  Two nodes publishing the
     same key race benignly: the key is a content digest, so both payloads
     decode to the same result and the last atomic replace wins.
 
@@ -88,7 +92,7 @@ class ResultStore(abc.ABC):
 
 
 #: Today's backend *is* the local-directory store: same directory layout,
-#: same npz entries, same content-addressed keys.  The alias (rather than a
+#: same entries, same content-addressed keys.  The alias (rather than a
 #: wrapper) keeps every existing ``ResultCache`` call site — tests, CLI,
 #: engine internals — bit-identical by construction.
 LocalDirStore = ResultCache

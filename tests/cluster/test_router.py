@@ -28,6 +28,7 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.engine import plan_cells
+from repro.experiments.engine.cache import ENTRY_SUFFIX
 from repro.experiments.engine.cells import execute_cell, make_cell
 from repro.service import ServiceError, ServiceUnavailable
 from repro.service.protocol import result_to_wire, sweep_cell
@@ -186,7 +187,7 @@ class TestSharedStore:
         # The worker's write-behind publisher runs asynchronously; wait for
         # the entry to land in the shared tier before dialing cluster two.
         _wait_until(
-            lambda: any(first.shared_dir.rglob("*.npz")),
+            lambda: any(first.shared_dir.rglob(f"*{ENTRY_SUFFIX}")),
             what="shared-store publish",
         )
 
@@ -204,7 +205,7 @@ class TestSharedStore:
         with cluster.client() as client:
             client.submit_cell("indexing", WORKLOAD, "XOR")
             _wait_until(
-                lambda: any(cluster.shared_dir.rglob("*.npz")),
+                lambda: any(cluster.shared_dir.rglob(f"*{ENTRY_SUFFIX}")),
                 what="shared-store publish",
             )
             reply = client.submit_cell("indexing", WORKLOAD, "XOR")

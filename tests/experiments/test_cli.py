@@ -126,6 +126,37 @@ class TestCommands:
         assert main(argv) == 0
         assert "0 generated" in capsys.readouterr().out
 
+    def test_cache_inventory_counts_both_result_formats(
+        self, tmp_path, capsys, to_npz_entry
+    ):
+        import numpy as np
+
+        from repro.core.simulator import SimulationResult
+        from repro.experiments.engine import ResultCache
+
+        counts = np.arange(8, dtype=np.int64)
+        result = SimulationResult(
+            model="m", trace_name="t", accesses=28, hits=0, misses=28,
+            lookup_cycles=28, slot_accesses=counts, slot_hits=counts * 0,
+            slot_misses=counts, extra={},
+        )
+        results = ResultCache(tmp_path / "results")
+        for key in ("a" * 64, "b" * 64, "c" * 64):
+            results.store(key, result)
+        to_npz_entry(results, "c" * 64)
+        # A key caught between migration steps (raw written, npz not yet
+        # unlinked) is one raw entry, not two.
+        results.store("d" * 64, result)
+        to_npz_entry(results, "d" * 64)
+        results.store("d" * 64, result)
+
+        assert main(["cache", "--trace-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "4 cell result(s) (3 raw, 1 npz)" in out
+        assert main(["cache", "--trace-dir", str(tmp_path), "--clear"]) == 0
+        assert "cleared 4 cell result(s)" in capsys.readouterr().out
+        assert not list((tmp_path / "results").iterdir())
+
     def test_trace_warm_rejects_unknown_experiment(self, capsys):
         assert main(["trace", "warm", "--experiments", "nope"]) == 2
         assert "nope" in capsys.readouterr().err

@@ -42,6 +42,7 @@ from repro.experiments.engine import (
     trace_fingerprint,
 )
 from repro.experiments.engine.cells import execute_cell
+import repro.experiments.engine.cache as cache_mod
 from repro.experiments.report import render_table
 from repro.experiments.runner import (
     profile_trace_path,
@@ -136,9 +137,9 @@ class TestResultCacheMemoization:
         again = run_experiment("fig1", cfg)
         assert first.engine_stats["cache_misses"] == 1
         assert again.engine_stats["cache_misses"] == 1
-        assert not (cfg.trace_cache_dir / "results").exists() or not list(
-            (cfg.trace_cache_dir / "results").glob("*.npz")
-        )
+        assert not (cfg.trace_cache_dir / "results").exists() or not ResultCache(
+            cfg.trace_cache_dir / "results"
+        ).keys()
 
 
 class TestCorruptionDetection:
@@ -147,7 +148,7 @@ class TestCorruptionDetection:
         cache = ResultCache(config.result_cache_path)
         results, stats = run_cells([cell], config, jobs=1, result_cache=cache)
         assert stats.cache_misses == 1
-        path = next(iter(config.result_cache_path.glob("*.npz")))
+        path = cache.path_for(next(iter(cache.keys())))
         return cell, cache, path, results[("crc", "baseline")]
 
     def test_truncated_entry_recomputed(self, config):
@@ -159,32 +160,21 @@ class TestCorruptionDetection:
 
     def test_garbage_entry_recomputed(self, config):
         cell, cache, path, original = self._single_cell_key_and_cache(config)
-        path.write_bytes(b"this is not an npz file at all")
+        path.write_bytes(b"this is not a result entry at all")
         results, stats = run_cells([cell], config, jobs=1, result_cache=cache)
         assert stats.cache_misses == 1
         assert results[("crc", "baseline")].misses == original.misses
 
     def test_checksum_tamper_detected(self, config):
         """A structurally valid entry with doctored counters must be rejected."""
-        import json
-
         cell, cache, path, original = self._single_cell_key_and_cache(config)
         key = path.stem
         entry = cache.load(key)
         assert entry is not None  # pristine entry verifies
         # Re-store with a lie, bypassing checksum recomputation.
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                k: data[k].copy()
-                for k in ("slot_accesses", "slot_hits", "slot_misses")
-            }
+        meta, arrays = cache_mod._decode_entry(path.read_bytes())
         meta["misses"] = meta["misses"] + 1  # checksum now stale
-        np.savez_compressed(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            **arrays,
-        )
+        path.write_bytes(cache_mod._encode_entry(meta, arrays))
         assert cache.load(key) is None, "tampered entry must be treated as a miss"
         assert not path.exists(), "tampered entry must be deleted"
         results, stats = run_cells([cell], config, jobs=1, result_cache=cache)

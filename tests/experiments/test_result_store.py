@@ -70,17 +70,17 @@ class TestTransientReadErrors:
         path = cache.store("k" * 64, _result())
         assert path.exists()
 
-        real_load = np.load
+        real_read = cache_mod.Path.read_bytes
 
-        def flaky_load(*args, **kwargs):
+        def flaky_read(*args, **kwargs):
             raise OSError("synthetic NFS hiccup")
 
-        monkeypatch.setattr(cache_mod.np, "load", flaky_load)
+        monkeypatch.setattr(cache_mod.Path, "read_bytes", flaky_read)
         assert cache.load("k" * 64) is None, "transient error must read as a miss"
         assert path.exists(), "transient error must NOT delete the entry"
 
         # Once the filesystem recovers, the very same entry is a hit again.
-        monkeypatch.setattr(cache_mod.np, "load", real_load)
+        monkeypatch.setattr(cache_mod.Path, "read_bytes", real_read)
         recovered = cache.load("k" * 64)
         assert recovered is not None
         assert recovered.misses == _result().misses
@@ -88,7 +88,7 @@ class TestTransientReadErrors:
     def test_verified_corruption_still_unlinks(self, tmp_path):
         cache = ResultCache(tmp_path / "rc")
         path = cache.store("k" * 64, _result())
-        path.write_bytes(b"definitely not an npz")
+        path.write_bytes(b"definitely not a result entry")
         assert cache.load("k" * 64) is None
         assert not path.exists(), "provably corrupt entries must be removed"
 
@@ -225,7 +225,7 @@ class TestClusterVisibleWarmResults:
         assert cold.cache_misses == 1
         # run_cells owns the store here, so it flushed+closed on exit: the
         # publish is already durable in the shared tier.
-        assert any(shared.glob("*.npz"))
+        assert any(shared.glob(f"*{cache_mod.ENTRY_SUFFIX}"))
 
         results, warm = run_cells(cells, node2, jobs=1)
         assert warm.cache_misses == 0

@@ -13,6 +13,10 @@ runs a figure after the upgrade:
   simulations);
 * ``TraceCache.gc()`` then drops the redundant npz blobs and the figure
   still runs warm off the raw entries alone.
+
+The result store made the same move from npz to a raw format later; its
+upgrade test below re-runs a figure over an npz-era result store: every
+cell is a hit, rows are unchanged, and each npz is replaced by a raw entry.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import pytest
 from repro.experiments import PaperConfig, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments import fig06_progassoc_missrate as fig06
-from repro.experiments.engine import trace_fingerprint
+from repro.experiments.engine import ResultCache, trace_fingerprint
+from repro.experiments.engine.cache import ENTRY_SUFFIX
 from repro.experiments.warm import specs_for, warm_traces
 from repro.trace.arena import reset_arena
 from repro.trace.io import RAW_SUFFIX, TraceCache, load_trace, save_npz
@@ -142,3 +147,39 @@ class TestNpzEraUpgrade:
         np.testing.assert_array_equal(raw_trace.addresses, npz_trace.addresses)
         np.testing.assert_array_equal(raw_trace.is_write, npz_trace.is_write)
         np.testing.assert_array_equal(raw_trace.thread, npz_trace.thread)
+
+
+class TestNpzEraResultStore:
+    def test_figure_rerun_migrates_every_npz_entry(self, config, to_npz_entry):
+        first = run_experiment("fig4", config)
+        assert first.engine_stats["cache_misses"] == first.engine_stats["cells_total"]
+        results = ResultCache(config.result_cache_path)
+        keys = results.keys()
+        assert keys
+        before = {key: results.load(key) for key in keys}
+        for key in keys:
+            to_npz_entry(results, key)
+        assert results.stats() == {"raw_entries": 0, "npz_entries": len(keys)}
+
+        fig04._CACHE.clear()
+        reset_arena()
+        second = run_experiment("fig4", config)
+        warm = second.engine_stats
+        assert warm["cache_misses"] == 0
+        assert warm["cache_hits"] == warm["cells_total"]
+        assert list(second.rows) == list(first.rows)
+
+        assert results.keys() == keys and len(results) == len(keys)
+        assert results.stats() == {"raw_entries": len(keys), "npz_entries": 0}
+        assert not list(config.result_cache_path.glob("*.npz"))
+        for key, old in before.items():
+            assert results.path_for(key).suffix == ENTRY_SUFFIX
+            new = results.load(key)
+            assert (new.model, new.trace_name, new.extra) == (
+                old.model, old.trace_name, old.extra
+            )
+            assert (new.accesses, new.hits, new.misses, new.lookup_cycles) == (
+                old.accesses, old.hits, old.misses, old.lookup_cycles
+            )
+            for field in ("slot_accesses", "slot_hits", "slot_misses"):
+                np.testing.assert_array_equal(getattr(new, field), getattr(old, field))
