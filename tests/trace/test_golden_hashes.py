@@ -1,10 +1,12 @@
 """The bit-identical trace contract.
 
 ``golden_trace_hashes.json`` holds a SHA-256 content hash (addresses,
-is_write, thread) for **every** registered workload at two reference limits
-(one power-of-two-ish, one awkward odd cut), plus thread-variant samples —
-all generated by the *scalar* emission path before any bulk-emission kernel
-rewrite landed.
+is_write, thread) for **every** registered workload at three reference
+limits (the end-to-end replay size, a round figure and an awkward odd cut),
+plus thread-variant samples — all generated by the *scalar* emission path
+before any bulk-emission kernel rewrite landed (the 2000-reference entries
+were added later, from the unchanged scalar path, before the recorder began
+cutting its pending buffer at the room left before the limit).
 
 The contract: any trace-generation optimisation (vector emitters, kernel
 rewrites, parallel prefetch) must reproduce these hashes bit for bit.  A
@@ -27,9 +29,10 @@ from repro.workloads import WORKLOAD_REGISTRY, get_workload
 GOLDEN_PATH = Path(__file__).parent / "golden_trace_hashes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-#: The two contract ref-limits: a round figure cut and an awkward odd cut
-#: (exercises mid-pattern truncation inside bulk emitters).
-LIMITS = (4000, 4097)
+#: The contract ref-limits: the end-to-end replay size (``--refs 2000``), a
+#: round figure cut and an awkward odd cut (exercises mid-pattern truncation
+#: inside bulk emitters).
+LIMITS = (2000, 4000, 4097)
 
 
 def trace_hash(trace) -> str:
