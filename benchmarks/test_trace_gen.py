@@ -1,18 +1,21 @@
-"""Trace-generation speedup floors: each bulk-emission kernel against its
-own scalar emission path.
+"""Trace-generation floors, each a ratio timed within one run.
 
-Each rewritten kernel is timed against its scalar path in the same process
-and must clear its floor, so a silently disabled fast path fails the suite
-on any host.  The scalar/bulk pairs double as differential fixtures: both
-paths must also agree bit-for-bit (the golden-hash contract), so the floor
-run re-verifies the contract it is timing.
+* **Bulk vs scalar:** each bulk-emission kernel is timed against its own
+  scalar emission path and must clear its floor, so a silently disabled
+  fast path fails the suite on any host.  The scalar/bulk pairs double as
+  differential fixtures: both paths must also agree bit-for-bit (the
+  golden-hash contract), so the floor run re-verifies the contract it is
+  timing.
+* **Cost follows the cut:** a scalar-heavy kernel must take clearly longer
+  to generate 32,768 references than 2,000, so a recorder that runs
+  kernels past ``ref_limit`` (and throws the overshoot away) fails.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from bench_timing import best_of
+from bench_timing import best_of, best_of_alternating
 
 from repro.workloads import get_workload
 
@@ -54,4 +57,33 @@ def test_bulk_speedup_floor(name):
     assert speedup >= floor, (
         f"{name}: bulk path only {speedup:.1f}x over scalar "
         f"(floor {floor}x; scalar {scalar_s:.3f}s, bulk {bulk_s:.3f}s)"
+    )
+
+
+#: Kernels that emit mostly through the pending buffer (scalar verbs), and
+#: the two cuts timed against each other.  Generation past the cut at the
+#: small size would read ~1x; a recorder that stops at the cut read
+#: 9-39x on these three (best of 5 on a 2-vCPU VM).
+CUT_KERNELS = ("namd", "patricia", "susan")
+CUT_SMALL, CUT_LARGE = 2_000, 32_768
+CUT_FLOOR = 3.0
+
+
+@pytest.mark.parametrize("name", CUT_KERNELS)
+def test_generation_cost_follows_the_cut(name):
+    """Generating 32,768 references must cost >= 3x generating 2,000."""
+    wl = get_workload(name)
+    (small_s, small), (large_s, large) = best_of_alternating(
+        [
+            lambda: wl.generate(seed=2011, ref_limit=CUT_SMALL),
+            lambda: wl.generate(seed=2011, ref_limit=CUT_LARGE),
+        ],
+        rounds=5,
+    )
+    assert (len(small), len(large)) == (CUT_SMALL, CUT_LARGE)
+    ratio = large_s / small_s
+    assert ratio >= CUT_FLOOR, (
+        f"{name}: {CUT_LARGE} refs took only {ratio:.1f}x as long as {CUT_SMALL} "
+        f"(floor {CUT_FLOOR}x; {large_s * 1e3:.1f} ms vs {small_s * 1e3:.1f} ms) "
+        f"— the kernel runs past ref_limit"
     )

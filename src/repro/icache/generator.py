@@ -29,19 +29,28 @@ def generate_itrace(
     loop_iterations: int = 1,
     name: str = "itrace",
 ) -> Trace:
-    """I-fetch trace for ``call_sequence`` under ``layout``."""
+    """I-fetch trace for ``call_sequence`` under ``layout``.
+
+    Every invocation of a procedure fetches the same block, so each distinct
+    procedure's block is built once and the trace is one concatenation over
+    the call sequence.
+    """
     if loop_iterations < 1:
         raise ValueError("loop_iterations must be >= 1")
-    chunks: list[np.ndarray] = []
-    for proc_name in call_sequence:
+    blocks: dict[str, np.ndarray] = {}
+    for proc_name in dict.fromkeys(call_sequence):
         proc = layout.procedures[proc_name]
         start = layout.start_of(proc_name)
         covered = max(1, int(proc.size_bytes * proc.body_coverage))
         lines = np.arange(start, start + covered, line_bytes, dtype=np.uint64)
         if loop_iterations > 1:
             lines = np.tile(lines, loop_iterations)
-        chunks.append(lines)
-    addresses = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
+        blocks[proc_name] = lines
+    addresses = (
+        np.concatenate([blocks[p] for p in call_sequence])
+        if call_sequence
+        else np.empty(0, dtype=np.uint64)
+    )
     return Trace(addresses, name=name, meta={"calls": len(call_sequence)})
 
 

@@ -34,6 +34,12 @@ limit is truncated at the same event index where the scalar loop would have
 raised, then :class:`TraceComplete` propagates — so kernels may freely mix
 scalar and bulk emission and still cut bit-identically.
 
+In bulk mode the scalar verbs are bound straight to the pending buffer
+(:class:`PendingStream`), and :func:`record` flushes that buffer as soon as
+it holds the room left before ``ref_limit`` — so a kernel stops at the event
+where the scalar loop would have stopped, and trace generation costs what
+the trace keeps, not a whole buffer more.
+
 ``Recorder.bulk`` tells a kernel whether to take its vectorised path;
 ``record(..., bulk=False)`` forces the scalar reference path (used by the
 differential tests and the trace-generation benchmark denominators).
@@ -114,7 +120,19 @@ class Recorder:
         #: the trace is built — so kernels can mix scalar and bulk emission
         #: freely without fragmenting the trace builder.
         self.pend: "PendingStream | None" = PendingStream(self) if bulk else None
+        #: Set by :func:`record`: keep the pending threshold at the room left
+        #: before ``ref_limit`` (see :meth:`_arm_pending`).
+        self._flush_at_room = False
         self._stdio: "_StdioModel | None" = None
+        if self.pend is not None:
+            # Bulk mode: the scalar verbs reach the pending buffer's append
+            # directly, without the ``_emit`` frame; the class methods below
+            # stay the scalar reference path.
+            load, store = self.pend.load, self.pend.store
+            self.load = load
+            self.store = store
+            self.load_elem = lambda array, index: load(array.addr(index))
+            self.store_elem = lambda array, index: store(array.addr(index))
 
     # -- stdio -------------------------------------------------------------------
 
@@ -140,14 +158,6 @@ class Recorder:
         self._emit(address, True)
 
     def _emit(self, address: int, is_write: bool) -> None:
-        if self.pend is not None:
-            # Bulk mode: defer.  The ref-limit cut is applied at flush time
-            # by the stream emitter, at the same event index.
-            if is_write:
-                self.pend.store(address)
-            else:
-                self.pend.load(address)
-            return
         self.builder.append(address, is_write)
         if self.ref_limit is not None and len(self.builder) >= self.ref_limit:
             raise TraceComplete
@@ -218,6 +228,23 @@ class Recorder:
         self.builder.extend(addresses, is_write)
         if self.ref_limit is not None and len(self.builder) >= self.ref_limit:
             raise TraceComplete
+        if self._flush_at_room:
+            self._arm_pending()
+
+    def _arm_pending(self) -> None:
+        """Flush the pending buffer as soon as it holds the room left.
+
+        With the threshold at ``ref_limit - len(builder)`` (capped at
+        :attr:`PendingStream.MAX_THRESHOLD`), the flush of the scalar event
+        that reaches the limit raises :class:`TraceComplete` at that event,
+        so the kernel stops where the scalar loop would have stopped instead
+        of running up to a whole buffer past the cut.  Re-armed after every
+        write to the builder.  Only :func:`record`, which catches
+        :class:`TraceComplete`, arms it: on a bare recorder the scalar verbs
+        never raise in bulk mode.
+        """
+        room = self.ref_limit - len(self.builder)
+        self.pend.threshold = min(room, PendingStream.MAX_THRESHOLD)
 
     def interleaved_stream(
         self, *columns: "tuple[np.ndarray, np.ndarray | bool]"
@@ -271,11 +298,14 @@ class PendingStream:
 
     The deferral mechanism behind bulk mode's scalar verbs: ``load``/
     ``store`` cost a plain-int list append instead of a trace-builder call,
-    and :meth:`flush` — triggered past ``threshold``, by any bulk emitter on
+    and :meth:`flush` — triggered at ``threshold``, by any bulk emitter on
     the owning recorder, or at trace build — converts the buffer to one
     :meth:`Recorder._stream_raw` call.  Append order is preserved, so the
     trace is bit-identical to emitting directly — including the
     ``ref_limit`` cut, which the stream emitter applies at flush time.
+    Under :func:`record` the threshold is the room left before
+    ``ref_limit`` (at most :attr:`MAX_THRESHOLD`), so the flush that
+    applies the cut happens at the cut event itself.
 
     Kernels whose reference sequence is decided event by event (qsort's
     ``strcmp`` scans, printf's buffer runs) can also append to it directly
@@ -284,7 +314,10 @@ class PendingStream:
 
     __slots__ = ("_rec", "_addrs", "_write_marks", "threshold")
 
-    def __init__(self, rec: Recorder, threshold: int = 1 << 15):
+    #: The largest buffer a flush converts at once.
+    MAX_THRESHOLD = 1 << 15
+
+    def __init__(self, rec: Recorder, threshold: int = MAX_THRESHOLD):
         self._rec = rec
         self.threshold = threshold
         self._addrs: list[int] = []
@@ -466,11 +499,18 @@ def record(
     The builder itself bounds the trace at ``ref_limit`` (every emission
     path truncates exactly and raises :class:`TraceComplete`), and stamps
     thread ids at build time — no post-hoc ``head()`` re-slice or
-    whole-trace thread rebuild.
+    whole-trace thread rebuild.  In bulk mode the pending buffer flushes at
+    the room left before ``ref_limit``, so the kernel stops at the cut
+    event on either path.  A cut trace therefore never carries meta the
+    kernel writes after its loop; only a trace that ends under the limit
+    does.
     """
     rec = Recorder(name, seed=seed, ref_limit=ref_limit, thread=thread, bulk=bulk)
     if meta:
         rec.builder.meta.update(meta)
+    if ref_limit is not None and rec.pend is not None:
+        rec._flush_at_room = True
+        rec._arm_pending()
     try:
         kernel(rec)
     except TraceComplete:

@@ -98,20 +98,19 @@ class AdpcmWorkload(Workload):
         adj_tbl = m.space.static_array(1, 16, "index_adjust")
         state = m.space.static_array(4, 2, "coder_state")  # valprev, index
 
-        # Speech-ish signal: a few modulated tones plus noise.
-        samples = [
-            int(8000 * math.sin(0.03 * i) * math.sin(0.0011 * i) + m.rng.normal(0, 300))
-            for i in range(n)
-        ]
         valprev, index = 0, 0
         nibble_hi = 0
+        normal = m.rng.normal
         for i in range(n):
+            # Speech-ish signal: a few modulated tones plus noise, drawn as
+            # the encoder reads it, so a cut trace draws only what it keeps.
+            sample = int(8000 * math.sin(0.03 * i) * math.sin(0.0011 * i) + normal(0, 300))
             m.load_elem(pcm, i)
             m.load_elem(state, 0)
             m.load_elem(state, 1)
             m.load_elem(step_tbl, index)
             step = STEP_SIZES[index]
-            diff = samples[i] - valprev
+            diff = sample - valprev
             sign = 8 if diff < 0 else 0
             if sign:
                 diff = -diff

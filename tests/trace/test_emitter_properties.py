@@ -12,16 +12,28 @@ caught at the primitive with a shrunken counterexample:
   prefix, of length ``min(total, ref_limit)``;
 * **threshold invariance** — the pending buffer's flush chunking (any
   threshold ≥ 1) never shows up in the trace;
+* **flush at the room left** — under :func:`record`, which flushes the
+  pending buffer at the room left before ``ref_limit`` (for any cap on
+  that room), the trace is still the scalar loop's, and the program stops
+  inside the op that reaches the limit;
 * **row-major zip** — ``interleave_streams`` is the flattened classic loop.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.trace.recorder import Recorder, TraceComplete, interleave_streams
+from repro.trace.recorder import (
+    PendingStream,
+    Recorder,
+    TraceComplete,
+    interleave_streams,
+    record,
+)
 
 # -- op-program strategy ---------------------------------------------------------------
 
@@ -43,31 +55,33 @@ _strided_op = st.tuples(
 _program = st.lists(st.one_of(_scalar_op, _pattern_op, _strided_op), max_size=12)
 
 
+def _events(op) -> list[tuple[int, bool]]:
+    """The ``(address, is_write)`` events of one op, in emission order."""
+    kind = op[0]
+    if kind == "scalar":
+        return [op[1:]]
+    if kind == "pattern":
+        return op[1]
+    if kind == "strided":
+        _, start, stride, count, w = op
+        return [((start + k * stride) % (1 << 64), w) for k in range(count)]
+    raise AssertionError(kind)  # pragma: no cover - defensive
+
+
 def _apply(rec: Recorder, op, bulk: bool) -> None:
     """Run one op through the bulk API or its scalar reference loop."""
     kind = op[0]
-    if kind == "scalar":
-        _, addr, w = op
-        (rec.store if w else rec.load)(addr)
-    elif kind == "pattern":
-        _, events = op
-        if bulk:
-            addrs = np.array([a for a, _ in events], dtype=np.uint64)
-            flags = np.array([w for _, w in events], dtype=bool)
-            rec.pattern_stream(addrs, flags)
-        else:
-            for a, w in events:
-                (rec.store if w else rec.load)(a)
-    elif kind == "strided":
+    if bulk and kind == "pattern":
+        events = op[1]
+        addrs = np.array([a for a, _ in events], dtype=np.uint64)
+        flags = np.array([w for _, w in events], dtype=bool)
+        rec.pattern_stream(addrs, flags)
+    elif bulk and kind == "strided":
         _, start, stride, count, w = op
-        if bulk:
-            rec.strided_loop(start, stride, count, w)
-        else:
-            for k in range(count):
-                a = (start + k * stride) % (1 << 64)
-                (rec.store if w else rec.load)(a)
-    else:  # pragma: no cover - defensive
-        raise AssertionError(kind)
+        rec.strided_loop(start, stride, count, w)
+    else:
+        for a, w in _events(op):
+            (rec.store if w else rec.load)(a)
 
 
 def _run(program, ref_limit, *, bulk: bool, threshold: int | None = None):
@@ -80,6 +94,28 @@ def _run(program, ref_limit, *, bulk: bool, threshold: int | None = None):
     except TraceComplete:
         pass
     return rec.build()
+
+
+def _record(program, ref_limit):
+    """``program`` — ``(op, as_bulk)`` pairs — in bulk mode under
+    :func:`record`, each op through a bulk emitter or as scalar verbs.
+
+    Also returns the size of every call the kernel started, so the last
+    entry is the call the cut stopped.
+    """
+    started: list[int] = []
+
+    def kernel(rec):
+        for op, as_bulk in program:
+            if as_bulk:
+                started.append(len(_events(op)))
+                _apply(rec, op, True)
+            else:
+                for a, w in _events(op):
+                    started.append(1)
+                    (rec.store if w else rec.load)(a)
+
+    return record(kernel, "prop", ref_limit=ref_limit), started
 
 
 def _assert_traces_equal(a, b):
@@ -122,6 +158,36 @@ def test_pending_threshold_is_invisible(program, ref_limit, threshold):
         _run(program, ref_limit, bulk=True, threshold=threshold),
         _run(program, ref_limit, bulk=True),
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    program=st.lists(
+        st.tuples(st.one_of(_scalar_op, _pattern_op, _strided_op), st.booleans()),
+        max_size=12,
+    ),
+    ref_limit=st.one_of(st.none(), st.integers(1, 80)),
+    cap=st.integers(min_value=1, max_value=16),
+)
+# A bulk write shrinks the room: the threshold must follow it down.
+@example(
+    program=[(("pattern", [(0, False)] * 3), True), (("strided", 64, 8, 4, False), False)],
+    ref_limit=5,
+    cap=16,
+)
+def test_record_flushes_at_the_room_left(program, ref_limit, cap):
+    # record() keeps the threshold at min(room left, cap): the trace is the
+    # scalar loop's, and the kernel starts no call past the one reaching
+    # the cut.
+    with mock.patch.object(PendingStream, "MAX_THRESHOLD", cap):
+        cut, started = _record(program, ref_limit)
+    ops = [op for op, _ in program]
+    _assert_traces_equal(cut, _run(ops, ref_limit, bulk=False))
+    total = sum(started)
+    if ref_limit is not None and total >= ref_limit:
+        assert total - started[-1] < ref_limit <= total
+    else:
+        assert total == sum(len(_events(op)) for op in ops)
 
 
 @settings(max_examples=100, deadline=None)

@@ -87,6 +87,81 @@ class TestRecordFunction:
         np.testing.assert_array_equal(a.addresses, b.addresses)
 
 
+class TestRecordStopsAtTheCut:
+    """Under ``record(..., ref_limit=N)`` a bulk-mode kernel stops where the
+    scalar loop stops: the pending buffer flushes at the room left, so no
+    reference past the cut is generated."""
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    @pytest.mark.parametrize("limit", [1, 7, 2000, 32768, 40000])
+    def test_scalar_kernel_stops_after_exactly_n_emits(self, bulk, limit):
+        emits = 0
+
+        def kernel(m):
+            nonlocal emits
+            arr = m.space.heap_array(8, 64, "a")
+            for i in range(limit + 5000):
+                emits += 1
+                if i % 3 == 2:
+                    m.store_elem(arr, i % 64)
+                else:
+                    m.load(i * 8)
+
+        t = record(kernel, "k", ref_limit=limit, bulk=bulk)
+        assert emits == limit
+        assert len(t) == limit
+
+    @pytest.mark.parametrize("limit", [1, 9, 10, 2000, 40001])
+    def test_pend_events_kernel_stops_within_the_crossing_call(self, limit):
+        block, marks = list(range(0, 80, 8)), (1, 4)
+        calls = 0
+
+        def kernel(m):
+            nonlocal calls
+            for _ in range(limit):
+                calls += 1
+                m.pend.events(block, marks)
+
+        t = record(kernel, "k", ref_limit=limit)
+        assert calls == -(-limit // len(block))  # the call that crosses N
+        assert len(t) == limit
+        head = min(limit, len(block))
+        assert t.is_write.tolist()[:head] == [k in marks for k in range(head)]
+
+    @pytest.mark.parametrize("limit", [5, 6, 17, 2000, 2003])
+    def test_mixed_kernel_stops_at_the_crossing_call(self, limit):
+        offered: list[int] = []
+
+        def kernel(m, bulk):
+            for r in range(limit):
+                for k in range(3):
+                    offered.append(1)
+                    m.load(r * 64 + k)
+                offered.append(4)
+                if bulk:
+                    m.strided_loop(r * 64 + 8, 8, 4, True)
+                else:
+                    for k in range(4):
+                        m.store(r * 64 + 8 + 8 * k)
+
+        t = record(lambda m: kernel(m, True), "k", ref_limit=limit)
+        total = sum(offered)
+        assert total - offered[-1] < limit <= total
+        assert len(t) == limit
+        want = record(lambda m: kernel(m, False), "k", ref_limit=limit, bulk=False)
+        np.testing.assert_array_equal(t.addresses, want.addresses)
+        np.testing.assert_array_equal(t.is_write, want.is_write)
+
+    def test_meta_written_after_the_loop_only_on_uncut_traces(self):
+        def kernel(m):
+            for i in range(100):
+                m.load(i)
+            m.builder.meta["done"] = True
+
+        assert "done" not in record(kernel, "k", ref_limit=100).meta
+        assert record(kernel, "k", ref_limit=101).meta["done"]
+
+
 class TestStdio:
     def test_printf_emits_references(self):
         m = Recorder("t")
