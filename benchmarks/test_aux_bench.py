@@ -4,10 +4,14 @@ Each floor times both of its sides in the same process:
 
 * the replay: :func:`~repro.core.aux.simulate_aux` under ``engine="auto"``
   (one vectorised direct-mapped pass plus a pure-Python replay of only
-  the miss events through the real structure objects) must stay ≥ 5×
+  the miss events through one fused loop) must stay ≥ 5×
   ahead of the sequential reference (driving the composed
   :class:`~repro.core.aux.AugmentedCache` one access at a time) on a
   million-access trace, for the 4-entry victim cache;
+* the stream-buffer compositions: ``sb4`` and ``vc+sb4`` must stay
+  ≥ 12× ahead of the sequential wrapper on the same trace (the fused
+  replay holds each queue as its head; a replay that went back to one
+  protocol call per structure and event reads about 8×);
 * the sweep: :func:`~repro.core.aux.simulate_aux_sweep` over the ext-aux
   composition ladder must beat per-spec sequential simulation by ≥ 5×
   (it shares the decode and the miss/prev pass across every spec).
@@ -18,6 +22,7 @@ Bit-identity of everything measured here is locked by
 
 from __future__ import annotations
 
+import pytest
 from bench_timing import best_of
 
 from repro.core.address import PAPER_L1_GEOMETRY
@@ -36,9 +41,9 @@ def test_victim_replay_1m():
     """4-entry VC replay over a million accesses (≥ 5× vs sequential).
 
     The fast path answers the composed run from one vectorised
-    direct-mapped pass + replaying only the miss events through the real
-    ``VictimBuffer``; the reference drives the wrapper access by access.
-    Measured locally around 25×; the floor is the contractual minimum.
+    direct-mapped pass + replaying only the miss events through the fused
+    loop; the reference drives the wrapper access by access.  Reads about
+    20–25× on a 2-vCPU VM; the floor is the contractual minimum.
     """
     scheme = ModuloIndexing(G)
     fast_s, result = best_of(
@@ -55,6 +60,29 @@ def test_victim_replay_1m():
     speedup = sequential_s / fast_s
     assert speedup >= 5.0, (
         f"victim replay only {speedup:.1f}x over the sequential wrapper"
+    )
+
+
+@pytest.mark.parametrize("combo", ["sb", "vc+sb"])
+def test_stream_buffer_replay_1m(combo):
+    """4-deep stream buffers, alone and behind a 4-entry VC (≥ 12×).
+
+    Every main-array miss probes, and most allocate, a stream queue, so
+    these compositions pay the most per replayed event.
+    """
+    scheme = ModuloIndexing(G)
+    fast_s, result = best_of(
+        lambda: simulate_aux(scheme, TRACE_1M, G, combo=combo, depth=4)
+    )
+    sequential_s, seq = best_of(
+        lambda: simulate_aux(scheme, TRACE_1M, G, combo=combo, depth=4, engine="sequential"),
+        rounds=1,
+        warmup=0,
+    )
+    assert (seq.misses, seq.extra) == (result.misses, result.extra)
+    speedup = sequential_s / fast_s
+    assert speedup >= 12.0, (
+        f"{combo}4 replay only {speedup:.1f}x over the sequential wrapper"
     )
 
 

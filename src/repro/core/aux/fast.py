@@ -21,16 +21,38 @@ exactly, whatever auxiliary structures ride along:
    that yields the miss flags, no replay needed.
 3. **Aux state changes only at main-array misses**, as a pure function of
    the program-ordered stream of ``(missed block, displaced block)``
-   events.  The fast path replays exactly that event stream through the
-   *actual structure objects*, issuing the same protocol calls in the
-   same order as :class:`~repro.core.aux.augmented.AugmentedCache` —
-   structural equivalence, so buffer end states match byte for byte.
+   events.  :func:`_replay` folds the protocol of
+   :class:`~repro.core.aux.augmented.AugmentedCache` into one loop over
+   that stream, with the rules the protocol reduces to for the three
+   :data:`EXACT_STRUCTURES` (at most one of each, in any order):
+
+   a. probe in composition order, the first hit services the access
+      (victim buffer: remove; miss cache: refresh recency; stream buffer:
+      advance the first queue, in LRU order, whose head matches);
+   b. only a victim buffer acts on the displaced block (FIFO insert,
+      oldest entry overflowing) — every other ``on_eviction`` is the
+      identity;
+   c. an ``allocate="always"`` stream buffer starts a stream on every
+      miss it did not service;
+   d. on a full miss the miss cache fills and a ``"miss"``-mode stream
+      buffer starts a stream.
+
+   A stream-buffer queue is always ``range(h, h + depth)``: allocation
+   creates it, and a head hit pops ``h`` and appends the old tail + 1,
+   which is ``h + depth``.  So the loop holds each queue as its head
+   alone and writes the deques back at the end.  This is a second
+   implementation of the same semantics, not the wrapper's code path:
+   ``tests/core/test_aux_differential.py`` compares the two on results
+   and buffer end states for every ordering of one to three structures,
+   and ``tests/core/test_aux_oracles.py`` checks both against properties
+   neither shares code with.
 
 The speedup is the miss rate: a trace that hits the main array 90% of the
 time replays one tenth of its accesses through Python, with everything
 else answered by one vectorised set decomposition
-(``benchmarks/test_aux_bench.py`` gates ≥ 5× at one million accesses;
-bit-identity is locked by ``tests/core/test_aux_differential.py``).
+(``benchmarks/test_aux_bench.py`` gates ≥ 5× at one million accesses
+for the victim buffer and the sweep, ≥ 12× for the stream-buffer
+compositions).
 
 :func:`replay_aux` is the ``fast:aux-replay`` kernel of
 :func:`repro.core.dispatch.dispatch`, whose refusal check bounds the
@@ -39,6 +61,7 @@ provable region.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -65,8 +88,8 @@ __all__ = [
 #: Composition specs with first-class support (probe priority in order).
 AUX_COMBOS = ("vc", "mc", "sb", "vc+sb", "mc+sb")
 
-#: Structure types the replay is proven against (the protocol calls they
-#: receive are identical between engines; anything else falls back).
+#: Structure types the fused replay implements (anything else, subclasses
+#: included, falls back to the sequential wrapper).
 EXACT_STRUCTURES = (VictimBuffer, MissCache, StreamBuffer)
 
 
@@ -114,41 +137,95 @@ def _miss_events(
     return miss, mpos, stream.unsort(stream.prev_blk)[mpos]
 
 
+_VC, _MC, _SB = range(3)
+
+
 def _replay(
     structures: tuple[AuxStructure, ...],
     blk_l: list[int],
     prev_l: list[int],
     stats: CacheStats,
 ) -> bytearray:
-    """Replay the main-miss event stream through the aux structures.
+    """Replay the main-miss event stream through the aux structures, by
+    rules (a)–(d) of the module docstring, leaving their end state in the
+    structure objects.
 
-    Issues the exact protocol-call sequence of
-    ``AugmentedCache._access_block``'s miss path, mutating the given
-    structure objects.  Returns one class code per event: 0 = full miss,
+    Victim-buffer and miss-cache state is each structure's own
+    ``OrderedDict``; stream queues are held as their heads in LRU order
+    and written back as deques at the end, with the stream counters
+    bumped once (``stream_allocs`` first, the key order ``extra`` has
+    always had).  Returns one class code per event: 0 = full miss,
     ``1 + i`` = serviced by ``structures[i]``.
     """
-    cls = bytearray(len(blk_l))
-    for k in range(len(blk_l)):
-        block = blk_l[k]
-        hit_i = -1
-        for i, st in enumerate(structures):
-            if st.probe(block, stats):
-                hit_i = i
-                break
-        leaving = prev_l[k]
-        if leaving != EMPTY:
-            for st in structures:
-                leaving = st.on_eviction(leaving, stats)
-                if leaving is None:
-                    break
-        for i, st in enumerate(structures):
-            if i != hit_i:
-                st.on_main_miss(block, stats)
-        if hit_i < 0:
-            for st in structures:
-                st.on_full_miss(block, stats)
+    probes = []
+    vc = mc = sb = heads = None
+    sb_code = sb_always = 0
+    for code, st in enumerate(structures, 1):
+        kind = type(st)
+        if kind is VictimBuffer:
+            probes.append((code, _VC))
+            vc, vc_lines = st._entries, st.lines
+        elif kind is MissCache:
+            probes.append((code, _MC))
+            mc, mc_lines = st._entries, st.lines
         else:
-            cls[k] = 1 + hit_i
+            probes.append((code, _SB))
+            sb, sb_code, streams = st, code, st.streams
+            sb_always = st.allocate == "always"
+            heads = [q[0] for q in st._queues]
+    VC, MC, empty = _VC, _MC, EMPTY  # locals: read once per event
+    allocs = sb_hits = 0
+    cls = bytearray(len(blk_l))
+    for k, block in enumerate(blk_l):
+        # (a) Probe in composition order; the first hit services the access.
+        hit = 0
+        for code, kind in probes:
+            if kind == VC:
+                if block in vc:
+                    del vc[block]  # swapped back into the main array
+                    hit = code
+                    break
+            elif kind == MC:
+                if block in mc:
+                    mc.move_to_end(block)
+                    hit = code
+                    break
+            elif block in heads:
+                # Head hit: the least recently used matching queue (the
+                # first in ``heads``) advances and prefetches old tail + 1.
+                heads.remove(block)
+                heads.append(block + 1)
+                sb_hits += 1
+                hit = code
+                break
+        # (b) Only a victim buffer takes the displaced block.
+        leaving = prev_l[k]
+        if vc is not None and leaving != empty:
+            if len(vc) >= vc_lines:
+                vc.popitem(last=False)
+            vc[leaving] = None
+        if hit:
+            cls[k] = hit
+            # (c) "always" streams allocate on every miss they did not service.
+            if not sb_always or hit == sb_code:
+                continue
+        elif mc is not None:
+            # (d) A full miss fills the miss cache ...
+            if len(mc) >= mc_lines:
+                mc.popitem(last=False)
+            mc[block] = None
+        if heads is not None:
+            # ... and starts a stream (a hit elsewhere reaches here only
+            # in "always" mode).
+            if len(heads) >= streams:
+                del heads[0]
+            heads.append(block + 1)
+            allocs += 1
+    if heads is not None:
+        sb._queues[:] = [deque(range(h, h + sb.depth)) for h in heads]
+        if allocs:
+            stats.bump("stream_allocs", allocs)
+            stats.bump("stream_prefetches", allocs * sb.depth + sb_hits)
     return cls
 
 

@@ -2,11 +2,11 @@
 
 Each structure implements the small :class:`AuxStructure` protocol the
 :class:`~repro.core.aux.augmented.AugmentedCache` wrapper drives on every
-main-array miss.  The protocol is event-shaped rather than lookup-shaped
-so that the sequential wrapper and the replay fast path
-(:mod:`repro.core.aux.fast`) can issue *byte-identical call sequences* to
-the very same objects — structural equivalence instead of a re-derived
-state machine per engine.
+main-array miss.  These methods are the sequential reference.  The replay
+fast path (:mod:`repro.core.aux.fast`) does not call them: it runs one
+fused loop that keeps the same state inline and writes it back into the
+objects at the end, so the two engines are independent implementations
+that ``tests/core/test_aux_differential.py`` holds equal.
 
 Per main-array miss, in order:
 
@@ -26,6 +26,12 @@ Per main-array miss, in order:
 ``stats`` is the wrapper's :class:`~repro.core.caches.base.CacheStats`;
 structures use it only to ``bump`` their own extra counters (prefetch
 issue counts and the like) — hit/miss accounting belongs to the wrapper.
+
+For the three structures here the protocol reduces to the fused loop's
+per-event rules: only a victim buffer acts on the displaced block, only a
+miss cache or a ``"miss"``-mode stream buffer acts on a full miss, and a
+stream-buffer queue is always ``range(h, h + depth)`` (allocation creates
+it; a head hit pops ``h`` and appends the old tail + 1).
 """
 
 from __future__ import annotations

@@ -33,9 +33,12 @@ a family is the same-workload cells with equal ``(axis, signature)``:
     *unmodified* per-cell :func:`~.cells.execute_cell` path — exact by
     construction, cheaper by task granularity and guaranteed trace-memo
     locality on the process pool.  ``auxsweep`` cells (victim / miss-cache
-    / stream-buffer compositions) ride this axis: their per-cell path is
-    already the exact miss-event replay of :mod:`repro.core.aux.fast`, so
-    the only cross-cell saving left is the shared trace open.
+    / stream-buffer compositions) ride this axis, each member running the
+    exact miss-event replay of :mod:`repro.core.aux.fast` on its own.
+    :func:`~repro.core.aux.simulate_aux_sweep` would also share the decode
+    and the miss events across members, but family members carry no
+    dispatch path, so an ``aux`` axis would cost the ``fast:aux-replay``
+    attribution.
 
 ``single``
     The one-member fallback; detection is a *partition* — every planned

@@ -67,6 +67,12 @@ _RAW_FIELDS = (("addresses", "<u8"), ("is_write", "|b1"), ("thread", "<i2"))
 #: Errors that mean "this cache file cannot be trusted" for either format.
 _CACHE_ERRORS = (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError)
 
+#: Raw header blobs already found equal to their layout.  The check is a
+#: pure function of the bytes, and a serving process re-reads the same few
+#: headers on every request, so each distinct header is re-encoded once.
+_CHECKED_HEADERS: set[bytes] = set()
+_MAX_CHECKED_HEADERS = 4096
+
 
 def save_npz(trace: Trace, path: str | Path) -> Path:
     """Persist ``trace`` at ``path`` atomically.
@@ -198,11 +204,16 @@ def save_raw(trace: Trace, path: str | Path) -> Path:
 
 
 def read_raw_header(path: str | Path) -> dict:
-    """Decode and structurally validate a raw file's header.
+    """Decode and validate a raw file's header.
 
     Raises :class:`ValueError` on anything that proves the file cannot be
     trusted: wrong magic, truncated header, truncated sections (total
-    size mismatch), or a malformed section table.
+    size mismatch), or header bytes that differ from what
+    :func:`_raw_layout` writes for the header's own ``n``, ``name``,
+    ``meta`` and ``digest`` — so a damaged section offset, length or size
+    is refused instead of read from the wrong place.  A damaged value
+    inside ``name``, ``meta`` or ``digest`` itself is beyond this check:
+    it would take a header checksum, which is a format change.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -219,26 +230,32 @@ def read_raw_header(path: str | Path) -> dict:
             header = json.loads(blob)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: undecodable raw header: {exc}") from exc
-        if header.get("version") != 1 or header.get("format") != "repro-raw-trace":
+        if (
+            not isinstance(header, dict)
+            or header.get("version") != 1
+            or header.get("format") != "repro-raw-trace"
+        ):
             raise ValueError(f"{path}: unknown raw trace version")
-        n = header.get("n")
-        sections = header.get("sections")
-        if not isinstance(n, int) or n < 0 or not isinstance(sections, dict):
+        n, name, meta, digest = (header.get(k) for k in ("n", "name", "meta", "digest"))
+        if (
+            not isinstance(n, int)
+            or n < 0
+            or not isinstance(name, str)
+            or not isinstance(meta, dict)
+            or not isinstance(digest, str)
+        ):
             raise ValueError(f"{path}: malformed raw header")
-        for field, dtype in _RAW_FIELDS:
-            sec = sections.get(field)
-            if (
-                not isinstance(sec, dict)
-                or sec.get("dtype") != dtype
-                or sec.get("n") != n
-                or not isinstance(sec.get("offset"), int)
-            ):
-                raise ValueError(f"{path}: malformed raw section table ({field})")
+        if blob not in _CHECKED_HEADERS:
+            if blob != _raw_layout(n, name, meta, digest)[0]:
+                raise ValueError(f"{path}: raw header differs from its layout")
+            if len(_CHECKED_HEADERS) >= _MAX_CHECKED_HEADERS:
+                _CHECKED_HEADERS.clear()
+            _CHECKED_HEADERS.add(blob)
         actual = os.fstat(fh.fileno()).st_size
-        if actual != header.get("size"):
+        if actual != header["size"]:
             raise ValueError(
                 f"{path}: truncated raw trace ({actual} bytes, header says "
-                f"{header.get('size')})"
+                f"{header['size']})"
             )
     return header
 

@@ -12,6 +12,9 @@ queue contents and LRU order), across:
 * every supported combo (vc, mc, sb, vc+sb, mc+sb) × every registered
   indexing scheme × the adversarial trace zoo, plus Hypothesis-generated
   address streams;
+* every ordering of one to three distinct structure types, built directly
+  with :class:`~repro.core.aux.AugmentedCache` (probe priority is the
+  order), with the fast path's ``extra`` key order pinned;
 * buffer depths 1/2/4/8, stream counts, both allocate-on-miss modes;
 * the :func:`~repro.core.aux.simulate_aux_sweep` sweep path — shared
   main-array pass ≡ the per-cell path ≡ sequential;
@@ -24,6 +27,8 @@ queue contents and LRU order), across:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from repro.core.address import CacheGeometry
 from repro.core.aux import (
     AUX_COMBOS,
     AugmentedCache,
+    MissCache,
     StreamBuffer,
     VictimBuffer,
     make_aux_structures,
@@ -394,6 +400,145 @@ class TestSimulateAugmented:
         cache = VictimCache(SMALL, victim_lines=2)
         with pytest.raises(ValueError, match="unknown engine"):
             dispatch(cache, single_access_trace(SMALL), engine="turbo")
+
+
+# -- every probe order --------------------------------------------------------------
+
+
+def mixed_trace(geometry: CacheGeometry, n: int = 4000, seed: int = 5) -> Trace:
+    """Sequential runs cut by aliasing ping-pongs and hot-pool reuse, so a
+    block can sit in several structures at once and probe order decides,
+    and stream queues can share a head."""
+    rng = np.random.default_rng(seed)
+    line, span = geometry.line_bytes, geometry.num_sets * geometry.line_bytes
+    limit = 1 << geometry.address_bits
+    out = []
+    while len(out) < n:
+        start = int(rng.integers(0, 64)) * line
+        run = int(rng.integers(2, 12))
+        out += [(start + i * line) % limit for i in range(run)]
+        base = int(rng.integers(0, geometry.num_sets)) * line
+        out += [base, base + span, base, base + 2 * span][: int(rng.integers(1, 5))]
+        # Walking on from a re-missed block hits one of several queues
+        # that share a head.
+        out += [base + line, base + 2 * line][: int(rng.integers(0, 3))]
+        out.append(int(rng.integers(0, 96)) * line)
+    return Trace(np.array(out[:n], dtype=np.uint64), name="mixed")
+
+
+#: Every ordering of one to three distinct structure types.
+ORDERINGS = [
+    order
+    for r in (1, 2, 3)
+    for order in itertools.permutations(("vc", "mc", "sb"), r)
+]
+
+
+def build_structures(order, depths: tuple[int, int], streams: int, allocate: str):
+    """Structures in probe ``order``; ``depths`` is (victim buffer, rest)."""
+    vc_depth, depth = depths
+    make = {
+        "vc": lambda: VictimBuffer(vc_depth),
+        "mc": lambda: MissCache(depth),
+        "sb": lambda: StreamBuffer(depth, streams=streams, allocate=allocate),
+    }
+    return tuple(make[name]() for name in order)
+
+
+def expected_extra_order(result, structures) -> list[str]:
+    """The fast path's ``extra`` key order: stream counters (allocations
+    first), then direct hits, then each structure's hits in probe order."""
+    keys = ["stream_allocs", "stream_prefetches", "direct_hits"]
+    keys += [st.hit_class + "_hits" for st in structures]
+    return [k for k in keys if k in result.extra]
+
+
+#: (victim-buffer depth, depth of the rest).  A miss cache behind a victim
+#: buffer hits only on blocks the buffer has already let go, which a
+#: one-line buffer does often.
+DEPTHS = [(1, 1), (3, 3), (1, 4)]
+
+
+def _ordering_cases():
+    for order in ORDERINGS:
+        for depths in DEPTHS:
+            if "sb" not in order:
+                yield order, depths, 4, "miss"
+                continue
+            for allocate in ("miss", "always"):
+                for streams in (1, 4):
+                    yield order, depths, streams, allocate
+
+
+def _case_id(value) -> str:
+    if isinstance(value, tuple) and isinstance(value[0], str):
+        return "+".join(value)
+    if isinstance(value, tuple):
+        return "d{}/{}".format(*value)
+    return str(value)
+
+
+class TestEveryOrdering:
+    @pytest.mark.parametrize(
+        "order,depths,streams,allocate", list(_ordering_cases()), ids=_case_id
+    )
+    def test_dispatch_equals_sequential(self, order, depths, streams, allocate):
+        geometry = SMALL
+        scheme = ModuloIndexing(geometry)
+        for trace in (mixed_trace(geometry), hot_trace(geometry, n=2000)):
+            ctx = f"{'+'.join(order)}/{depths}/s{streams}/{allocate}/{trace.name}"
+            caches = [
+                AugmentedCache(
+                    DirectMappedCache(geometry, indexing=scheme),
+                    build_structures(order, depths, streams, allocate),
+                )
+                for _ in range(2)
+            ]
+            fast = dispatch(caches[0], trace)
+            assert fast.path == "fast:aux-replay", ctx
+            slow = dispatch(caches[1], trace, engine="sequential")
+            assert slow.path.startswith("sequential"), ctx
+            assert_results_identical(fast, slow, ctx)
+            assert_cache_state_identical(caches[0], caches[1], ctx)
+            assert list(fast.extra) == expected_extra_order(fast, caches[0].structures), ctx
+            caches[0].check_invariants()
+
+    @pytest.mark.parametrize("allocate", ["miss", "always"])
+    def test_orderings_reach_every_hit_class(self, allocate):
+        """The mixed trace is only worth its cases if each structure gets
+        to service hits in each position of the probe order."""
+        geometry = SMALL
+        scheme = ModuloIndexing(geometry)
+        trace = mixed_trace(geometry)
+        for order in ORDERINGS:
+            structures = build_structures(order, DEPTHS[-1], 4, allocate)
+            res = dispatch(
+                AugmentedCache(DirectMappedCache(geometry, indexing=scheme), structures),
+                trace,
+            )
+            for st in structures:
+                assert res.extra.get(st.hit_class + "_hits", 0) > 0, (order, st.name)
+
+
+    @pytest.mark.parametrize("engine", ["auto", "sequential"])
+    def test_duplicate_heads_advance_the_lru_queue(self, engine):
+        """Two queues can share a head (a block missed twice starts the
+        same stream twice); a hit on that head advances the least recently
+        used of them, which is visible in the queue order."""
+        geometry = SMALL
+        line, sets = geometry.line_bytes, geometry.num_sets
+        a = 5
+        addrs = [a * line, (a + sets) * line, a * line, (a + 1) * line]
+        cache = AugmentedCache(
+            DirectMappedCache(geometry), (StreamBuffer(2, streams=4),)
+        )
+        res = dispatch(cache, Trace(np.array(addrs, dtype=np.uint64)), engine=engine)
+        assert res.extra["stream_hits"] == 1
+        assert [list(q) for q in cache.structures[0]._queues] == [
+            [a + sets + 1, a + sets + 2],
+            [a + 1, a + 2],
+            [a + 2, a + 3],
+        ]
 
 
 # -- Hypothesis: arbitrary address streams ----------------------------------------
