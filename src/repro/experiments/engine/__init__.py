@@ -4,8 +4,8 @@ Every paper figure is, at heart, a grid of independent *cells* — one
 (workload trace, indexing scheme / cache model) simulation per bar of the
 figure.  This subpackage decomposes those grids into
 :class:`~repro.experiments.engine.cells.SimCell` specs, fans the missing
-cells out over a ``ProcessPoolExecutor`` (``jobs=1`` is a deterministic
-in-process fallback) and memoizes every per-cell
+cells out over the process-wide worker pool of :mod:`.pool` (``jobs=1``
+is a deterministic in-process fallback) and memoizes every per-cell
 :class:`~repro.core.simulator.SimulationResult` in a content-addressed
 on-disk :class:`~repro.experiments.engine.cache.ResultCache` keyed by
 (trace fingerprint, geometry, scheme parameters, engine version).

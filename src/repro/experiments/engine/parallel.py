@@ -13,8 +13,11 @@ runners use) takes the declared cell list of one experiment grid and
 2. answers as many cells as possible from the content-addressed
    :class:`~repro.experiments.engine.cache.ResultCache`;
 3. executes the remaining cells either in-process (``jobs=1``, the
-   deterministic sequential fallback) or on a ``ProcessPoolExecutor``
-   (``jobs>1``; ``jobs=0`` means ``os.cpu_count()``); then
+   deterministic sequential fallback) or on the process-wide
+   :class:`~repro.experiments.engine.pool.EnginePool` of ``jobs`` workers
+   (``jobs>1``; ``jobs=0`` means ``os.cpu_count()``), built on the first
+   run that needs it and reused by every later run and trace warm-up in
+   the process; then
 4. returns ``{(workload, label): SimulationResult}`` **in declared cell
    order** plus an :class:`EngineStats` with cache-hit/miss counters and
    per-cell wall times.
@@ -43,10 +46,9 @@ without touching the figure runners (which construct their own
 * :func:`progress_scope` — a per-context progress callback invoked after
   every cell settles (cache hits and fresh simulations alike), so a server
   can stream cell completions while ``run_experiment`` is still working;
-* :func:`engine_pool_scope` — a per-context persistent executor that
-  ``run_cells`` submits pending cells to *instead of* spawning (and tearing
-  down) its own ``ProcessPoolExecutor``, amortizing warm worker pools
-  across requests.
+* :func:`engine_pool_scope` — a per-context executor that ``run_cells``
+  submits pending cells to *instead of* the engine's own pool (the job
+  server injects its scheduler's pool; the router, its ring).
 
 Per-cell timeouts
 -----------------
@@ -54,10 +56,12 @@ Per-cell timeouts
 long the engine waits for any single cell.  On the pool path a cell that
 exceeds the budget fails *with attribution* (a :class:`CellExecutionError`
 naming the cell) instead of blocking the whole run forever; remaining
-futures are cancelled and an engine-owned pool is abandoned without
-joining the hung worker.  The ``jobs=1`` in-process path cannot preempt a
-running cell, so there the timeout is enforced post-hoc (the run still
-fails, naming the offending cell, as soon as the cell returns).
+futures are cancelled and the engine's own pool is discarded without
+joining the hung worker (the next run builds a new one).  A worker that
+dies fails the run naming the cell, and the next run gets a new pool.
+The ``jobs=1`` in-process path cannot preempt a running cell, so there
+the timeout is enforced post-hoc (the run still fails, naming the
+offending cell, as soon as the cell returns).
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import CancelledError as FutureCancelledError
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -79,6 +84,7 @@ from ..config import PaperConfig
 from .cache import cell_key
 from .cells import CellExecutionError, SimCell, timed_execute_cell
 from .families import SweepFamily, detect_families, execute_family
+from .pool import EnginePool, engine_pool
 from .store import ResultStore, make_store
 
 __all__ = [
@@ -109,8 +115,8 @@ _PROGRESS_HOOK: ContextVar[Callable[[str, int, int, bool], None] | None] = Conte
     "repro_engine_progress_hook", default=None
 )
 
-#: Persistent executor override: when set, ``run_cells`` submits pending
-#: cells here instead of creating (and tearing down) its own pool.
+#: Executor override: when set, ``run_cells`` submits pending cells here
+#: instead of to the engine's own pool.
 _POOL_OVERRIDE: ContextVar[Executor | None] = ContextVar(
     "repro_engine_pool_override", default=None
 )
@@ -477,30 +483,34 @@ def _run_cells(
                     )
                 _notify(cell, cached=False)
         else:
-            owns_pool = pool is None
-            if owns_pool:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(units) + len(loose))
-                )
-            timed_out = False
+            if pool is None:
+                pool = engine_pool(jobs)
+            futures: dict[Any, Future] = {}
             try:
-                futures: dict[Any, Any] = {}
-                for family in units:
-                    futures[family] = pool.submit(
-                        execute_family,
-                        family,
-                        config,
-                        trace_paths.get(family.workload),
-                        profile_paths.get(family.workload),
-                    )
-                for cell in loose:
-                    futures[cell] = pool.submit(
-                        timed_execute_cell,
-                        cell,
-                        config,
-                        trace_paths.get(cell.workload),
-                        profile_paths.get(cell.workload) if cell.needs_profile else None,
-                    )
+                try:
+                    for family in units:
+                        futures[family] = pool.submit(
+                            execute_family,
+                            family,
+                            config,
+                            trace_paths.get(family.workload),
+                            profile_paths.get(family.workload),
+                        )
+                    for cell in loose:
+                        futures[cell] = pool.submit(
+                            timed_execute_cell,
+                            cell,
+                            config,
+                            trace_paths.get(cell.workload),
+                            profile_paths.get(cell.workload) if cell.needs_profile else None,
+                        )
+                except BrokenProcessPool as exc:
+                    # A worker died under a unit already submitted: collecting
+                    # that unit's future below names it, and this stand-in
+                    # names the first unit not sent if none does.
+                    unsent = next(u for u in (*units, *loose) if u not in futures)
+                    futures[unsent] = Future()
+                    futures[unsent].set_exception(exc)
                 for item, future in futures.items():
                     if isinstance(item, SweepFamily):
                         workload, label = item.members[0].workload, item.members[0].label
@@ -515,9 +525,11 @@ def _run_cells(
                     try:
                         settled = future.result(timeout=budget)
                     except FutureTimeoutError:
-                        timed_out = True
-                        for f in futures.values():
-                            f.cancel()
+                        # Abandon the engine's pool without joining the hung
+                        # worker (joining would re-introduce the indefinite
+                        # block the timeout exists to prevent).
+                        if isinstance(pool, EnginePool):
+                            pool.discard()
                         if isinstance(item, SweepFamily):
                             _store_partial()
                         raise CellExecutionError(
@@ -540,11 +552,10 @@ def _run_cells(
                         computed[item] = settled
                         _notify(item, cached=False)
             finally:
-                if owns_pool:
-                    # On a timeout, abandon the pool without joining the hung
-                    # worker (joining would re-introduce the indefinite block
-                    # the timeout exists to prevent).
-                    pool.shutdown(wait=not timed_out, cancel_futures=True)
+                # A failed run leaves no work of its own queued on a pool
+                # that outlives it (a no-op on settled futures).
+                for f in futures.values():
+                    f.cancel()
 
     for cell in pending:
         result, seconds = computed[cell]

@@ -21,12 +21,13 @@ at a time in the parent process.  This module makes the needed-trace set
 * per-experiment **providers** (registered next to each figure runner via
   :func:`provides_traces`) that enumerate the specs an experiment needs, so
   ``specs_for(["fig4", "fig13"], config)`` is the complete prefetch plan;
-* :func:`warm_traces` — generate every missing entry over a
-  ``ProcessPoolExecutor`` (``jobs=1`` is the in-process fallback) and
+* :func:`warm_traces` — generate every missing entry on the engine's
+  process-wide worker pool (:func:`~repro.experiments.engine.pool.engine_pool`,
+  shared with ``run_cells``; ``jobs=1`` is the in-process fallback) and
   optionally return content fingerprints, computed in the workers so the
   parent never loads a trace it does not otherwise need.  Entries already
   on disk are validated in-process (a header read each), so a warm call
-  starts no pool; derived specs are built after their sources.
+  asks for no pool; derived specs are built after their sources.
 
 Writes are safe under arbitrary concurrency because every cache write
 (``save_raw``, and ``save_npz`` before it) is atomic (tmp +
@@ -48,8 +49,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -61,6 +60,7 @@ from .config import (
     MULTITHREAD_MIXES_FIG14,
     PaperConfig,
 )
+from .engine.pool import engine_pool
 
 __all__ = [
     "TraceSpec",
@@ -419,22 +419,11 @@ def _warm_one(
     cache = TraceCache(cache_dir)
     key = spec.cache_key()
     existed = cache.path_for(key).exists()
-    trace = cache.get_or_create(key, lambda: spec.generate(cache))
-    fingerprint = None
-    if want_fingerprint:
-        from ..trace.io import read_raw_header
-        from .engine.cache import trace_fingerprint
-
-        # A raw entry's header digest *is* the engine fingerprint (same
-        # byte stream, same hash — pinned by test), so a warm check costs
-        # one header read instead of re-hashing megabytes of trace.
-        path = cache.path_for(key)
-        try:
-            fingerprint = read_raw_header(path)["digest"]
-        except (ValueError, OSError, KeyError):
-            fingerprint = None
-        if not fingerprint:
-            fingerprint = trace_fingerprint(trace)
+    # A raw entry's header digest *is* the engine fingerprint (same byte
+    # stream, same hash — pinned by test), so a warm check costs the one
+    # header read that opens the entry instead of re-hashing the trace.
+    _, digest = cache.open_entry(key, lambda: spec.generate(cache))
+    fingerprint = digest if want_fingerprint else None
     return str(cache.path_for(key)), fingerprint, not existed, time.perf_counter() - t0
 
 
@@ -455,6 +444,9 @@ def _warm_stage(
             else:
                 outcomes[spec] = _warm_one(spec, cache_dir, fingerprints)
         except Exception as exc:
+            # The pool outlives this call: leave none of its work queued.
+            for future in futures.values():
+                future.cancel()
             raise TraceWarmError(spec, exc) from exc
     return {
         spec: WarmEntry(spec, Path(path), fp, generated, seconds)
@@ -477,9 +469,9 @@ def warm_traces(
     cores, ``1`` = in-process sequential.  With ``fingerprints=True`` the
     workers also hash the trace content, which is what the experiment
     engine keys its result cache on — the parent then never has to load
-    the npz files itself.  Only missing entries are generated on a pool;
-    the sources of derived specs are warmed first, in the same pass as the
-    plain specs.
+    the npz files itself.  Only missing entries are generated on the
+    engine's pool; the sources of derived specs are warmed first, in the
+    same pass as the plain specs.
 
     Raises :class:`TraceWarmError` naming the first failing spec.
     """
@@ -502,15 +494,14 @@ def warm_traces(
     plain = list(dict.fromkeys([s for s in unique if not s.sources] + sources))
     # Entries already on disk are checked in-process: ``_warm_one`` still
     # validates each (and heals a corrupt one) at the cost of a header
-    # read, far below a pool's start-up.  Missing entries share one pool
+    # read, far below a task's round trip.  Missing entries go to the pool
     # when a stage has two or more and ``jobs > 1``.
     stages = []
     for stage in (plain, derived):
         todo = set(missing(stage)) if jobs > 1 else set()
         stages.append((stage, todo if len(todo) > 1 else set()))
-    width = min(jobs, max(len(pooled) for _, pooled in stages))
+    pool = engine_pool(jobs) if any(pooled for _, pooled in stages) else None
     entries: dict[TraceSpec, WarmEntry] = {}
-    with ProcessPoolExecutor(max_workers=width) if width else nullcontext() as pool:
-        for stage, pooled in stages:
-            entries.update(_warm_stage(stage, pooled, pool, str(cache.root), fingerprints))
+    for stage, pooled in stages:
+        entries.update(_warm_stage(stage, pooled, pool, str(cache.root), fingerprints))
     return {spec: entries[spec] for spec in unique}

@@ -77,7 +77,11 @@ def synthetic_call_sequence(
     while len(sequence) < length:
         active = rng.choice(n, size=max(2, n // 3), replace=False, p=popularity)
         weights = popularity[active] / popularity[active].sum()
-        for _ in range(min(phase_length, length - len(sequence))):
-            pick = int(rng.choice(active, p=weights))
-            sequence.append(procedures[order[pick] % n])
+        # One draw per phase: ``choice`` with ``p`` takes its m uniforms
+        # through one ``random(m)``, which consumes the bit generator as m
+        # scalar ``choice`` calls do and maps each uniform through the
+        # same normalised cdf, so the sequence is the per-call one.
+        m = min(phase_length, length - len(sequence))
+        picks = rng.choice(active, size=m, p=weights)
+        sequence.extend(procedures[i % n] for i in order[picks])
     return sequence

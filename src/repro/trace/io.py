@@ -275,6 +275,13 @@ def load_raw(path: str | Path, *, mmap_sections: bool = True, verify: bool = Fal
     hot path — structural truncation is always detected via the header's
     total size, digest or not).
     """
+    return _open_raw(path, mmap_sections=mmap_sections, verify=verify)[0]
+
+
+def _open_raw(
+    path: str | Path, *, mmap_sections: bool = True, verify: bool = False
+) -> tuple[Trace, str]:
+    """:func:`load_raw` plus the content digest of the header it read."""
     path = Path(path)
     header = read_raw_header(path)
     n = header["n"]
@@ -311,7 +318,7 @@ def load_raw(path: str | Path, *, mmap_sections: bool = True, verify: bool = Fal
     )
     if verify and _content_digest(trace) != header.get("digest"):
         raise ValueError(f"{path}: raw trace content digest mismatch")
-    return trace
+    return trace, header["digest"]
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -413,10 +420,16 @@ class TraceCache:
         return "_".join(parts).replace("/", "-").replace(" ", "")
 
     def get_or_create(self, key: str, generator) -> Trace:
+        return self.open_entry(key, generator)[0]
+
+    def open_entry(self, key: str, generator) -> tuple[Trace, str]:
+        """:meth:`get_or_create` plus the entry's content digest, taken
+        from the one header read that loads it (the digest is the
+        engine's trace fingerprint)."""
         raw = self._raw_path(key)
         if raw.exists():
             try:
-                return load_raw(raw)
+                return _open_raw(raw)
             except _CACHE_ERRORS:
                 # Corrupted or truncated raw entry: deleted, then healed
                 # from the npz sibling below (if any) or regenerated.
@@ -433,12 +446,12 @@ class TraceCache:
                 # Transparent migration: decode once, map forever after.
                 # The npz stays behind for older readers until `trace gc`.
                 save_raw(trace, raw)
-                return load_raw(raw)
+                return _open_raw(raw)
         trace = generator()
         save_raw(trace, raw)
         # Serve the mapped copy rather than the generator's private arrays
         # so even the generating process shares pages with its siblings.
-        return load_raw(raw)
+        return _open_raw(raw)
 
     # -- maintenance ---------------------------------------------------------------
 

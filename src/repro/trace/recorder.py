@@ -47,6 +47,7 @@ differential tests and the trace-generation benchmark denominators).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -318,7 +319,10 @@ class PendingStream:
     MAX_THRESHOLD = 1 << 15
 
     def __init__(self, rec: Recorder, threshold: int = MAX_THRESHOLD):
-        self._rec = rec
+        # Weak: the recorder owns this buffer, and a strong back-reference
+        # would make the pair a cycle that keeps the builder's chunks alive
+        # until a full garbage collection, long after ``record`` returned.
+        self._rec = weakref.ref(rec)
         self.threshold = threshold
         self._addrs: list[int] = []
         self._write_marks: list[int] = []
@@ -381,7 +385,7 @@ class PendingStream:
             flags = False
         self._addrs = []
         self._write_marks = []
-        self._rec._stream_raw(addresses, flags)
+        self._rec()._stream_raw(addresses, flags)
 
 
 class _StdioModel:

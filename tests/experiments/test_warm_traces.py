@@ -170,16 +170,15 @@ def test_concurrent_warmers_leave_identical_content(tmp_path):
         assert trace_fingerprint(trace) == fp
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a warm call started a process pool")
+def _no_pool(width):
+    raise AssertionError("a warm call asked for a process pool")
 
 
 def test_fully_warm_call_starts_no_pool(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path)
     specs = _some_specs(cfg)
     cold = warm_traces(specs, cfg, jobs=2, fingerprints=True)
-    monkeypatch.setattr(warm, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(warm, "engine_pool", _no_pool)
     again = warm_traces(specs, cfg, jobs=2, fingerprints=True)
     assert list(again) == list(cold)
     assert not any(e.generated for e in again.values())
@@ -194,7 +193,7 @@ def test_corrupt_entry_is_regenerated_on_a_warm_call(tmp_path, monkeypatch):
     cold = warm_traces(specs, cfg, jobs=2, fingerprints=True)
     victim = specs[1]
     cold[victim].path.write_bytes(b"RTRACE1\ntruncated")
-    monkeypatch.setattr(warm, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(warm, "engine_pool", _no_pool)
     again = warm_traces(specs, cfg, jobs=2, fingerprints=True)
     assert again[victim].fingerprint == cold[victim].fingerprint
     healed = TraceCache(cfg.trace_cache_dir).get_or_create(victim.cache_key(), lambda: 1 / 0)
@@ -206,16 +205,45 @@ def test_only_missing_specs_go_to_the_pool(tmp_path, monkeypatch):
     specs = _some_specs(cfg)
     warm_traces(specs[:2], cfg, jobs=1)
     submitted = []
+    shared = warm.engine_pool
 
-    class _RecordingPool(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
+    class _RecordingPool:
+        def __init__(self, width):
+            self.pool = shared(width)
+
+        def submit(self, fn, /, *args):
             submitted.append(args[0])
-            return super().submit(fn, *args, **kwargs)
+            return self.pool.submit(fn, *args)
 
-    monkeypatch.setattr(warm, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(warm, "engine_pool", _RecordingPool)
     entries = warm_traces(specs, cfg, jobs=2)
     assert submitted == specs[2:]
     assert [s for s, e in entries.items() if e.generated] == specs[2:]
+
+
+@pytest.mark.parametrize("warm_first", [False, True], ids=["cold", "warm"])
+def test_single_cell_plan_reads_one_trace_header(tmp_path, monkeypatch, warm_first):
+    import repro.trace.io as trace_io
+    from repro.experiments.engine import make_cell, plan_cells
+
+    cfg = _cfg(tmp_path)
+    cell = make_cell("indexing", "fft", "XOR", cfg)
+    if warm_first:
+        plan_cells([cell], cfg, jobs=1)
+    reads = []
+    real = trace_io.read_raw_header
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(trace_io, "read_raw_header", counting)
+    plan = plan_cells([cell], cfg, jobs=1)
+    assert len(reads) == 1
+    trace = TraceCache(cfg.trace_cache_dir).get_or_create(
+        workload_spec("fft", cfg).cache_key(), lambda: 1 / 0
+    )
+    assert plan.trace_fingerprints["fft"] == trace_fingerprint(trace)
 
 
 def test_warm_error_names_spec_and_leaves_no_entry(tmp_path):

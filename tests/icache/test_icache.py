@@ -108,6 +108,33 @@ class TestTraceGeneration:
         counts = Counter(seq).most_common()
         assert counts[0][1] > 3 * counts[-1][1]
 
+    @pytest.mark.parametrize("n_procs", [2, 24])
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 3000])
+    def test_synthetic_sequence_matches_per_call_draws(self, n_procs, length):
+        """One ``choice`` per phase yields the sequence of one ``choice``
+        per call (the reference loop below), RNG state for RNG state."""
+
+        def per_call(procedures, length, seed, zipf_exponent=1.3, phase_length=64):
+            rng = np.random.default_rng(seed)
+            n = len(procedures)
+            ranks = np.arange(1, n + 1, dtype=np.float64) ** -zipf_exponent
+            popularity = ranks / ranks.sum()
+            order = rng.permutation(n)
+            sequence = []
+            while len(sequence) < length:
+                active = rng.choice(n, size=max(2, n // 3), replace=False, p=popularity)
+                weights = popularity[active] / popularity[active].sum()
+                for _ in range(min(phase_length, length - len(sequence))):
+                    pick = int(rng.choice(active, p=weights))
+                    sequence.append(procedures[order[pick] % n])
+            return sequence
+
+        names = [f"p{i}" for i in range(n_procs)]
+        for seed in range(40):
+            assert synthetic_call_sequence(names, length, seed) == per_call(
+                names, length, seed
+            )
+
 
 class TestPlacement:
     def test_aliasing_hot_pair_is_separated(self):

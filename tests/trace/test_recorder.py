@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,26 @@ class TestRecordFunction:
         a = record(kernel, "k", seed=9)
         b = record(kernel, "k", seed=9)
         np.testing.assert_array_equal(a.addresses, b.addresses)
+
+    @pytest.mark.parametrize("ref_limit", [None, 50])
+    def test_recorder_is_freed_on_return(self, ref_limit):
+        # No reference cycle: the recorder and its builder chunks go when
+        # ``record`` returns, not at the next full collection (a pool
+        # worker generates trace after trace).
+        refs = []
+
+        def kernel(m):
+            refs.append(weakref.ref(m))
+            for i in range(100):
+                m.store(i * 8) if i % 3 else m.load(i * 8)
+
+        gc.disable()
+        try:
+            t = record(kernel, "k", ref_limit=ref_limit)
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+        assert len(t) == (ref_limit or 100)
 
 
 class TestRecordStopsAtTheCut:
