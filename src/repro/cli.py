@@ -421,20 +421,13 @@ def _cmd_sweep(args) -> int:
         scheme = make_scheme(name.strip(), geometry)
         if isinstance(scheme, TrainableIndexingScheme):
             scheme.fit(trace.addresses)
-        if ways == 1 and args.policy == "lru":
-            res = simulate_indexing(scheme, trace, geometry)
-        else:
-            try:
-                res = simulate_set_associative(
-                    scheme,
-                    trace,
-                    geometry,
-                    policy=args.policy,
-                    policy_seed=args.policy_seed,
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+        try:
+            res = simulate_set_associative(
+                scheme, trace, geometry, policy=args.policy, policy_seed=args.policy_seed
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"  {scheme.name:16s} miss_rate={res.miss_rate:.4f} misses={res.misses}")
     return 0
 

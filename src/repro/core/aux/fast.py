@@ -17,8 +17,8 @@ exactly, whatever auxiliary structures ride along:
 2. **The displaced line is the previous block of the set.**  By the same
    resident-after-access property, the line a main-array miss displaces
    is simply the block of the set's previous access (none on the set's
-   first access) — ``SetStream.prev_blk`` of the same set decomposition
-   that yields the miss flags, no replay needed.
+   first access): the previous run head's block in the same set
+   decomposition that yields the miss flags, no replay needed.
 3. **Aux state changes only at main-array misses**, as a pure function of
    the program-ordered stream of ``(missed block, displaced block)``
    events.  :func:`_replay` folds the protocol of
@@ -122,19 +122,22 @@ def make_aux_structures(
 # -- the replay -------------------------------------------------------------------
 
 
-def _miss_events(
-    blocks: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Main-array ``(miss flags, miss positions, displaced blocks)`` from
-    one set decomposition.
+def _miss_events(blocks: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Main-array ``(miss positions, displaced blocks)`` in program order,
+    from one set decomposition.
 
     A miss is a run head of its set; the block it displaces is the block of
-    the set's previous access (``EMPTY`` on the set's first access).
+    the set's previous run head (``EMPTY`` on the set's first access).  Both
+    are taken at the run heads and put in program order there; nothing
+    trace-length is scattered back to program order.
     """
     stream = SetStream.of(blocks, indices)
-    miss = stream.unsort(~stream.repeat)
-    mpos = np.flatnonzero(miss)
-    return miss, mpos, stream.unsort(stream.prev_blk)[mpos]
+    displaced = np.empty(stream.kept_blk.size, dtype=np.int64)
+    displaced[1:] = stream.kept_blk[:-1]
+    displaced[stream.kept_bounds[:-1]] = EMPTY
+    pos = stream.order[stream.kept_pos]
+    by_pos = np.argsort(pos)
+    return pos[by_pos], displaced[by_pos]
 
 
 _VC, _MC, _SB = range(3)
@@ -290,10 +293,12 @@ def replay_aux(cache: AugmentedCache, trace: Trace) -> SimulationResult:
     geometry = cache.geometry
     num_sets = geometry.num_sets
     blocks, indices = decode(cache.base.indexing, trace, geometry)
-    miss, mpos, prev = _miss_events(blocks, indices)
+    mpos, prev = _miss_events(blocks, indices)
     stats = CacheStats(num_sets)
     cls = _replay(cache.structures, blocks[mpos].tolist(), prev.tolist(), stats)
     cycles = _composed_stats(cache.structures, stats, indices, mpos, cls, num_sets)
+    miss = np.zeros(blocks.size, dtype=bool)
+    miss[mpos] = True
     _restore_base(cache.base, blocks, indices, miss, num_sets)
     cache.stats = stats
     return _result_from_stats(cache.name, trace.name, stats, cycles)
@@ -361,7 +366,7 @@ def simulate_aux_sweep(
         make_aux_structures(combo, depth, streams, allocate)  # validate eagerly
     num_sets = geometry.num_sets
     blocks, indices = decode(scheme, trace, geometry)
-    _miss, mpos, prev = _miss_events(blocks, indices)
+    mpos, prev = _miss_events(blocks, indices)
     blk_l = blocks[mpos].tolist()
     prev_l = prev.tolist()
     results = []

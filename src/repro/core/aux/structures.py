@@ -197,6 +197,11 @@ class StreamBuffer(AuxStructure):
     Counters bumped into the wrapper's stats: ``stream_prefetches`` (every
     block ever enqueued — the denominator of prefetch *accuracy*) and
     ``stream_allocs`` (queues started).
+
+    Allocation does not check whether a queue already runs the same
+    stream, as in Jouppi's design: ``a``, ``a + span``, ``a`` (``span``
+    mapping to the same set) leaves two queues headed at ``a + 1``.  The
+    duplicate costs one queue of capacity and is kept on purpose.
     """
 
     name = "sb"

@@ -9,8 +9,8 @@ bounds.  This module is that one pass:
 
 * :func:`decode` — the only place a fast path calls ``indices_of``.
 * :class:`SetStream` — the stably grouped view of a block stream, with the
-  repeat compression and the previous-block-in-group shift computed lazily,
-  so a kernel pays only for what it reads.
+  repeat compression computed lazily, so a kernel pays only for what it
+  reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from ..trace.event import Trace
 from .address import CacheGeometry
-from .caches.base import EMPTY
 from .indexing.base import IndexingScheme
 
 
@@ -134,12 +133,3 @@ class SetStream:
         # A group's first access is never a repeat, so every group start is
         # a run head.
         return np.searchsorted(self.kept_pos, self.bounds)
-
-    @cached_property
-    def prev_blk(self) -> np.ndarray:
-        """``int64`` block of the previous access to the same group
-        (``EMPTY`` on each group's first access)."""
-        prev = np.empty(self.n, dtype=np.int64)
-        prev[1:] = self.sorted_blk[:-1]
-        prev[self.bounds[:-1]] = EMPTY
-        return prev

@@ -6,8 +6,8 @@ object.  :data:`KERNELS` maps each served class to its :class:`Kernel`, and
 every result names its path in ``SimulationResult.path``: ``fast:<kernel>``,
 or ``sequential:<reason>`` with reason ``forced`` (``engine="sequential"``),
 ``no-kernel`` (nothing serves this class or configuration), ``invariants``
-(periodic invariant checks), ``warmup`` (the kernel counts no warmup
-prefix) or ``warm-state`` (the kernel replays from a cold cache).  Either
+(periodic invariant checks) or ``warm-state`` (the kernel replays from a
+cold cache).  Either
 path leaves the same result and end state (the differential suites under
 ``tests/core/``); ``tests/experiments/test_dispatch_contract.py`` pins the
 paths.
@@ -41,17 +41,15 @@ __all__ = ["ENGINES", "KERNELS", "Kernel", "dispatch"]
 
 @dataclass(frozen=True)
 class Kernel:
-    """One exact fast path: ``run(cache, trace, warmup)`` leaves the result
-    and end state of ``simulate``; ``refuse(cache)`` is ``None`` where it is
-    exact, else the reason."""
+    """One exact fast path: ``run(cache, trace)`` leaves the result and end
+    state of ``simulate``; ``refuse(cache)`` is ``None`` where it is exact,
+    else the reason."""
 
     name: str
-    run: Callable[[CacheModel, Trace, int], SimulationResult]
+    run: Callable[[CacheModel, Trace], SimulationResult]
     refuse: Callable[[CacheModel], str | None] = lambda cache: None
     #: Serve the class itself only (a subclass may override any hook).
     exact_type: bool = True
-    #: ``run`` counts a warmup prefix itself.
-    warmup: bool = False
 
 
 def _policy_refusal(cache: SetAssociativeCache) -> str | None:
@@ -81,7 +79,7 @@ def _aux_refusal(cache: AugmentedCache) -> str | None:
     return None
 
 
-def _direct_mapped(cache: DirectMappedCache, trace: Trace, warmup: int) -> SimulationResult:
+def _direct_mapped(cache: DirectMappedCache, trace: Trace) -> SimulationResult:
     blocks, indices = decode(cache.indexing, trace, cache.geometry)
     miss = direct_mapped_miss_flags(blocks, indices)
     aux_fast._restore_base(cache, blocks, indices, miss, cache.geometry.num_sets)
@@ -92,24 +90,23 @@ def _direct_mapped(cache: DirectMappedCache, trace: Trace, warmup: int) -> Simul
 #: module at call time, so a wrapper installed there sees every call.
 KERNELS: dict[type, Kernel] = {
     ColumnAssociativeCache: Kernel(
-        "colassoc", lambda c, t, w: fastassoc.simulate_column_associative(c, t)
+        "colassoc", lambda c, t: fastassoc.simulate_column_associative(c, t)
     ),
     # Only LRU's one-op-per-access clock decomposes by cluster.
     BalancedCache: Kernel(
         "bcache",
-        lambda c, t, w: fastassoc.simulate_bcache(c, t),
+        lambda c, t: fastassoc.simulate_bcache(c, t),
         lambda c: None if type(c.policy) is LRUPolicy else "no-kernel",
     ),
-    PartnerIndexCache: Kernel("partner", lambda c, t, w: fastassoc.simulate_partner(c, t)),
+    PartnerIndexCache: Kernel("partner", lambda c, t: fastassoc.simulate_partner(c, t)),
     AdaptiveGroupAssociativeCache: Kernel(
-        "adaptive", lambda c, t, w: fastassoc.simulate_adaptive(c, t)
+        "adaptive", lambda c, t: fastassoc.simulate_adaptive(c, t)
     ),
     SetAssociativeCache: Kernel(
-        "policy", lambda c, t, w: fastpolicy.replay_policy(c, t, w), _policy_refusal,
-        warmup=True,
+        "policy", lambda c, t: fastpolicy.replay_policy(c, t), _policy_refusal
     ),
     AugmentedCache: Kernel(
-        "aux-replay", lambda c, t, w: aux_fast.replay_aux(c, t), _aux_refusal,
+        "aux-replay", lambda c, t: aux_fast.replay_aux(c, t), _aux_refusal,
         exact_type=False,
     ),
     DirectMappedCache: Kernel(
@@ -132,7 +129,6 @@ def dispatch(
     cache: CacheModel,
     trace: Trace,
     engine: str = "auto",
-    warmup: int = 0,
     check_invariants_every: int = 0,
 ) -> SimulationResult:
     """Simulate ``cache`` over ``trace`` by its kernel where that is exact,
@@ -145,16 +141,12 @@ def dispatch(
         reason = "no-kernel"
     elif check_invariants_every:
         reason = "invariants"
-    elif warmup and not kernel.warmup:
-        reason = "warmup"
     else:
         reason = kernel.refuse(cache)
     if reason is None:
-        result = kernel.run(cache, trace, warmup)
+        result = kernel.run(cache, trace)
         result.path = f"fast:{kernel.name}"
     else:
-        result = simulate(
-            cache, trace, warmup=warmup, check_invariants_every=check_invariants_every
-        )
+        result = simulate(cache, trace, check_invariants_every=check_invariants_every)
         result.path = f"sequential:{reason}"
     return result

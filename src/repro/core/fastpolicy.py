@@ -43,11 +43,11 @@ falling back to per-victim scalar draws otherwise.
 
 Entry points
 ------------
-* :func:`policy_miss_flags` — per-access boolean miss vector (LRU routes
-  to the vectorised stack-distance kernel).
-* :func:`simulate_policy_set_associative` — the stats-level engine behind
-  ``policysweep`` cells and the CLI; ``engine="auto"``/``"sequential"``
-  with identical packaging either way.
+* :func:`simulate_policy_set_associative` — one ``policysweep`` cell (and
+  the CLI's single point): a fresh ``SetAssociativeCache`` through
+  :func:`repro.core.dispatch.dispatch`, so ``engine="auto"`` takes
+  :func:`replay_policy`, ``"sequential"`` the reference loop, and the
+  result names its path either way.
 * :func:`simulate_policy_sweep` — a *policy sweep*: many policies over one
   decode + one index computation + one set-grouping pass (the engine's
   "policy" family axis).
@@ -68,7 +68,6 @@ from .address import CacheGeometry
 from .caches.base import EMPTY
 from .caches.set_associative import SetAssociativeCache
 from .decompose import SetStream, decode
-from .fastsim import lru_miss_flags
 from .indexing.base import IndexingScheme
 from .replacement import (
     POLICIES,
@@ -79,18 +78,10 @@ from .replacement import (
     PLRUPolicy,
     RandomPolicy,
 )
-from .simulator import (
-    SimulationResult,
-    _miss_stats,
-    _result_from_stats,
-    _vectorised_result,
-    check_engine,
-    simulate,
-)
+from .simulator import SimulationResult, _miss_stats, _result_from_stats
 
 __all__ = [
     "FAST_POLICIES",
-    "policy_miss_flags",
     "replay_policy",
     "simulate_policy_set_associative",
     "simulate_policy_sweep",
@@ -465,34 +456,6 @@ def _kernel_outcomes(
     return miss, ways_all, private
 
 
-def policy_miss_flags(
-    blocks: np.ndarray,
-    indices: np.ndarray,
-    ways: int,
-    policy: str,
-    num_sets: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Boolean miss vector for a ``ways``-way cache under any policy.
-
-    Exact and bit-identical to driving
-    :class:`~repro.core.caches.SetAssociativeCache` one access at a time.
-    ``num_sets`` bounds the set-index range (required for ``random``,
-    whose generator is shared across sets; inferred from the indices
-    otherwise).  LRU routes to the vectorised stack-distance kernel.
-    """
-    if ways < 1:
-        raise ValueError("ways must be a positive integer")
-    if policy == "lru":
-        return lru_miss_flags(blocks, indices, ways)
-    if num_sets is None:
-        num_sets = int(np.asarray(indices).max()) + 1 if np.asarray(indices).size else 1
-    miss, _ways_all, _private = _kernel_outcomes(
-        np.asarray(blocks), np.asarray(indices), num_sets, ways, policy, seed
-    )
-    return miss
-
-
 def _canonical_model(scheme_name: str, ways: int, policy: str) -> str:
     return f"set_associative[{scheme_name},{ways}way,{policy}]"
 
@@ -513,25 +476,22 @@ def simulate_policy_set_associative(
     ways: int | None = None,
     policy: str = "lru",
     seed: int = 0,
-    warmup: int = 0,
     engine: str = "auto",
 ) -> SimulationResult:
     """k-way simulation under *any* registered replacement policy.
 
-    Equivalent to ``simulate(SetAssociativeCache(geometry, scheme,
-    policy=policy, seed=seed), trace, warmup=warmup)`` with the model
-    renamed to the canonical ``set_associative[<scheme>,<k>way,<policy>]``
-    — bit-identical counters, per-set histograms and ``extra`` classes,
-    asserted by ``tests/core/test_fastpolicy_differential.py``.
-
-    ``engine="auto"`` replays through the set-decomposed kernels of this
-    module (LRU: the stack-distance kernel); ``"sequential"`` drives the
-    real cache model and repackages — same results either way.  ``ways``
-    must match the geometry's associativity: unlike the LRU-only
-    stack-distance path there is no way to re-threshold a stateful-policy
-    replay, so a mismatch is a genuinely unsupported configuration.
+    ``dispatch(SetAssociativeCache(geometry, scheme, policy=policy,
+    seed=seed), trace, engine)`` with the model renamed to the canonical
+    ``set_associative[<scheme>,<k>way,<policy>]``: ``engine="auto"`` replays
+    through :func:`replay_policy`, ``"sequential"`` drives the cache model,
+    and ``result.path`` says which.  Both agree bit for bit
+    (``tests/core/test_fastpolicy_differential.py``).  ``ways`` must match
+    the geometry's associativity: unlike the LRU-only stack-distance path
+    there is no way to re-threshold a stateful-policy replay, so a mismatch
+    is a genuinely unsupported configuration.
     """
-    check_engine(engine)
+    from .dispatch import dispatch  # the registry imports this module
+
     geometry = geometry or scheme.geometry
     if ways is not None and int(ways) != geometry.ways:
         raise ValueError(
@@ -539,29 +499,10 @@ def simulate_policy_set_associative(
             f"({geometry.ways}); got ways={ways} — rebuild the geometry with "
             f"with_ways()/with_fixed_sets() instead"
         )
-    ways = geometry.ways
-    _validate_policy(policy, ways)
-    model = _canonical_model(scheme.name, ways, policy)
-    n = len(trace)
-    if warmup >= n and n > 0:
-        raise ValueError("warmup consumes the entire trace")
-    if engine == "sequential":
-        cache = SetAssociativeCache(geometry, scheme, policy=policy, seed=seed)
-        res = simulate(cache, trace, warmup=warmup)
-        return dc_replace(res, model=model)
-    blocks, indices = decode(scheme, trace, geometry)
-    if policy == "lru":
-        miss = lru_miss_flags(blocks, indices, ways)
-    else:
-        miss, _ways_all, _private = _kernel_outcomes(
-            blocks, indices, geometry.num_sets, ways, policy, seed
-        )
-    if warmup:
-        # Replay state is continuous, so the suffix flags are exactly a
-        # warmed-up run's (the same argument as the LRU warmup path).
-        miss = miss[warmup:]
-        indices = indices[warmup:]
-    return _vectorised_result(model, trace.name, indices, miss, geometry.num_sets)
+    _validate_policy(policy, geometry.ways)
+    cache = SetAssociativeCache(geometry, scheme, policy=policy, seed=seed)
+    res = dispatch(cache, trace, engine)
+    return dc_replace(res, model=_canonical_model(scheme.name, geometry.ways, policy))
 
 
 def simulate_policy_sweep(
@@ -589,24 +530,12 @@ def simulate_policy_sweep(
     g = SetStream.of(blocks, indices)
     results = []
     for policy in policies:
-        if policy == "lru":
-            # The replay kernel is exact for LRU too, and reuses the shared
-            # grouping instead of re-sorting inside lru_miss_flags.
-            miss_k, way_k = _replay_lru(g, ways)
-            miss, _ = _expand(g, miss_k, way_k)
-        else:
-            miss, _ways_all, _private = _kernel_outcomes(
-                blocks, indices, geometry.num_sets, ways, policy, seed, g=g
-            )
-        results.append(
-            _vectorised_result(
-                _canonical_model(scheme.name, ways, policy),
-                trace.name,
-                indices,
-                miss,
-                geometry.num_sets,
-            )
+        miss, _ways_all, _private = _kernel_outcomes(
+            blocks, indices, geometry.num_sets, ways, policy, seed, g=g
         )
+        stats = _miss_stats(indices, miss, geometry.num_sets)
+        model = _canonical_model(scheme.name, ways, policy)
+        results.append(_result_from_stats(model, trace.name, stats, stats.accesses))
     return results
 
 
@@ -700,15 +629,10 @@ def _restore_state(
         policy._rng = private
 
 
-def replay_policy(
-    cache: SetAssociativeCache, trace: Trace, warmup: int = 0
-) -> SimulationResult:
+def replay_policy(cache: SetAssociativeCache, trace: Trace) -> SimulationResult:
     """Run a pristine ``SetAssociativeCache`` through its policy's kernel,
     leaving the end state (contents, policy internals, stats) that
     :func:`~repro.core.simulator.simulate` would."""
-    n = len(trace)
-    if warmup >= n and n > 0:
-        raise ValueError("warmup consumes the entire trace")
     geometry = cache.geometry
     policy_name = _POLICY_TYPES[type(cache.policy)]
     seed = cache.policy._seed if policy_name == "random" else 0
@@ -717,5 +641,5 @@ def replay_policy(
         blocks, indices, geometry.num_sets, geometry.ways, policy_name, seed
     )
     _restore_state(cache, blocks, indices, miss, ways_all, private)
-    cache.stats = _miss_stats(indices[warmup:], miss[warmup:], geometry.num_sets)
+    cache.stats = _miss_stats(indices, miss, geometry.num_sets)
     return _result_from_stats(cache.name, trace.name, cache.stats, cache.stats.accesses)

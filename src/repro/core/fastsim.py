@@ -19,7 +19,8 @@ exact per-access reuse distances offline — stable sort by set, a
 previous-occurrence pass, then an offline dominance-counting pass (the
 vectorised equivalent of a Fenwick-tree sweep) — in O(n log n) NumPy work
 with no per-access Python objects.  At ``ways=1`` it degenerates to
-:func:`direct_mapped_miss_flags`.
+:func:`direct_mapped_miss_flags`, which :func:`lru_sweep_miss_flags` calls
+instead.
 
 The sequential engine in :mod:`repro.core.simulator` computes the same
 outcomes one access at a time; the test-suite proves the two agree on random
@@ -37,7 +38,6 @@ __all__ = [
     "direct_mapped_miss_flags",
     "direct_mapped_miss_count",
     "lru_miss_flags",
-    "lru_miss_count",
     "lru_stack_distances",
     "lru_sweep_miss_flags",
     "per_set_counts",
@@ -198,15 +198,10 @@ def lru_miss_flags(blocks: np.ndarray, indices: np.ndarray, ways: int) -> np.nda
     Exact and bit-identical to driving
     :class:`~repro.core.caches.set_associative.SetAssociativeCache` (LRU
     policy) one access at a time, for any associativity and any
-    (not necessarily power-of-two) set-index range; ``ways=1`` degenerates to
-    :func:`direct_mapped_miss_flags` and is routed there directly.
+    (not necessarily power-of-two) set-index range: the one-member
+    :func:`lru_sweep_miss_flags`.
     """
-    if ways < 1:
-        raise ValueError("ways must be a positive integer")
-    if ways == 1:
-        return direct_mapped_miss_flags(blocks, indices)
-    distances = lru_stack_distances(blocks, indices)
-    return (distances < 0) | (distances >= ways)
+    return lru_sweep_miss_flags(blocks, indices, [ways])[int(ways)]
 
 
 def lru_sweep_miss_flags(
@@ -219,8 +214,9 @@ def lru_sweep_miss_flags(
     associativity sweep costs one :func:`lru_stack_distances` pass plus one
     cheap threshold per member instead of one full pass per member.  Each
     returned vector is bit-identical to ``lru_miss_flags(blocks, indices,
-    ways)`` for that ``ways`` (``ways=1`` included: ``distance != 0`` is
-    exactly the direct-mapped outcome).
+    ways)`` for that ``ways``.  ``distance != 0`` is exactly the
+    direct-mapped outcome, so a request whose every ``ways`` is 1 skips the
+    distance pass for :func:`direct_mapped_miss_flags`.
 
     Returns ``{ways: boolean miss vector}`` over the distinct requested
     associativities.
@@ -230,15 +226,12 @@ def lru_sweep_miss_flags(
         raise ValueError("ways must be positive integers")
     if not ways_list:
         return {}
+    if all(w == 1 for w in ways_list):
+        return {1: direct_mapped_miss_flags(blocks, indices)}
     distances = lru_stack_distances(blocks, indices)
     return {
         w: (distances < 0) | (distances >= w) for w in dict.fromkeys(ways_list)
     }
-
-
-def lru_miss_count(blocks: np.ndarray, indices: np.ndarray, ways: int) -> int:
-    """Total k-way LRU miss count (associativity sweeps, bounds tables)."""
-    return int(lru_miss_flags(blocks, indices, ways).sum())
 
 
 def per_set_counts(

@@ -4,12 +4,14 @@
   :class:`~repro.core.caches.base.CacheModel` one access at a time,
   accumulating exact lookup cycles.  Cache objects reach it, or the exact
   kernel that replaces it, through :func:`repro.core.dispatch.dispatch`.
-* :func:`simulate_set_associative` — the vectorised path for a scheme ×
-  geometry × ways grid point: the sort-based adjacent-compare primitive
-  for direct-mapped runs, the offline stack-distance kernel of
-  :mod:`repro.core.fastsim` for k-way LRU, the policy kernels of
-  :mod:`repro.core.fastpolicy` otherwise.  :func:`simulate_indexing` is
-  its ``ways=1`` specialisation.
+* :func:`simulate_lru_sweep` — the one stats-level LRU pass: an
+  associativity sweep under one indexing scheme from one decode and one
+  stack-distance pass (:mod:`repro.core.fastsim`; an all-direct-mapped
+  sweep takes the cheaper adjacent-compare primitive instead).
+  :func:`simulate_set_associative` (one ``"setassoc"`` member) and
+  :func:`simulate_indexing` (one ``"direct"`` member) are its per-cell
+  entry points; ``simulate_set_associative`` forwards any other policy to
+  :func:`repro.core.fastpolicy.simulate_policy_set_associative`.
 
 Both return a :class:`SimulationResult` carrying global counters, per-slot
 arrays and enough timing classes to evaluate the paper's AMAT formulas.
@@ -26,12 +28,7 @@ from .address import CacheGeometry
 from .amat import TimingModel, amat_from_cycles
 from .caches.base import CacheModel, CacheStats
 from .decompose import decode
-from .fastsim import (
-    direct_mapped_miss_flags,
-    lru_miss_flags,
-    lru_sweep_miss_flags,
-    per_set_counts,
-)
+from .fastsim import lru_miss_flags, lru_sweep_miss_flags, per_set_counts
 from .indexing.base import IndexingScheme
 
 __all__ = [
@@ -161,9 +158,15 @@ def simulate(
     return _result_from_stats(cache.name, trace.name, cache.stats, cycles)
 
 
-def _miss_stats(indices: np.ndarray, miss: np.ndarray, num_sets: int) -> CacheStats:
+def _miss_stats(
+    indices: np.ndarray, miss: np.ndarray, num_sets: int, direct_mapped: bool = False
+) -> CacheStats:
     """Stats of a run in which every hit is a direct hit, from its per-access
-    set indices and miss flags."""
+    set indices and miss flags.
+
+    ``direct_hits`` is reported when there are hits, or always for
+    ``direct_mapped``: the convention of :func:`simulate_indexing`'s results.
+    """
     accesses, misses = per_set_counts(indices, miss, num_sets)
     stats = CacheStats(num_sets)
     stats.accesses = int(indices.size)
@@ -172,41 +175,9 @@ def _miss_stats(indices: np.ndarray, miss: np.ndarray, num_sets: int) -> CacheSt
     stats.slot_accesses = accesses
     stats.slot_hits = accesses - misses
     stats.slot_misses = misses
-    if stats.hits:
+    if stats.hits or direct_mapped:
         stats.extra["direct_hits"] = stats.hits
     return stats
-
-
-def _vectorised_result(
-    model: str,
-    trace_name: str,
-    indices: np.ndarray,
-    miss: np.ndarray,
-    num_sets: int,
-    direct_mapped: bool = False,
-) -> SimulationResult:
-    """Package a miss vector into a :class:`SimulationResult` (1 cycle/access).
-
-    Every hit is a "direct" hit.  ``DirectMappedCache`` always reports the
-    ``direct_hits`` key; ``SetAssociativeCache`` omits it when there are no
-    hits — ``direct_mapped`` picks which result dict to mirror.
-    """
-    accesses, misses = per_set_counts(indices, miss, num_sets)
-    total = int(indices.size)
-    total_misses = int(miss.sum())
-    hits = total - total_misses
-    return SimulationResult(
-        model=model,
-        trace_name=trace_name,
-        accesses=total,
-        hits=hits,
-        misses=total_misses,
-        lookup_cycles=total,  # one cycle per access
-        slot_accesses=accesses,
-        slot_hits=accesses - misses,
-        slot_misses=misses,
-        extra={"direct_hits": hits} if hits or direct_mapped else {},
-    )
 
 
 def simulate_set_associative(
@@ -215,17 +186,15 @@ def simulate_set_associative(
     geometry: CacheGeometry | None = None,
     ways: int | None = None,
     policy: str = "lru",
-    warmup: int = 0,
     policy_seed: int = 0,
 ) -> SimulationResult:
     """Vectorised k-way LRU simulation under an indexing scheme.
 
     Equivalent to ``simulate(SetAssociativeCache(geometry, scheme,
     policy="lru"), trace)`` — bit-identical hits, misses, per-set histograms
-    and lookup cycles, asserted by the differential test-suite — but
-    computed offline with the stack-distance kernel instead of a per-access
-    Python loop.  ``ways`` defaults to the geometry's associativity;
-    ``ways=1`` uses the cheaper direct-mapped adjacent-compare path.
+    and lookup cycles, asserted by the differential test-suite — as the
+    one-member ``(ways, "setassoc")`` :func:`simulate_lru_sweep`.  ``ways``
+    defaults to the geometry's associativity.
 
     Only LRU admits the re-thresholdable stack-distance solution (the
     Mattson inclusion property); any other registered ``policy`` routes to
@@ -240,36 +209,11 @@ def simulate_set_associative(
         from .fastpolicy import simulate_policy_set_associative
 
         return simulate_policy_set_associative(
-            scheme,
-            trace,
-            geometry=geometry,
-            ways=ways,
-            policy=policy,
-            seed=policy_seed,
-            warmup=warmup,
+            scheme, trace, geometry=geometry, ways=ways, policy=policy, seed=policy_seed
         )
     geometry = geometry or scheme.geometry
-    ways = geometry.ways if ways is None else int(ways)
-    if ways < 1:
-        raise ValueError("ways must be a positive integer")
-    blocks, indices = decode(scheme, trace, geometry)
-    # Seed warmup state by computing miss flags over the full trace and
-    # dropping the prefix: LRU outcomes depend only on the access history,
-    # so the suffix flags are exactly those of a warmed-up cache.
-    if warmup:
-        if warmup >= blocks.size:
-            raise ValueError("warmup consumes the entire trace")
-        miss = lru_miss_flags(blocks, indices, ways)[warmup:]
-        indices = indices[warmup:]
-    else:
-        miss = lru_miss_flags(blocks, indices, ways)
-    return _vectorised_result(
-        model=f"set_associative[{scheme.name},{ways}way]",
-        trace_name=trace.name,
-        indices=indices,
-        miss=miss,
-        num_sets=geometry.num_sets,
-    )
+    ways = geometry.ways if ways is None else ways
+    return simulate_lru_sweep(scheme, trace, geometry, [(ways, "setassoc")])[0]
 
 
 def simulate_lru_sweep(
@@ -291,6 +235,9 @@ def simulate_lru_sweep(
       model ``set_associative[<scheme>,<k>way]``, ``direct_hits`` present
       only when nonzero.
 
+    A one-member sweep *is* the per-cell entry point, so cells run the same
+    pass alone as in a family.
+
     All members share ``geometry``'s ``num_sets``/``offset_bits`` (the
     exactness condition the engine's family detector enforces); only the
     thresholded associativity differs, so the whole sweep costs one
@@ -311,20 +258,13 @@ def simulate_lru_sweep(
     flags = lru_sweep_miss_flags(blocks, indices, [ways for ways, _ in specs])
     results = []
     for ways, style in specs:
-        if style == "direct":
+        direct = style == "direct"
+        if direct:
             model = f"direct_mapped[{scheme.name}]"
         else:
             model = f"set_associative[{scheme.name},{ways}way]"
-        results.append(
-            _vectorised_result(
-                model=model,
-                trace_name=trace.name,
-                indices=indices,
-                miss=flags[ways],
-                num_sets=geometry.num_sets,
-                direct_mapped=style == "direct",
-            )
-        )
+        stats = _miss_stats(indices, flags[ways], geometry.num_sets, direct_mapped=direct)
+        results.append(_result_from_stats(model, trace.name, stats, stats.accesses))
     return results
 
 
@@ -344,52 +284,25 @@ def simulate_fully_associative(
     offset_bits = geometry.offset_bits if geometry is not None else 0
     blocks = trace.blocks(offset_bits).astype(np.int64)
     indices = np.zeros(blocks.size, dtype=np.int64)
-    miss = lru_miss_flags(blocks, indices, capacity)
-    return _vectorised_result(
-        model="fully_associative",
-        trace_name=trace.name,
-        indices=indices,
-        miss=miss,
-        num_sets=1,
-    )
+    stats = _miss_stats(indices, lru_miss_flags(blocks, indices, capacity), 1)
+    return _result_from_stats("fully_associative", trace.name, stats, stats.accesses)
 
 
 def simulate_indexing(
-    scheme: IndexingScheme,
-    trace: Trace,
-    geometry: CacheGeometry | None = None,
-    warmup: int = 0,
+    scheme: IndexingScheme, trace: Trace, geometry: CacheGeometry | None = None
 ) -> SimulationResult:
     """Vectorised direct-mapped simulation under an indexing scheme.
 
     Equivalent to ``simulate(DirectMappedCache(geometry, scheme), trace)``
-    (asserted by the test-suite) but vectorised end to end.  Every access
-    costs 1 lookup cycle, as in the paper's baseline.  This is the ``ways=1``
-    specialisation of :func:`simulate_set_associative`, kept as its own
-    entry point because the direct-mapped figures label results differently.
+    (asserted by the test-suite).  Every access costs 1 lookup cycle, as in
+    the paper's baseline.  This is the one-member ``(1, "direct")``
+    :func:`simulate_lru_sweep`: the direct-mapped figures label results
+    ``direct_mapped[<scheme>]``.
     """
     geometry = geometry or scheme.geometry
     if geometry.ways != 1:
         raise ValueError("the vectorised path models a direct-mapped cache")
-    blocks, indices = decode(scheme, trace, geometry)
-    if warmup:
-        if warmup >= blocks.size:
-            raise ValueError("warmup consumes the entire trace")
-        # Seed the "previous block per set" state by simply dropping the
-        # warmup prefix after computing miss flags over the full trace:
-        # direct-mapped state is fully determined by the last access per set.
-        miss = direct_mapped_miss_flags(blocks, indices)[warmup:]
-        indices = indices[warmup:]
-    else:
-        miss = direct_mapped_miss_flags(blocks, indices)
-    return _vectorised_result(
-        model=f"direct_mapped[{scheme.name}]",
-        trace_name=trace.name,
-        indices=indices,
-        miss=miss,
-        num_sets=geometry.num_sets,
-        direct_mapped=True,
-    )
+    return simulate_lru_sweep(scheme, trace, geometry, [(1, "direct")])[0]
 
 
 def warmup_split(trace: Trace, fraction: float = 0.1) -> tuple[Trace, Trace]:

@@ -51,8 +51,7 @@ from ...core.simulator import (
     SimulationResult,
     _result_from_stats,
     simulate_fully_associative,
-    simulate_indexing,
-    simulate_set_associative,
+    simulate_lru_sweep,
 )
 from ...core.three_c import classify
 from ...multithread import (
@@ -254,17 +253,17 @@ def _lru(build, geometry, style: str, signature: tuple | None, **fields) -> _Spe
     trace)`` makes its scheme, ``style`` ("direct" or "setassoc") is how
     :func:`~repro.core.simulator.simulate_lru_sweep` must package it, and
     ``signature`` names the scheme's index stream (``None``: no assoc
-    family).  The Mattson inclusion property holds for LRU alone."""
+    family).  A lone cell runs the sweep its family runs, with itself as
+    the one member.  The Mattson inclusion property holds for LRU alone."""
+    member = (geometry.ways, style)
 
     def run(cell, trace, profile_path):
         scheme = build(cell, profile_path, trace)
-        if style == "direct":
-            return simulate_indexing(scheme, trace, geometry)
-        return simulate_set_associative(scheme, trace, geometry)
+        return simulate_lru_sweep(scheme, trace, geometry, [member])[0]
 
     if signature is not None:
         signature += (geometry.num_sets, geometry.offset_bits, geometry.address_bits)
-        fields["batch"] = ("assoc", signature, (geometry.ways, style))
+        fields["batch"] = ("assoc", signature, member)
     return _Spec(
         run,
         scheme=lambda cell, profile_path: (build(cell, profile_path, None), geometry),

@@ -73,11 +73,18 @@ class SjengWorkload(Workload):
             return best
 
         best_scores = []
-        for p in range(positions):
-            state = tuple(int(rng.integers(0, 97)) for _ in range(8))
-            h = int(rng.integers(1, 1 << 62))
-            for sq in range(64):
-                m.store_elem(board_arr, sq)
-            best_scores.append(negamax(state, h, depth, -1e9, 1e9))
+        try:
+            for p in range(positions):
+                state = tuple(int(rng.integers(0, 97)) for _ in range(8))
+                h = int(rng.integers(1, 1 << 62))
+                for sq in range(64):
+                    m.store_elem(board_arr, sq)
+                best_scores.append(negamax(state, h, depth, -1e9, 1e9))
+        finally:
+            # negamax reaches itself through its closure cell; emptying the
+            # cell breaks that cycle, which would otherwise keep the recorder
+            # alive until a full collection (also when the cut stops the
+            # search).
+            del negamax
         m.builder.meta["scores_head"] = best_scores[:4]
         m.builder.meta["tt_entries"] = tt_entries

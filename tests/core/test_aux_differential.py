@@ -336,17 +336,6 @@ class TestSimulateAugmented:
         assert_results_identical(fast, slow, f"{combo}/dirty")
         assert_cache_state_identical(fast_cache, slow_cache, f"{combo}/dirty")
 
-    def test_warmup_falls_back_but_agrees(self):
-        geometry = SMALL
-        scheme = ModuloIndexing(geometry)
-        trace = random_trace(geometry, n=2000, seed=19)
-        fast_cache, slow_cache = make_pair(scheme, "vc", 4)
-        fast = dispatch(fast_cache, trace, warmup=300)
-        assert fast.path == "sequential:warmup"
-        slow = simulate(slow_cache, trace, warmup=300)
-        assert_results_identical(fast, slow, "warmup")
-        assert_cache_state_identical(fast_cache, slow_cache, "warmup")
-
     def test_overriding_subclass_falls_back(self):
         """The gate is method identity, not type identity: a subclass that
         leaves the access path alone (like the migrated VictimCache) keeps

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.address import CacheGeometry
-from repro.core.caches import EMPTY, DirectMappedCache
+from repro.core.caches import DirectMappedCache
 from repro.core.decompose import SetStream, decode
 from repro.core.indexing import GivargisIndexing, ModuloIndexing, XorIndexing
 from repro.trace import Trace
@@ -32,7 +32,6 @@ FIELDS = (
     "run_len",
     "kept_blk",
     "kept_bounds",
-    "prev_blk",
 )
 
 
@@ -98,13 +97,12 @@ class TestSetStreamProperties:
         s = SetStream.of(blocks, gids)
         groups = reference_groups(blocks, gids)
         blk = blocks.tolist()
-        order, bounds, prev, heads = [], [0], [], []
+        order, bounds, heads = [], [0], []
         for gid in sorted(groups):
             members = groups[gid]
             order += members
             bounds.append(bounds[-1] + len(members))
             for k, pos in enumerate(members):
-                prev.append(EMPTY if k == 0 else blk[members[k - 1]])
                 heads.append(k == 0 or blk[members[k - 1]] != blk[pos])
         # Stable within each group; bounds delimit the groups.
         assert s.order.tolist() == order
@@ -113,8 +111,6 @@ class TestSetStreamProperties:
         for a, b in zip(bounds, bounds[1:]):
             assert len(set(s.sorted_gid[a:b].tolist())) == 1
         assert int(s.run_len.sum()) == s.n == len(blk)
-        assert s.prev_blk.tolist() == prev
-        assert all(s.prev_blk[a] == EMPTY for a in bounds[:-1])
         assert (~s.repeat).tolist() == heads
         head_pos = [j for j, h in enumerate(heads) if h]
         assert s.kept_pos.tolist() == head_pos

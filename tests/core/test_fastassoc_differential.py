@@ -21,8 +21,8 @@ cache-object state, across:
   odd-multiplier and prime-modulo primary indexes, SHT/OUT/cold-pool dict
   *ordering* included;
 * their :func:`~repro.core.dispatch.dispatch` entries — ``auto`` ≡
-  ``sequential``, the paths of fallbacks for warmup / invariant checking /
-  non-LRU policies, and rejection of unknown engines.
+  ``sequential``, the paths of fallbacks for invariant checking / non-LRU
+  policies, and rejection of unknown engines.
 
 ``check_invariants()`` is spot-checked on the fast-path cache objects: the
 reconstructed state must satisfy each model's own structural invariants.
@@ -425,17 +425,6 @@ class TestSimulateProgassoc:
         ]
         rand = dispatch(BalancedCache(SMALL, policy="random"), trace)
         assert rand.path == "sequential:no-kernel"
-
-    def test_warmup_falls_back_but_agrees(self):
-        trace = random_trace(SMALL, n=3000, seed=29)
-        fast = dispatch(ColumnAssociativeCache(SMALL), trace, warmup=500)
-        slow = simulate(ColumnAssociativeCache(SMALL), trace, warmup=500)
-        assert fast.path == "sequential:warmup"
-        assert (fast.accesses, fast.hits, fast.misses) == (
-            slow.accesses,
-            slow.hits,
-            slow.misses,
-        )
 
     def test_invariant_checking_falls_back(self):
         trace = random_trace(SMALL, n=1000, seed=31)

@@ -17,9 +17,10 @@ policy's exact generator position), across:
   shared set decomposition ≡ the per-cell path ≡ sequential, per-set
   counts included;
 * the ``fast:policy`` entry of :func:`~repro.core.dispatch.dispatch`:
-  warmup splits, pristine-state fallbacks (dirty caches take the
-  sequential engine but still agree), their paths, and engine/config
-  rejection.
+  pristine-state fallbacks (dirty caches take the sequential engine but
+  still agree), their paths, and engine/config rejection;
+* ``simulate``'s own warmup against the kernels: it withholds the prefix
+  from the stats and changes nothing else.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.caches.set_associative import SetAssociativeCache
 from repro.core.dispatch import dispatch
 from repro.core.fastpolicy import (
     FAST_POLICIES,
-    policy_miss_flags,
+    _kernel_outcomes,
     simulate_policy_set_associative,
     simulate_policy_sweep,
 )
@@ -211,16 +212,25 @@ class TestStatsEngine:
 
     @pytest.mark.parametrize("policy", FAST_POLICIES)
     def test_warmup_agrees(self, policy):
+        """A warmed-up ``simulate`` and the fast run of its prefix add up to
+        the fast run of the whole trace, per set."""
         geometry = TINY4
         scheme = ModuloIndexing(geometry)
         trace = random_trace(geometry, n=2500, seed=41)
-        fast = simulate_policy_set_associative(
-            scheme, trace, geometry, policy=policy, warmup=500
+        full = simulate_policy_set_associative(scheme, trace, geometry, policy=policy)
+        head = simulate_policy_set_associative(
+            scheme, trace[:500], geometry, policy=policy
         )
-        slow = simulate_policy_set_associative(
-            scheme, trace, geometry, policy=policy, warmup=500, engine="sequential"
+        warm = simulate(
+            SetAssociativeCache(geometry, scheme, policy=policy), trace, warmup=500
         )
-        assert_results_identical(fast, slow, f"{policy}/warmup")
+        assert warm.accesses == len(trace) - 500
+        for name in ("accesses", "hits", "misses", "lookup_cycles"):
+            assert getattr(head, name) + getattr(warm, name) == getattr(full, name)
+        for name in ("slot_accesses", "slot_hits", "slot_misses"):
+            np.testing.assert_array_equal(
+                getattr(head, name) + getattr(warm, name), getattr(full, name)
+            )
 
     @pytest.mark.parametrize("seed", [0, 1, 2011])
     def test_random_policy_seeds(self, seed):
@@ -245,9 +255,8 @@ class TestStatsEngine:
         blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
         indices = scheme.indices_of(trace.addresses)
         for policy in FAST_POLICIES:
-            flags = policy_miss_flags(
-                blocks, indices, geometry.ways, policy,
-                num_sets=geometry.num_sets, seed=5,
+            flags, _ways, _private = _kernel_outcomes(
+                blocks, indices, geometry.num_sets, geometry.ways, policy, 5
             )
             seq = simulate_policy_set_associative(
                 scheme, trace, geometry, policy=policy, seed=5, engine="sequential"
@@ -273,7 +282,7 @@ class TestStatsEngine:
         blocks = np.array([1], dtype=np.int64)
         indices = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match="power-of-two"):
-            policy_miss_flags(blocks, indices, 6, "plru")
+            _kernel_outcomes(blocks, indices, 1, 6, "plru", 0)
 
 
 # -- the sweep path ---------------------------------------------------------------
@@ -357,14 +366,18 @@ class TestSimulatePolicy:
         assert_cache_state_identical(fast_cache, slow_cache, f"{policy}/dirty")
 
     def test_warmup_agrees(self):
+        """``simulate``'s warmup changes the stats only: it leaves the end
+        state of the kernel's full replay."""
         geometry = TINY4
         trace = random_trace(geometry, n=2000, seed=19)
         fast_cache = SetAssociativeCache(geometry, policy="fifo")
         slow_cache = SetAssociativeCache(geometry, policy="fifo")
-        fast = dispatch(fast_cache, trace, warmup=300)
+        fast = dispatch(fast_cache, trace)
         assert fast.path == "fast:policy"
         slow = simulate(slow_cache, trace, warmup=300)
-        assert_results_identical(fast, slow, "warmup")
+        assert slow.accesses == len(trace) - 300
+        head = simulate(SetAssociativeCache(geometry, policy="fifo"), trace[:300])
+        assert head.misses + slow.misses == fast.misses
         assert_cache_state_identical(fast_cache, slow_cache, "warmup")
 
     def test_invariant_checking_falls_back(self):

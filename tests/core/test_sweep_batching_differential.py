@@ -32,7 +32,12 @@ import numpy as np
 import pytest
 
 from repro.core.address import CacheGeometry
-from repro.core.fastsim import lru_miss_flags, lru_sweep_miss_flags
+from repro.core import fastsim
+from repro.core.fastsim import (
+    direct_mapped_miss_flags,
+    lru_miss_flags,
+    lru_sweep_miss_flags,
+)
 from repro.core.indexing import (
     BitSelectIndexing,
     GivargisIndexing,
@@ -177,6 +182,24 @@ class TestSweepFlagsVsSingleWays:
     def test_rejects_bad_ways(self):
         with pytest.raises(ValueError):
             lru_sweep_miss_flags(np.array([1]), np.array([0]), [2, 0])
+
+    def test_direct_mapped_request_skips_the_distance_pass(self, monkeypatch):
+        """A sweep whose every member is 1-way is answered by the
+        direct-mapped kernel (``distance != 0`` is its outcome), without
+        the stack-distance pass."""
+        trace = random_trace(SMALL, n=1000, seed=5)
+        blocks = trace.blocks(SMALL.offset_bits).astype(np.int64)
+        indices = XorIndexing(SMALL).indices_of(trace.addresses)
+        expected = direct_mapped_miss_flags(blocks, indices)
+
+        def refuse(*args):
+            raise AssertionError("stack-distance pass for a direct-mapped sweep")
+
+        monkeypatch.setattr(fastsim, "lru_stack_distances", refuse)
+        flags = lru_sweep_miss_flags(blocks, indices, [1, 1])
+        assert list(flags) == [1]
+        np.testing.assert_array_equal(flags[1], expected)
+        np.testing.assert_array_equal(lru_miss_flags(blocks, indices, 1), expected)
 
 
 # -- simulate_lru_sweep ≡ the per-cell entry points it impersonates ----------------

@@ -91,8 +91,6 @@ CASES = [
         False,
         "fast:colassoc",
     ),
-    ("colassoc-warmup", lambda: ColumnAssociativeCache(DM), {"warmup": 300}, False,
-     "sequential:warmup"),
     ("colassoc-forced", lambda: ColumnAssociativeCache(DM), {"engine": "sequential"},
      False, "sequential:forced"),
     ("bcache", lambda: BalancedCache(DM), {}, False, "fast:bcache"),
@@ -108,8 +106,6 @@ CASES = [
          False, "fast:policy")
         for p in ("lru", "fifo", "random", "plru", "mru", "lfu")
     ],
-    ("policy-warmup", lambda: SetAssociativeCache(SA, policy="fifo"), {"warmup": 300},
-     False, "fast:policy"),
     ("policy-dirty", lambda: SetAssociativeCache(SA, policy="lfu"), {}, True,
      "sequential:warm-state"),
     ("policy-invariants", lambda: SetAssociativeCache(SA, policy="lfu"),
@@ -135,15 +131,12 @@ CASES = [
         "sequential:no-kernel",
     ),
     ("aux-dirty", _aux("mc+sb"), {}, True, "sequential:warm-state"),
-    ("aux-warmup", _aux("vc"), {"warmup": 300}, False, "sequential:warmup"),
     ("direct-mapped-modulo", lambda: DirectMappedCache(DM), {}, False,
      "fast:direct-mapped"),
     ("direct-mapped-xor", lambda: DirectMappedCache(DM, indexing=XorIndexing(DM)), {},
      False, "fast:direct-mapped"),
     ("direct-mapped-dirty", lambda: DirectMappedCache(DM), {}, True,
      "sequential:warm-state"),
-    ("direct-mapped-warmup", lambda: DirectMappedCache(DM), {"warmup": 300}, False,
-     "sequential:warmup"),
     ("direct-mapped-subclass", lambda: _SubDirectMapped(DM), {}, False,
      "sequential:no-kernel"),
     ("skewed", lambda: SkewedAssociativeCache(DM, ways=2), {}, False,
@@ -265,3 +258,22 @@ def test_only_cells_without_a_kernel_fall_back(cold_runs):
         if path.startswith("sequential:")
     }
     assert fallbacks == {(kind, label, "sequential:no-kernel") for kind, label in NO_KERNEL}
+
+
+@pytest.mark.parametrize(
+    "engine, path", [("auto", "fast:policy"), ("sequential", "sequential:forced")]
+)
+def test_unbatched_policy_cells_name_their_path(tmp_path, engine, path):
+    """A policysweep cell outside a family builds its cache and hands it to
+    ``dispatch``, so every one carries the path that cache took."""
+    config = replace(
+        PaperConfig(),
+        ref_limit=2000,
+        trace_cache_dir=tmp_path / "traces",
+        batch_sweeps=False,
+        engine=engine,
+    )
+    stats = run_experiment("ext-policy", config).engine_stats
+    assert stats["cache_misses"] == stats["cells_total"] > 0
+    assert stats["cells_batched"] == 0
+    assert stats["paths"] == {path: stats["cells_total"]}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,17 @@ class TestSjeng:
     def test_tt_scales_with_config(self):
         t = get_workload("sjeng").generate(seed=15, ref_limit=None, scale=0.1)
         assert t.meta["tt_entries"] >= 1024
+
+    @pytest.mark.parametrize("ref_limit", [None, 2000])
+    def test_recorder_is_freed_on_return(self, ref_limit):
+        # The recursive search must not keep the recorder (and its builder
+        # chunks) alive until a full collection, whether the search runs
+        # out or stops at the ``ref_limit`` cut.
+        gc.collect()
+        gc.disable()
+        try:
+            get_workload("sjeng").generate(seed=15, ref_limit=ref_limit, scale=0.1)
+            live = [o for o in gc.get_objects() if isinstance(o, Recorder)]
+        finally:
+            gc.enable()
+        assert live == []
