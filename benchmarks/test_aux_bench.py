@@ -17,7 +17,7 @@ Each floor times both of its sides in the same process:
   (it shares the decode and the miss/prev pass across every spec).
 
 Bit-identity of everything measured here is locked by
-``tests/core/test_aux_differential.py``.
+the differential harness, ``tests/core/test_differential.py``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ engine over a 25k-access slice (best of 3 each) in the same process, and
 asserts the per-access speedup: k-way LRU ≥ 10×, column-associative and
 B-cache ≥ 5×, partner ≥ 3×.  Running the sequential engine over the full
 million accesses would take minutes, which is the point.  Bit-identity of
-every kernel is locked by the differential suites under ``tests/core/``.
+every kernel is locked by the differential harness,
+``tests/core/test_differential.py``.
 """
 
 from __future__ import annotations

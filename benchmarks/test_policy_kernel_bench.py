@@ -13,7 +13,7 @@ Each floor times both of its sides in the same process:
   by ≥ 3×.
 
 Bit-identity of everything measured here is locked by
-``tests/core/test_fastpolicy_differential.py``.
+the differential harness, ``tests/core/test_differential.py``.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ exactly, whatever auxiliary structures ride along:
    which is ``h + depth``.  So the loop holds each queue as its head
    alone and writes the deques back at the end.  This is a second
    implementation of the same semantics, not the wrapper's code path:
-   ``tests/core/test_aux_differential.py`` compares the two on results
+   ``tests/core/test_differential.py`` compares the two on results
    and buffer end states for every ordering of one to three structures,
    and ``tests/core/test_aux_oracles.py`` checks both against properties
    neither shares code with.

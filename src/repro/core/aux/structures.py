@@ -6,7 +6,7 @@ main-array miss.  These methods are the sequential reference.  The replay
 fast path (:mod:`repro.core.aux.fast`) does not call them: it runs one
 fused loop that keeps the same state inline and writes it back into the
 objects at the end, so the two engines are independent implementations
-that ``tests/core/test_aux_differential.py`` holds equal.
+that ``tests/core/test_differential.py`` holds equal.
 
 Per main-array miss, in order:
 

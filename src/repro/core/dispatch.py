@@ -8,9 +8,9 @@ or ``sequential:<reason>`` with reason ``forced`` (``engine="sequential"``),
 ``no-kernel`` (nothing serves this class or configuration), ``invariants``
 (periodic invariant checks) or ``warm-state`` (the kernel replays from a
 cold cache).  Either
-path leaves the same result and end state (the differential suites under
-``tests/core/``); ``tests/experiments/test_dispatch_contract.py`` pins the
-paths.
+path leaves the same result and end state (the differential harness,
+``tests/core/test_differential.py``, holds every entry of :data:`KERNELS`
+to it); ``tests/experiments/test_dispatch_contract.py`` pins the paths.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ Every function reproduces the sequential engine *exactly*: equal
 :class:`~repro.core.simulator.SimulationResult` (including per-slot
 histograms, ``extra`` counters and lookup cycles) **and** equal post-run
 cache-object state (``_blocks``, rehash/PI/stamp arrays, policy clock, SHT/
-OUT directories).  The differential suite in
-``tests/core/test_fastassoc_differential.py`` asserts both.
+OUT directories).  The differential harness in
+``tests/core/test_differential.py`` asserts both.
 
 The kernels are entries of :data:`repro.core.dispatch.KERNELS`
 (``fast:colassoc``, ``fast:bcache``, ``fast:partner``, ``fast:adaptive``);

@@ -32,7 +32,9 @@ tiny transliteration of the corresponding
 fills take the lowest empty way first, exactly like
 ``SetAssociativeCache._access_block``).  FIFO reduces further: cold fills
 take ways ``0..w-1`` in order and refills cycle through them, so the
-victim of fill number ``f`` is simply ``f mod w``.  Random is the one
+victim of fill number ``f`` is simply ``f mod w``.  One way leaves no
+victim choice at all: every policy then takes the direct-mapped outcome (a
+miss at each run head, way 0) without a replay loop.  Random is the one
 policy that is *not* set-decomposable — all sets share one seeded PCG64
 generator, so the victim stream is coupled to the global interleaving of
 misses — and is replayed in global program order over the same compressed
@@ -431,6 +433,22 @@ def _kernel_outcomes(
     """
     if g is None:
         g = SetStream.of(blocks, indices)
+    if ways == 1 and policy in POLICIES:
+        # One way leaves no victim choice: every policy misses at each run
+        # head and keeps way 0, the direct-mapped outcome.  LFU ends at the
+        # length of each set's last run, PLRU's one bit never flips, and
+        # Random's integers(1) draws consume no generator words.
+        last = g.kept_bounds[1:] - 1
+        sets = g.kept_gid[last].tolist()
+        if policy == "lfu":
+            private = [(s, [c]) for s, c in zip(sets, g.run_len[last].tolist())]
+        elif policy == "plru":
+            private = [(s, [0]) for s in sets]
+        elif policy == "random":
+            private = np.random.default_rng(seed)
+        else:
+            private = None
+        return g.unsort(~g.repeat), np.zeros(g.n, dtype=np.int64), private
     if policy == "random":
         return _replay_random(blocks, indices, g, num_sets, ways, seed)
     if policy == "fifo":
@@ -485,7 +503,7 @@ def simulate_policy_set_associative(
     ``set_associative[<scheme>,<k>way,<policy>]``: ``engine="auto"`` replays
     through :func:`replay_policy`, ``"sequential"`` drives the cache model,
     and ``result.path`` says which.  Both agree bit for bit
-    (``tests/core/test_fastpolicy_differential.py``).  ``ways`` must match
+    (``tests/core/test_differential.py``).  ``ways`` must match
     the geometry's associativity: unlike the LRU-only stack-distance path
     there is no way to re-threshold a stateful-policy replay, so a mismatch
     is a genuinely unsupported configuration.

@@ -192,7 +192,7 @@ def simulate_set_associative(
 
     Equivalent to ``simulate(SetAssociativeCache(geometry, scheme,
     policy="lru"), trace)`` — bit-identical hits, misses, per-set histograms
-    and lookup cycles, asserted by the differential test-suite — as the
+    and lookup cycles, asserted by ``tests/core/test_differential.py`` — as the
     one-member ``(ways, "setassoc")`` :func:`simulate_lru_sweep`.  ``ways``
     defaults to the geometry's associativity.
 
@@ -244,7 +244,8 @@ def simulate_lru_sweep(
     :func:`~repro.core.fastsim.lru_stack_distances` pass.  Returns one
     :class:`SimulationResult` per spec, in spec order, each bit-identical
     (per-set counts included) to its per-cell equivalent — the contract
-    locked down by ``tests/core/test_sweep_batching_differential.py``.
+    the ``simulate_lru_sweep`` rows of ``tests/core/test_differential.py``
+    hold against the sequential caches.
     """
     specs = [(int(ways), style) for ways, style in specs]
     for ways, style in specs:

@@ -12,9 +12,9 @@ on-disk :class:`~repro.experiments.engine.cache.ResultCache` keyed by
 
 Parallel results are bit-identical to sequential ones: each cell is a pure
 function of its spec, and aggregation always happens in the declared cell
-order regardless of completion order.  The differential-test layer
-(``tests/core/test_fastsim_differential.py`` and
-``tests/experiments/test_parallel_engine.py``) enforces both properties.
+order regardless of completion order.  The differential harness
+(``tests/core/test_differential.py``) and
+``tests/experiments/test_parallel_engine.py`` enforce both properties.
 """
 
 from .cache import ENGINE_VERSION, ResultCache, cell_key, trace_fingerprint

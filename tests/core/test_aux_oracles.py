@@ -1,6 +1,6 @@
 """Oracles for the aux layer that share no code with either engine.
 
-``tests/core/test_aux_differential.py`` holds the fused replay of
+``tests/core/test_differential.py`` holds the fused replay of
 :mod:`repro.core.aux.fast` equal to the sequential
 :class:`~repro.core.aux.AugmentedCache`.  Both are written in this repo, so
 a misreading of Jouppi's structures that they share would pass it.  The
@@ -19,12 +19,14 @@ to them on both engines:
 * stream buffers over interleaved unit-stride scans have closed forms: as
   many streams as scans keep every scan running, fewer lose them all;
 * a stream buffer allocates a stream even when an equal one is already
-  queued, as Jouppi's design does (no duplicate-stream check).
+  queued, as Jouppi's design does (no duplicate-stream check);
+* the replay writes its ``extra`` hit classes in one fixed order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from repro.core.dispatch import dispatch
 from repro.core.indexing import ModuloIndexing
 from repro.trace import Trace, zipf_trace
 from repro.workloads import get_workload
+import test_differential as harness
 
 #: 64 sets: small enough that 12k references conflict often.
 G = CacheGeometry(capacity_bytes=1024, line_bytes=16, ways=1)
@@ -231,3 +234,18 @@ def test_stream_buffer_keeps_duplicate_streams(engine):
     heads = [queue[0] for queue in cache.structures[0]._queues]
     assert heads == [a + 1, a + span + 1, a + 1]
     assert res.misses == 3
+
+
+@pytest.mark.parametrize("allocate", ["miss", "always"])
+def test_replay_extra_keys_in_fixed_order(allocate):
+    """Stream counters (allocations first), then direct hits, then each
+    structure's hits in probe order, whatever order they first occur in."""
+    for order, depths, streams, name in itertools.product(
+        harness.ORDERINGS, harness.DEPTHS, (1, 4), ("mixed", "hot2k")
+    ):
+        structures = harness.build_structures(order, depths, streams, allocate)
+        base = DirectMappedCache(harness.MID)
+        res = dispatch(AugmentedCache(base, structures), harness.zoo(harness.MID, name))
+        keys = ["stream_allocs", "stream_prefetches", "direct_hits"]
+        keys += [st.hit_class + "_hits" for st in structures]
+        assert list(res.extra) == [k for k in keys if k in res.extra], (order, name)

@@ -7,6 +7,10 @@ simulator must exhibit, over randomised traces:
 * accounting identities hold for every model;
 * bijective index schemes preserve total traffic and merely permute it;
 * fresh instances replay identically (no hidden global state).
+
+Every model runs through :func:`~repro.core.dispatch.dispatch` under both
+engines, so the properties hold for each fast kernel as well as for the
+per-access loop.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.core.caches import (
     SkewedAssociativeCache,
     VictimCache,
 )
+from repro.core.dispatch import ENGINES, dispatch
 from repro.core.indexing import ModuloIndexing, OddMultiplierIndexing, XorIndexing
 from repro.core.simulator import simulate
 from repro.trace import Trace
@@ -63,39 +68,42 @@ class TestBeladyBound:
     def test_min_lower_bounds_everything(self, seed):
         trace = random_trace(seed)
         blocks = trace.blocks(G.offset_bits).astype(np.int64)
-        optimal = simulate(BeladyCache(G, blocks), trace).misses
-        for name, factory in ALL_MODELS:
-            misses = simulate(factory(), trace).misses
-            assert misses >= optimal, f"{name} beat Belady (impossible)"
+        for engine in ENGINES:
+            optimal = dispatch(BeladyCache(G, blocks), trace, engine=engine).misses
+            for name, factory in ALL_MODELS:
+                misses = dispatch(factory(), trace, engine=engine).misses
+                assert misses >= optimal, f"{name} beat Belady (impossible), {engine}"
 
 
 @pytest.mark.parametrize("name,factory", ALL_MODELS, ids=[n for n, _ in ALL_MODELS])
 class TestAccountingIdentities:
     def test_identities(self, name, factory):
         trace = random_trace(99)
-        model = factory()
-        res = simulate(model, trace)
-        assert res.hits + res.misses == res.accesses == len(trace)
-        assert int(res.slot_hits.sum()) == res.hits
-        assert int(res.slot_misses.sum()) == res.misses
-        assert int(res.slot_accesses.sum()) >= res.accesses
-        assert res.lookup_cycles >= res.accesses  # every access costs >= 1
+        for engine in ENGINES:
+            res = dispatch(factory(), trace, engine=engine)
+            assert res.hits + res.misses == res.accesses == len(trace)
+            assert int(res.slot_hits.sum()) == res.hits
+            assert int(res.slot_misses.sum()) == res.misses
+            assert int(res.slot_accesses.sum()) >= res.accesses
+            assert res.lookup_cycles >= res.accesses  # every access costs >= 1
 
     def test_replay_identical(self, name, factory):
         trace = random_trace(7)
-        a = simulate(factory(), trace)
-        b = simulate(factory(), trace)
-        assert a.misses == b.misses
-        np.testing.assert_array_equal(a.slot_misses, b.slot_misses)
+        for engine in ENGINES:
+            a = dispatch(factory(), trace, engine=engine)
+            b = dispatch(factory(), trace, engine=engine)
+            assert a.misses == b.misses
+            np.testing.assert_array_equal(a.slot_misses, b.slot_misses)
 
     def test_contents_bounded_by_capacity(self, name, factory):
         trace = random_trace(3)
-        model = factory()
-        simulate(model, trace)
         limit = G.num_lines
         if name == "victim":
             limit += 4  # the victim buffer is extra storage by design
-        assert len(model.contents()) <= limit
+        for engine in ENGINES:
+            model = factory()
+            dispatch(model, trace, engine=engine)
+            assert len(model.contents()) <= limit, engine
 
 
 class TestBijectiveSchemesPreserveTraffic:
@@ -128,11 +136,12 @@ class TestAssociativityMonotonicity:
         ways can never add misses (a theorem, unlike equal-capacity
         comparisons where remapping can go either way)."""
         trace = random_trace(seed)
-        misses = []
-        for ways in (1, 2, 4):
-            g = CacheGeometry(
-                G.capacity_bytes * ways, G.line_bytes, ways, G.address_bits
-            )
-            assert g.num_sets == G.num_sets
-            misses.append(simulate(SetAssociativeCache(g), trace).misses)
-        assert misses[0] >= misses[1] >= misses[2]
+        for engine in ENGINES:
+            misses = []
+            for ways in (1, 2, 4):
+                g = CacheGeometry(
+                    G.capacity_bytes * ways, G.line_bytes, ways, G.address_bits
+                )
+                assert g.num_sets == G.num_sets
+                misses.append(dispatch(SetAssociativeCache(g), trace, engine=engine).misses)
+            assert misses[0] >= misses[1] >= misses[2], engine
