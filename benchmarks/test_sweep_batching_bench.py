@@ -11,8 +11,7 @@ Two floors, each timing both of its sides in the same process:
   ``batch_sweeps=False`` by ≥ 2×.
 
 Bit-identity of everything measured here is locked by
-the differential harness, ``tests/core/test_differential.py``,
-and ``tests/experiments/test_sweep_families.py``.
+``tests/core/test_sweep_batching_differential.py``.
 """
 
 from __future__ import annotations

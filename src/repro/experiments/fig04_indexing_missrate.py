@@ -9,7 +9,7 @@ whose baselines are near zero — their -5e8% bar for susan).
 Each bench's six cells (baseline + five schemes) form one "decode" sweep
 family under ``config.batch_sweeps``: the engine ships them to a worker as
 one unit that decodes the trace once, keeping the per-cell result-cache
-keys and outcomes bit-identical (``tests/experiments/test_sweep_families.py``).
+keys and outcomes bit-identical (``tests/core/test_sweep_batching_differential.py``).
 """
 
 from __future__ import annotations

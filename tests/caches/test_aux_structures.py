@@ -12,29 +12,21 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.address import PAPER_L1_GEOMETRY, CacheGeometry
 from repro.core.aux import (
-    AUX_COMBOS,
     AugmentedCache,
     MissCache,
     StreamBuffer,
     VictimBuffer,
     make_aux_structures,
-    simulate_aux,
-    simulate_aux_sweep,
 )
 from repro.core.caches import DirectMappedCache, SetAssociativeCache, VictimCache
 from repro.core.caches.base import CacheStats
-from repro.core.dispatch import dispatch
-from repro.core.indexing import ModuloIndexing, XorIndexing
+from repro.core.indexing import XorIndexing
 from repro.core.simulator import simulate
-from repro.trace import Trace, ping_pong_trace, zipf_trace
-from test_differential import zoo
+from repro.trace import ping_pong_trace, zipf_trace
 
 G = PAPER_L1_GEOMETRY
 SMALL = CacheGeometry(capacity_bytes=2048, line_bytes=16, ways=1, address_bits=16)
@@ -246,111 +238,3 @@ class TestVictimCacheMigration:
         assert 0.0 < cache.fraction_victim_hits <= 1.0
         with pytest.raises(ValueError, match="direct-mapped"):
             VictimCache(CacheGeometry(2048, 16, ways=2, address_bits=16))
-
-
-class TestStreamBufferQueues:
-    @pytest.mark.parametrize("engine", ["auto", "sequential"])
-    def test_duplicate_heads_advance_the_lru_queue(self, engine):
-        """Two queues can share a head (a block missed twice starts the
-        same stream twice); a hit on that head advances the least recently
-        used of them, which is visible in the queue order."""
-        line, sets = SMALL.line_bytes, SMALL.num_sets
-        a = 5
-        addrs = [a * line, (a + sets) * line, a * line, (a + 1) * line]
-        cache = AugmentedCache(DirectMappedCache(SMALL), (StreamBuffer(2, streams=4),))
-        res = dispatch(cache, Trace(np.array(addrs, dtype=np.uint64)), engine=engine)
-        assert res.extra["stream_hits"] == 1
-        assert [list(q) for q in cache.structures[0]._queues] == [
-            [a + sets + 1, a + sets + 2],
-            [a + 1, a + 2],
-            [a + 2, a + 3],
-        ]
-
-
-class TestSimulateAux:
-    def test_accounting_invariants(self):
-        scheme = ModuloIndexing(SMALL)
-        trace = zoo(SMALL, "hot")
-        for combo in AUX_COMBOS:
-            res = simulate_aux(scheme, trace, SMALL, combo=combo, depth=4)
-            aux_hits = sum(
-                res.extra.get(k, 0) for k in ("victim_hits", "miss_cache_hits", "stream_hits")
-            )
-            assert res.extra.get("direct_hits", 0) + aux_hits == res.hits, combo
-            assert int(res.slot_hits.sum()) == res.hits, combo
-            assert int(res.slot_misses.sum()) == res.misses, combo
-
-    def test_rejections(self):
-        scheme = ModuloIndexing(SMALL)
-        trace = zoo(SMALL, "single")
-        with pytest.raises(ValueError, match="unknown aux combo"):
-            simulate_aux(scheme, trace, SMALL, combo="vc+vc")
-        with pytest.raises(ValueError, match="direct-mapped"):
-            g2 = CacheGeometry(2048, 16, ways=2, address_bits=16)
-            simulate_aux(ModuloIndexing(g2), trace, g2)
-        with pytest.raises(ValueError, match="at least one line"):
-            simulate_aux(scheme, trace, SMALL, combo="vc", depth=0)
-
-    def test_sweep_validates_before_work(self):
-        with pytest.raises(ValueError, match="unknown aux combo"):
-            simulate_aux_sweep(
-                ModuloIndexing(SMALL), zoo(SMALL, "hot"), SMALL, [("vc", 4), ("zz", 4)]
-            )
-
-    def test_sweep_preserves_order_and_models(self):
-        scheme = ModuloIndexing(SMALL)
-        specs = [("mc", 2), ("vc", 8), ("sb", 4)]
-        results = simulate_aux_sweep(scheme, zoo(SMALL, "hot"), SMALL, specs)
-        assert [r.model for r in results] == [
-            f"augmented[{scheme.name},{c}{d}]" for c, d in specs
-        ]
-
-
-class TestVictimSwapSemantics:
-    def test_swap_exchanges_exactly_one_pair(self):
-        """A miss-in-main/hit-in-VC access must swap one pair of blocks:
-        the serviced block moves to the main array, the displaced main
-        block moves into the buffer, and nothing else changes."""
-        cache = VictimCache(SMALL, victim_lines=4)
-        line, span = SMALL.line_bytes, SMALL.num_sets * SMALL.line_bytes
-        a, b = 3 * line, 3 * line + span  # same set, different blocks
-        blk_a, blk_b = a // line, b // line
-        cache.access(a)
-        cache.access(b)  # a evicted into the buffer
-        before_main = cache.base.contents()
-        before_buf = cache.structures[0].contents()
-        assert blk_a in before_buf and blk_b in before_main
-        r = cache.access(a)  # swap
-        assert r.hit and r.hit_class == "victim" and r.cycles == 2
-        after_main = cache.base.contents()
-        after_buf = cache.structures[0].contents()
-        assert after_main == (before_main - {blk_b}) | {blk_a}
-        assert after_buf == (before_buf - {blk_a}) | {blk_b}
-        # One swap exchanges exactly one pair; totals are unchanged.
-        assert len(after_main) == len(before_main)
-        assert len(after_buf) == len(before_buf)
-        cache.check_invariants()
-
-    def test_swap_never_overflows_buffer(self):
-        """The probe frees a buffer slot before the displaced block is
-        inserted, so a swap can never push an unrelated block out."""
-        cache = VictimCache(SMALL, victim_lines=2)
-        line, span = SMALL.line_bytes, SMALL.num_sets * SMALL.line_bytes
-        blocks = [3 * line + i * span for i in range(3)]
-        for addr in blocks:
-            cache.access(addr)  # buffer now holds blocks[0], blocks[1]
-        buf = cache.structures[0].contents()
-        r = cache.access(blocks[0])
-        assert r.hit and r.hit_class == "victim"
-        assert r.evicted_block is None  # swap, not an overflow
-        assert cache.structures[0].contents() == (buf - {blocks[0] // line}) | {
-            blocks[2] // line
-        }
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=400))
-    def test_disjoint_and_bounded_always(self, addrs):
-        cache = VictimCache(SMALL, victim_lines=4)
-        for a in addrs:
-            cache.access(a)
-        cache.check_invariants()

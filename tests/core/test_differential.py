@@ -19,6 +19,11 @@ Rows draw traces from one zoo (:data:`ZOO`) and schemes from one lineup
 (:data:`SCHEMES`).  One Hypothesis test replays drawn address streams
 through drawn :data:`CASES` rows, and every row also checks the cold-miss
 bound, which shares no code with any kernel.
+
+The ``test_*_differential.py`` modules beside this file keep the test names
+of the per-kernel suites this harness replaced: :data:`NAMED` maps each of
+those tests to the rows it runs, and :func:`named_tests` builds them.  The
+rows no name takes, a new kernel's included, run here.
 """
 
 from __future__ import annotations
@@ -60,7 +65,12 @@ from repro.core.caches import (
 from repro.core.decompose import decode
 from repro.core.dispatch import KERNELS, dispatch
 from repro.core.fastpolicy import simulate_policy_set_associative, simulate_policy_sweep
-from repro.core.fastsim import lru_miss_flags, lru_sweep_miss_flags
+from repro.core.fastsim import (
+    direct_mapped_miss_flags,
+    lru_miss_flags,
+    lru_sweep_miss_flags,
+    per_set_counts,
+)
 from repro.core.indexing import (
     BitSelectIndexing,
     GivargisIndexing,
@@ -70,7 +80,6 @@ from repro.core.indexing import (
     PatelIndexing,
     PrimeModuloIndexing,
     XorIndexing,
-    available_schemes,
 )
 from repro.core.replacement import POLICIES
 from repro.core.selector import ThreadSchemeTable
@@ -78,6 +87,7 @@ from repro.core.simulator import (
     simulate,
     simulate_fully_associative,
     simulate_lru_sweep,
+    simulate_set_associative,
 )
 from repro.core.three_c import classify
 from repro.multithread import (
@@ -170,9 +180,9 @@ def _mixed(g: CacheGeometry, n: int = 4000, seed: int = 5) -> list[int]:
     return out[:n]
 
 
-def _threads(k: int) -> Callable[[CacheGeometry], Trace]:
+def _threads(k: int, seed: int) -> Callable[[CacheGeometry], Trace]:
     def make(g: CacheGeometry, n: int = 4000) -> Trace:
-        rng = np.random.default_rng(k)
+        rng = np.random.default_rng(seed)
         addrs = rng.integers(0, 1 << 16, size=n, dtype=np.uint64)
         return _trace(addrs, f"threads{k}", thread=rng.integers(0, k, size=n))
 
@@ -182,7 +192,7 @@ def _threads(k: int) -> Callable[[CacheGeometry], Trace]:
 #: The one trace zoo: name → builder over a geometry.
 ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "random": _random,
-    "random8k": lambda g: _random(g, n=8000, seed=0),
+    **{f"random8k/{s}": lambda g, s=s: _random(g, n=8000, seed=s) for s in range(5)},
     "hot": _hot,
     "hot2k": lambda g: _hot(g, n=2000),
     "ping_pong": lambda g: _same_set(g, 3, (0, 1), 3000),
@@ -195,8 +205,7 @@ ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "cycle9": lambda g: _same_set(g, 5, range(9), 900),
     "huge": _huge,
     "mixed": _mixed,
-    "threads2": _threads(2),
-    "threads4": _threads(4),
+    **{f"threads{k}/{s}": _threads(k, s) for k in (2, 4) for s in range(3)},
     "empty": lambda g: [],
     "single": lambda g: [7 * g.line_bytes],
 }
@@ -261,11 +270,6 @@ def _constructs(build) -> bool:
     except ValueError:
         return False
     return True
-
-
-def test_lineup_covers_every_registered_scheme():
-    names = {scheme(TINY, label).name for label in lineup(TINY)}
-    assert set(available_schemes()) <= names
 
 
 # -- the comparers ----------------------------------------------------------------
@@ -397,6 +401,15 @@ def _aux(g, label, combo, depth, **kw):
     )
 
 
+#: The schemes of the paper-geometry random-seed rows.
+PAPER_SEED_SCHEMES = {
+    "modulo": ModuloIndexing,
+    "xor": XorIndexing,
+    "prime": PrimeModuloIndexing,
+    "odd21": lambda g: OddMultiplierIndexing(g, 21),
+}
+
+
 def _policy_geometry(ways: int) -> CacheGeometry:
     """16 sets at ``ways``: the associativity rows' geometry."""
     return CacheGeometry(256, 16, ways=1, address_bits=16).with_fixed_sets(ways)
@@ -415,7 +428,10 @@ CASES: dict[type, list[Case]] = {
         for protect in (True, False)
         for label in lineup(g)
     ]
-    + [Case("small/long", lambda: ColumnAssociativeCache(SMALL), ("random8k",))],
+    + [
+        Case(f"small/seed{s}", lambda: ColumnAssociativeCache(SMALL), (f"random8k/{s}",))
+        for s in range(4)
+    ],
     BalancedCache: [
         Case(
             f"{gname}/mf{mf}/bas{bas}",
@@ -426,7 +442,7 @@ CASES: dict[type, list[Case]] = {
         for mf, bas in ((2, 2), (2, 4), (4, 2), (4, 4))
         if _constructs(lambda: BalancedCache(g, mapping_factor=mf, bas=bas))
     ]
-    + [Case("small/long", lambda: BalancedCache(SMALL), ("random8k",))],
+    + [Case(f"small/seed{s}", lambda: BalancedCache(SMALL), (f"random8k/{s}",)) for s in range(4)],
     PartnerIndexCache: [
         Case(
             f"{gname}/period{period}",
@@ -437,8 +453,11 @@ CASES: dict[type, list[Case]] = {
         for period in (16, 64, 257, 100_000)
     ]
     + [
-        Case("small/period97/long", lambda: PartnerIndexCache(SMALL, rebalance_period=97),
-             ("random8k",)),
+        *(
+            Case(f"small/period97/seed{s}", lambda: PartnerIndexCache(SMALL, rebalance_period=97),
+                 (f"random8k/{s}",))
+            for s in range(4)
+        ),
         # 2000 prefix accesses leave the 70-access window mid-way.
         Case("small/period70/mid-window-resume",
              lambda: PartnerIndexCache(SMALL, rebalance_period=70),
@@ -455,10 +474,11 @@ CASES: dict[type, list[Case]] = {
     ]
     + [
         Case(
-            "small/paper-fractions/long",
+            f"small/paper-fractions/seed{s}",
             lambda: AdaptiveGroupAssociativeCache(SMALL, sht_fraction=3 / 8, out_fraction=4 / 16),
-            ("random8k",),
+            (f"random8k/{s}",),
         )
+        for s in range(3)
     ],
     SetAssociativeCache: [
         Case(
@@ -529,8 +549,13 @@ CASES: dict[type, list[Case]] = {
             ("tiny", TINY, 31, DIRECT_TRACES),
             ("small", SMALL, 31, DIRECT_TRACES),
             ("paper", PAPER, 31, DIRECT_TRACES),
-            ("paper", PAPER, 21, ("random8k",)),
         )
+    ]
+    + [
+        Case(f"paper/{label}/seed{s}", lambda make=make: DirectMappedCache(PAPER, make(PAPER)),
+             (f"random8k/{s}",))
+        for s in range(5)
+        for label, make in PAPER_SEED_SCHEMES.items()
     ],
 }
 
@@ -566,10 +591,8 @@ def run_twins(cls: type, case: Case, trace: Trace) -> None:
     assert min(misses) >= distinct_blocks(runs, geometry.offset_bits), where
 
 
-@pytest.mark.parametrize(
-    "cls, case", ROWS, ids=[f"{KERNELS[cls].name}/{case.id}" for cls, case in ROWS]
-)
-def test_kernel_matches_sequential(cls, case):
+def run_case(cls: type, case: Case) -> None:
+    """Every trace of ``case`` through :func:`run_twins`."""
     geometry = case.build().geometry
     for name in case.traces:
         run_twins(cls, case, zoo(geometry, name))
@@ -582,18 +605,6 @@ def test_kernel_matches_sequential(cls, case):
 )
 def test_drawn_traces(row, addrs):
     run_twins(*row, _trace(addrs, "drawn"))
-
-
-@pytest.mark.parametrize("allocate", ["miss", "always"])
-def test_mixed_trace_reaches_every_hit_class(allocate):
-    """The ordering rows are only worth their cases if each structure
-    services hits in each position of the probe order."""
-    trace = zoo(MID, "mixed")
-    for order in ORDERINGS:
-        structures = build_structures(order, DEPTHS[-1], 4, allocate)
-        res = dispatch(AugmentedCache(DirectMappedCache(MID), structures), trace)
-        for st_ in structures:
-            assert res.extra.get(st_.hit_class + "_hits", 0) > 0, (order, st_.name)
 
 
 # -- STATS_PATHS: each stats-level entry point beside its reference ---------------
@@ -625,27 +636,13 @@ class StatsCase:
 
 
 SWEEP_WAYS = [1, 2, 3, 4, 7, 8, 16]
+#: The associativities of the single-``ways`` flag rows.
+FLAG_WAYS = (1, 2, 4, 8, 3, 7)
 
 
-def _flags_row(row_id, geometry, traces, arrays) -> StatsCase:
-    """``arrays(trace)`` → (blocks, indices); every ways of the sweep and
-    of single calls against the independent LRU model."""
-
-    def fast(trace):
-        blocks, indices = arrays(trace)
-        single = [lru_miss_flags(blocks, indices, w) for w in SWEEP_WAYS]
-        return lru_sweep_miss_flags(blocks, indices, SWEEP_WAYS), single
-
-    def reference(trace):
-        blocks, indices = arrays(trace)
-        flags = {w: reference_lru_miss_flags(blocks, indices, w) for w in SWEEP_WAYS}
-        return flags, list(flags.values())
-
-    return StatsCase(row_id, geometry, traces, fast, reference)
-
-
-def _scheme_arrays(g, label):
-    return lambda trace: decode(scheme(g, label), trace, g)
+def _lineup_arrays(g):
+    """``trace`` → (blocks, indices) under each scheme of the lineup."""
+    return lambda trace: [decode(scheme(g, label), trace, g) for label in lineup(g)]
 
 
 def _set_count_arrays(num_sets):
@@ -654,40 +651,100 @@ def _set_count_arrays(num_sets):
 
     def arrays(trace):
         addrs = trace.addresses.astype(np.int64)
-        return (addrs >> 4) & 63, (addrs >> 10) % num_sets
+        return [((addrs >> 4) & 63, (addrs >> 10) % num_sets)]
 
     return arrays
 
 
-#: Sweep members in no particular order: a direct baseline and a ladder.
-SWEEP_SPECS = [(1, "direct"), (8, "setassoc"), (1, "setassoc"), (2, "setassoc"), (4, "setassoc")]
+def _flags_row(row_id, geometry, traces, arrays, ways: int) -> StatsCase:
+    """``lru_miss_flags`` at ``ways`` on each of ``arrays(trace)`` against
+    the independent LRU model."""
+    return StatsCase(
+        row_id, geometry, traces,
+        lambda t: [lru_miss_flags(b, i, ways) for b, i in arrays(t)],
+        lambda t: [reference_lru_miss_flags(b, i, ways) for b, i in arrays(t)],
+    )
 
 
-def _sweep_reference(g, s, trace):
-    """The sequential caches, renamed as the sweep names its members.  A
-    1-way LRU cache is the direct-mapped cache, so one direct-mapped run
-    serves both 1-way members."""
-    direct = simulate(DirectMappedCache(g, s), trace)
-    out = []
-    for ways, style in SWEEP_SPECS:
-        if style == "direct":
-            # The direct style always reports direct_hits.
-            res = dc_replace(direct, model=f"direct_mapped[{s.name}]",
-                             extra={"direct_hits": 0, **direct.extra})
-        else:
-            res = direct if ways == 1 else simulate(
-                SetAssociativeCache(g.with_fixed_sets(ways), s, policy="lru"), trace
+def _direct_flags_row(gname, g) -> StatsCase:
+    """Direct-mapped flags and per-set counts, each scheme of the lineup,
+    against the 1-way LRU model and plain ``bincount``."""
+
+    def fast(t):
+        out = []
+        for b, i in _lineup_arrays(g)(t):
+            flags = direct_mapped_miss_flags(b, i)
+            out.append((flags, *per_set_counts(i, flags, g.num_sets)))
+        return out
+
+    def reference(t):
+        out = []
+        for b, i in _lineup_arrays(g)(t):
+            flags = reference_lru_miss_flags(b, i, 1)
+            counts = [np.bincount(x, minlength=g.num_sets) for x in (i, i[flags])]
+            out.append((flags, *counts))
+        return out
+
+    return StatsCase(gname, g, DIRECT_TRACES, fast, reference)
+
+
+def _sweep_flags_row(gname, g) -> StatsCase:
+    """Every ways of the sweep at once, each scheme of the lineup."""
+    return StatsCase(
+        gname, g, LRU_TRACES,
+        lambda t: [lru_sweep_miss_flags(b, i, SWEEP_WAYS) for b, i in _lineup_arrays(g)(t)],
+        lambda t: [
+            {w: reference_lru_miss_flags(b, i, w) for w in SWEEP_WAYS}
+            for b, i in _lineup_arrays(g)(t)
+        ],
+    )
+
+
+def _set_associative_row(row_id, g, labels, traces) -> StatsCase:
+    """The sequential cache's result, named as the stats entry names it."""
+    return StatsCase(
+        row_id, g, traces,
+        lambda t: [simulate_set_associative(scheme(g, lb), t, g) for lb in labels],
+        lambda t: [
+            dc_replace(
+                simulate(SetAssociativeCache(g, scheme(g, lb), policy="lru"), t),
+                model=f"set_associative[{scheme(g, lb).name},{g.ways}way]",
             )
-            res = dc_replace(res, model=f"set_associative[{s.name},{ways}way]")
-        out.append(res)
+            for lb in labels
+        ],
+    )
+
+
+def _per_cell(g, s, trace, specs):
+    """Each sweep member's reference.  A ``direct`` member is the sequential
+    direct-mapped cache, named as the sweep names it (the direct style always
+    reports ``direct_hits``).  A ``setassoc`` member is the one-member sweep
+    ``simulate_set_associative`` at the sweep's fixed set count, which the
+    ``simulate_set_associative`` rows hold to the sequential LRU cache."""
+    out = []
+    for ways, style in specs:
+        if style == "direct":
+            res = simulate(DirectMappedCache(g, s), trace)
+            out.append(dc_replace(res, model=f"direct_mapped[{s.name}]",
+                                  extra={"direct_hits": 0, **res.extra}))
+        else:
+            out.append(simulate_set_associative(s, trace, g.with_fixed_sets(ways), ways=ways))
     return out
 
 
-def _lru_sweep_row(row_id, g, label, traces) -> StatsCase:
+#: The members of the sweep rows by style.
+SWEEP_SPECS = {
+    "setassoc": [(w, "setassoc") for w in (1, 2, 4, 8)],
+    "direct": [(1, "direct")],
+}
+
+
+def _lru_sweep_row(gname, g, style) -> StatsCase:
+    specs = SWEEP_SPECS[style]
     return StatsCase(
-        row_id, g, traces,
-        lambda t: simulate_lru_sweep(scheme(g, label), t, g, SWEEP_SPECS),
-        lambda t: _sweep_reference(g, scheme(g, label), t),
+        f"{gname}/{style}", g, LRU_TRACES,
+        lambda t: [simulate_lru_sweep(scheme(g, lb), t, g, specs) for lb in lineup(g)],
+        lambda t: [_per_cell(g, scheme(g, lb), t, specs) for lb in lineup(g)],
     )
 
 
@@ -760,23 +817,33 @@ CLASSIFY_MODELS = {
 }
 
 STATS_PATHS: dict[str, list[StatsCase]] = {
-    "lru_sweep_miss_flags": [
-        _flags_row(f"{gname}/{label}", g, LRU_TRACES, _scheme_arrays(g, label))
+    "direct_mapped_miss_flags": [
+        _direct_flags_row(gname, g)
+        for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
+    ],
+    "lru_miss_flags": [
+        _flags_row(f"{gname}/{w}", g, LRU_TRACES, _lineup_arrays(g), w)
         for gname, g in GEOMETRIES.items()
-        for label in lineup(g)
+        for w in FLAG_WAYS
     ]
     + [
-        _flags_row(f"sets{n}", TINY, ("random", "hot"), _set_count_arrays(n))
+        _flags_row(f"sets{n}/{w}", TINY, ("random", "hot"), _set_count_arrays(n), w)
         for n in (1, 3, 5, 12, 37)
+        for w in (1, 2, 3, 4, 8)
+    ],
+    "lru_sweep_miss_flags": [_sweep_flags_row(gname, g) for gname, g in GEOMETRIES.items()],
+    "simulate_set_associative": [
+        _set_associative_row(f"{gname}/{w}", g.with_ways(w), lineup(g.with_ways(w)), LRU_TRACES)
+        for gname, g in GEOMETRIES.items()
+        for w in (1, 2, 4, 8)
+    ]
+    + [
+        _set_associative_row(f"paper/seed{s}", PAPER.with_ways(4), ("modulo", "xor", "prime"),
+                             (f"random8k/{s}",))
+        for s in range(3)
     ],
     "simulate_lru_sweep": [
-        _lru_sweep_row(f"{gname}/{label}", g, label, LRU_TRACES)
-        for gname, g in GEOMETRIES.items()
-        for label in lineup(g)
-    ]
-    + [
-        _lru_sweep_row(f"paper/{label}", PAPER, label, ("random",))
-        for label in ("modulo", "xor", "prime")
+        _lru_sweep_row(gname, g, style) for gname, g in GEOMETRIES.items() for style in SWEEP_SPECS
     ],
     "simulate_fully_associative": [
         _fully_associative_row(gname, g) for gname, g in GEOMETRIES.items()
@@ -787,14 +854,16 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
     ],
     "simulate_aux_sweep": [_aux_sweep_row("xor")],
     "simulate_smt": [
-        StatsCase("4threads", SMALL, ("threads4", "empty"), *_engine_pair(simulate_smt, _smt_cache))
+        StatsCase(f"seed{s}", SMALL, (f"threads4/{s}", "empty"),
+                  *_engine_pair(simulate_smt, _smt_cache))
+        for s in range(3)
     ],
     "simulate_partitioned": [
         StatsCase(
-            f"{k}threads", SMALL, (f"threads{k}", "empty"),
+            f"{k}threads{suffix}", SMALL, (f"threads{k}/{s}", "empty"),
             *_engine_pair(simulate_partitioned, lambda k=k: StaticPartitionedCache(SMALL, k)),
         )
-        for k in (2, 4)
+        for k, s, suffix in [(2, s, f"/seed{s}") for s in range(3)] + [(4, 0, "")]
     ],
     "classify": [
         StatsCase(name, SMALL, ("random", "hot"), *_engine_pair(classify, build))
@@ -805,10 +874,249 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
 STATS_ROWS = [(name, case) for name, cases in STATS_PATHS.items() for case in cases]
 
 
-@pytest.mark.parametrize(
-    "case", [case for _, case in STATS_ROWS], ids=[f"{n}/{c.id}" for n, c in STATS_ROWS]
-)
-def test_stats_path_matches_sequential(case):
+def run_stats(case: StatsCase) -> None:
     for name in case.traces:
         trace = zoo(case.geometry, name)
         assert_same_state(case.fast(trace), case.reference(trace), f"{case.id}/{name}")
+
+
+# -- NAMED: rows run under the per-kernel suites' test names ----------------------
+
+#: Every row by key: ``<kernel>/<case>`` for :data:`CASES`,
+#: ``<entry point>/<case>`` for :data:`STATS_PATHS`.
+ROW_KEYS: dict[str, Callable[[], None]] = {
+    **{
+        f"{KERNELS[cls].name}/{case.id}": (lambda c=cls, k=case: run_case(c, k))
+        for cls, case in ROWS
+    },
+    **{f"{name}/{case.id}": (lambda k=case: run_stats(k)) for name, case in STATS_ROWS},
+}
+
+
+def _by_label(g: CacheGeometry, template: str) -> list[str]:
+    return [template.format(label=label) for label in lineup(g)]
+
+
+def _ordering_test_id(case_id: str) -> str:
+    """``vc+mc/d1-4/s4/miss`` as the aux suite named it: ``vc+mc-d1/4-4-miss``."""
+    order, depths, streams, allocate = case_id.split("/")
+    return f"{order}-{depths.replace('-', '/')}-{streams[1:]}-{allocate}"
+
+
+#: The tests of the ``test_*_differential.py`` modules beside this file,
+#: which keep the names the per-kernel suites gave them: module → ``class::
+#: test`` → the row keys it runs, or for a parametrised test, its ids → row
+#: keys.  The rows no test here names run in this file's two row tests.
+NAMED: dict[str, dict[str, list[str] | dict[str, list[str]]]] = {
+    "test_aux_differential.py": {
+        "TestStatsEngine::test_all_schemes_all_traces": {
+            combo: [
+                key for d in (1, 4) for key in _by_label(MID, f"aux-replay/{combo}{d}/{{label}}")
+            ]
+            for combo in AUX_COMBOS
+        },
+        "TestStatsEngine::test_stream_buffer_shapes": {
+            f"{s}-{a}": [f"aux-replay/{c}4/streams{s}/{a}" for c in ("sb", "vc+sb")]
+            for a in ("miss", "always")
+            for s in (1, 2, 8)
+        },
+        "TestAuxSweep::test_sweep_equals_per_cell_equals_sequential": [
+            "simulate_aux_sweep/xor"
+        ],
+        "TestSimulateAugmented::test_auto_equals_sequential_with_state": {
+            combo: [f"aux-replay/{combo}4/xor"] for combo in AUX_COMBOS
+        },
+        "TestSimulateAugmented::test_victim_cache_subclass_takes_fast_path": [
+            "aux-replay/victim-cache"
+        ],
+        "TestEveryOrdering::test_dispatch_equals_sequential": {
+            _ordering_test_id(case.id): [f"aux-replay/{case.id}"] for case in _ordering_cases()
+        },
+    },
+    "test_fastassoc_differential.py": {
+        "TestColumnAssociative::test_all_schemes_all_traces": {
+            f"{gname}-{p}": _by_label(g, f"colassoc/{gname}/{p}/{{label}}")
+            for gname, g in GEOMETRIES.items()
+            for p in ("protect", "noprotect")
+        },
+        "TestColumnAssociative::test_randomized_seeds": {
+            str(s): [f"colassoc/small/seed{s}"] for s in range(4)
+        },
+        "TestBCache::test_operating_points_all_traces": {
+            f"{gname}-{mf}-{bas}": [f"bcache/{gname}/mf{mf}/bas{bas}"]
+            for gname in GEOMETRIES
+            for mf, bas in ((2, 2), (2, 4), (4, 2), (4, 4))
+        },
+        "TestBCache::test_randomized_seeds": {
+            str(s): [f"bcache/small/seed{s}"] for s in range(4)
+        },
+        "TestPartnerCache::test_rebalance_periods_all_traces": {
+            f"{gname}-{p}": [f"partner/{gname}/period{p}"]
+            for gname in GEOMETRIES
+            for p in (16, 64, 257, 100_000)
+        },
+        "TestPartnerCache::test_randomized_seeds_many_windows": {
+            str(s): [f"partner/small/period97/seed{s}"] for s in range(4)
+        },
+        "TestPartnerCache::test_mid_window_resume": [
+            "partner/small/period70/mid-window-resume"
+        ],
+        "TestAdaptive::test_all_traces": {
+            gname: [f"adaptive/{gname}/modulo"] for gname in GEOMETRIES
+        },
+        "TestAdaptive::test_untrainable_primary_index": {
+            f"{name}-{gname}": [f"adaptive/{gname}/{label}"]
+            for name, label in (
+                ("xor", "xor"), ("odd_multiplier", "odd9"), ("prime_modulo", "prime")
+            )
+            for gname in GEOMETRIES
+        },
+        "TestAdaptive::test_randomized_seeds_paper_fractions": {
+            str(s): [f"adaptive/small/paper-fractions/seed{s}"] for s in range(3)
+        },
+    },
+    "test_fastpolicy_differential.py": {
+        "TestStatsEngine::test_all_schemes_all_traces": {
+            f"{gname}-{p}": _by_label(g, f"policy/{gname}4/{p}/{{label}}")
+            for gname, g in (("tiny", TINY4), ("small", SMALL4))
+            for p in POLICIES
+        },
+        "TestStatsEngine::test_associativities": {
+            f"{p}-{w}": [f"policy/{w}way/{p}"] for w in (1, 2, 8) for p in POLICIES
+        },
+        "TestStatsEngine::test_random_policy_seeds": {
+            str(s): [f"policy/tiny4/random/seed{s}"] for s in (0, 1, 2011)
+        },
+        "TestPolicySweep::test_sweep_equals_per_cell_equals_sequential": {
+            gname: [f"simulate_policy_sweep/{gname}4"] for gname in GEOMETRIES
+        },
+        "TestSimulatePolicy::test_auto_equals_sequential_with_state": {
+            p: [f"policy/tiny4/{p}/modulo"] for p in POLICIES
+        },
+    },
+    "test_fastsim_differential.py": {
+        "TestFastsimVsReference::test_all_schemes_all_traces": {
+            gname: [f"direct_mapped_miss_flags/{gname}"] for gname in ("tiny", "small", "paper")
+        },
+        "TestVectorisedVsSequentialEngine::test_simulation_results_agree_exactly": {
+            gname: _by_label(g, f"direct-mapped/{gname}/{{label}}")
+            for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
+        },
+        "TestVectorisedVsSequentialEngine::test_huge_addresses_agree": (
+            _by_label(WIDE, "direct-mapped/wide/{label}")
+        ),
+        "TestVectorisedVsSequentialEngine::test_randomized_seeds_paper_geometry": {
+            str(s): [f"direct-mapped/paper/{label}/seed{s}" for label in PAPER_SEED_SCHEMES]
+            for s in range(5)
+        },
+    },
+    "test_fastsim_lru_differential.py": {
+        "TestKernelVsReference::test_all_schemes_all_traces": {
+            f"{gname}-{w}": [f"lru_miss_flags/{gname}/{w}"]
+            for gname in GEOMETRIES
+            for w in FLAG_WAYS
+        },
+        "TestKernelVsReference::test_non_power_of_two_set_counts": {
+            f"{w}-{n}": [f"lru_miss_flags/sets{n}/{w}"]
+            for n in (1, 3, 5, 12, 37)
+            for w in (1, 2, 3, 4, 8)
+        },
+        "TestSetAssociativeVsSequentialEngine::test_all_schemes_all_traces": {
+            f"{gname}-{w}": [f"simulate_set_associative/{gname}/{w}"]
+            for gname in GEOMETRIES
+            for w in (1, 2, 4, 8)
+        },
+        "TestSetAssociativeVsSequentialEngine::test_randomized_seeds_paper_capacity": {
+            str(s): [f"simulate_set_associative/paper/seed{s}"] for s in range(3)
+        },
+        "TestFullyAssociativeVsSequentialEngine::test_traces_agree": {
+            gname: [f"simulate_fully_associative/{gname}"] for gname in GEOMETRIES
+        },
+        "TestClassifierEngines::test_direct_mapped_auto_equals_sequential": [
+            "classify/direct-mapped/modulo", "classify/direct-mapped/xor"
+        ],
+        "TestClassifierEngines::test_set_associative_auto_equals_sequential": {
+            str(w): [f"classify/{w}way-lru"] for w in (2, 4)
+        },
+        "TestClassifierEngines::test_stateful_model_falls_back_to_sequential": [
+            "classify/skewed", "classify/victim"
+        ],
+        "TestMultithreadEngines::test_smt_auto_equals_sequential": {
+            str(s): [f"simulate_smt/seed{s}"] for s in range(3)
+        },
+        "TestMultithreadEngines::test_partitioned_auto_equals_sequential": {
+            str(s): [f"simulate_partitioned/2threads/seed{s}"] for s in range(3)
+        },
+    },
+    "test_sweep_batching_differential.py": {
+        "TestSweepFlagsVsSingleWays::test_all_schemes_all_traces": {
+            gname: [f"lru_sweep_miss_flags/{gname}"] for gname in GEOMETRIES
+        },
+        "TestSweepVsPerCellSimulators::test_setassoc_members_all_schemes_all_traces": {
+            gname: [f"simulate_lru_sweep/{gname}/setassoc"] for gname in GEOMETRIES
+        },
+        "TestSweepVsPerCellSimulators::test_direct_members_all_schemes": {
+            gname: [f"simulate_lru_sweep/{gname}/direct"] for gname in GEOMETRIES
+        },
+    },
+}
+
+NAMED_KEYS = {
+    key
+    for tests in NAMED.values()
+    for rows in tests.values()
+    for keys in (rows.values() if isinstance(rows, dict) else [rows])
+    for key in keys
+}
+assert NAMED_KEYS <= set(ROW_KEYS), sorted(NAMED_KEYS - set(ROW_KEYS))
+
+
+def run_rows(keys: list[str]) -> None:
+    assert keys
+    for key in keys:
+        ROW_KEYS[key]()
+
+
+def _named_test(rows):
+    if isinstance(rows, dict):
+
+        @pytest.mark.parametrize("keys", list(rows.values()), ids=list(rows))
+        def test(self, keys):
+            run_rows(keys)
+
+    else:
+
+        def test(self):
+            run_rows(rows)
+
+    return test
+
+
+def named_tests(module: str) -> dict[str, type]:
+    """The classes of ``module``'s :data:`NAMED` tests by class name, for
+    the module to bind under that name (extended with tests of its own)."""
+    bodies: dict[str, dict] = {}
+    for node, rows in NAMED[module].items():
+        cls, name = node.split("::")
+        bodies.setdefault(cls, {})[name] = _named_test(rows)
+    return {cls: type(cls, (), body) for cls, body in bodies.items()}
+
+
+# -- the rows no named test runs ---------------------------------------------------
+
+OWN_ROWS = [(cls, c) for cls, c in ROWS if f"{KERNELS[cls].name}/{c.id}" not in NAMED_KEYS]
+OWN_STATS = [(n, c) for n, c in STATS_ROWS if f"{n}/{c.id}" not in NAMED_KEYS]
+
+
+@pytest.mark.parametrize(
+    "cls, case", OWN_ROWS, ids=[f"{KERNELS[cls].name}/{case.id}" for cls, case in OWN_ROWS]
+)
+def test_kernel_matches_sequential(cls, case):
+    run_case(cls, case)
+
+
+@pytest.mark.parametrize(
+    "case", [case for _, case in OWN_STATS], ids=[f"{n}/{c.id}" for n, c in OWN_STATS]
+)
+def test_stats_path_matches_sequential(case):
+    run_stats(case)

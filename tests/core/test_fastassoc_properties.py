@@ -20,14 +20,11 @@ traces:
 * **Extras partition totals** for every model in the family.
 * A randomized mini-differential for the partner cache's windowed
   decomposition (rebalance period drawn by Hypothesis).
-* The extras partition and the B-cache's single-cycle direct hits on the
-  zoo's hot-reuse trace.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +43,6 @@ from repro.core.fastassoc import (
 )
 from repro.core.simulator import simulate
 from repro.trace import Trace
-from test_differential import SMALL, zoo
 
 TINY = CacheGeometry(capacity_bytes=128, line_bytes=16, ways=1, address_bits=16)
 
@@ -180,30 +176,6 @@ class TestExtrasPartitionTotals:
         assert ad.extra.get("direct_hits", 0) + ad.extra.get("out_hits", 0) == ad.hits
         for res in (col, bc, pc, ad):
             assert res.hits + res.misses == res.accesses
-
-
-class TestExtrasOnHotReuse:
-    def test_colassoc_extras_partition_totals(self):
-        res = simulate_column_associative(ColumnAssociativeCache(SMALL), zoo(SMALL, "hot"))
-        e = res.extra
-        assert e.get("first_probe_hits", 0) + e.get("rehash_hits", 0) == res.hits
-        assert e.get("direct_misses", 0) + e.get("rehash_misses", 0) == res.misses
-
-    def test_partner_extras_partition_hits(self):
-        trace = zoo(SMALL, "hot")
-        res = simulate_partner(PartnerIndexCache(SMALL, rebalance_period=64), trace)
-        e = res.extra
-        assert e.get("direct_hits", 0) + e.get("partner_hits", 0) == res.hits
-        assert e.get("partner_misses", 0) <= res.misses
-
-    def test_bcache_every_hit_is_a_direct_hit(self):
-        res = simulate_bcache(BalancedCache(SMALL), zoo(SMALL, "hot"))
-        assert res.extra.get("direct_hits", 0) == res.hits
-        assert res.lookup_cycles == res.accesses  # single-cycle decode
-
-    def test_bcache_non_lru_policy_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_bcache(BalancedCache(SMALL, policy="random"), zoo(SMALL, "single"))
 
 
 class TestPartnerWindowedDifferential:

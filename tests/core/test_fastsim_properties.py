@@ -22,16 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import fastsim
-from repro.core.decompose import decode
 from repro.core.fastsim import (
     direct_mapped_miss_flags,
     lru_miss_flags,
     lru_stack_distances,
-    lru_sweep_miss_flags,
     per_set_counts,
 )
-from test_differential import SMALL, reference_lru_miss_flags, scheme, zoo
 
 #: Small universes force heavy aliasing, the interesting regime.
 access_arrays = st.integers(min_value=0, max_value=400).flatmap(
@@ -82,53 +78,6 @@ class TestKernelProperties:
         assert int((dist < 0).sum()) == cold
         # Warm distances are bounded by the set's distinct-block population.
         assert dist.max(initial=-1) < max(len(blocks), 1)
-
-
-def _arrays(label: str = "modulo", trace: str = "hot"):
-    return decode(scheme(SMALL, label), zoo(SMALL, trace), SMALL)
-
-
-class TestStackDistances:
-    def test_stack_distances_are_mattson_consistent(self):
-        """distance < k ⇔ hit at associativity k: one pass, every k."""
-        blocks, indices = _arrays()
-        dist = lru_stack_distances(blocks, indices)
-        for ways in (1, 2, 3, 4, 8, 16):
-            miss = (dist < 0) | (dist >= ways)
-            np.testing.assert_array_equal(
-                miss, reference_lru_miss_flags(blocks, indices, ways)
-            )
-
-    def test_rejects_bad_ways(self):
-        with pytest.raises(ValueError):
-            lru_miss_flags(np.array([1]), np.array([0]), 0)
-        with pytest.raises(ValueError):
-            lru_sweep_miss_flags(np.array([1]), np.array([0]), [2, 0])
-
-    def test_duplicate_ways_deduplicated(self):
-        blocks, indices = _arrays()
-        flags = lru_sweep_miss_flags(blocks, indices, [4, 2, 4, 2])
-        assert sorted(flags) == [2, 4]
-        np.testing.assert_array_equal(flags[2], lru_miss_flags(blocks, indices, 2))
-
-    def test_empty_ways_list(self):
-        assert lru_sweep_miss_flags(*_arrays(), []) == {}
-
-    def test_direct_mapped_request_skips_the_distance_pass(self, monkeypatch):
-        """A sweep whose every member is 1-way is answered by the
-        direct-mapped kernel (``distance != 0`` is its outcome), without
-        the stack-distance pass."""
-        blocks, indices = _arrays("xor", "random")
-        expected = direct_mapped_miss_flags(blocks, indices)
-
-        def refuse(*args):
-            raise AssertionError("stack-distance pass for a direct-mapped sweep")
-
-        monkeypatch.setattr(fastsim, "lru_stack_distances", refuse)
-        flags = lru_sweep_miss_flags(blocks, indices, [1, 1])
-        assert list(flags) == [1]
-        np.testing.assert_array_equal(flags[1], expected)
-        np.testing.assert_array_equal(lru_miss_flags(blocks, indices, 1), expected)
 
 
 class TestPerSetCountsEdgeCases:

@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core import fastpolicy
 from repro.core.address import CacheGeometry
-from repro.core.fastpolicy import (
-    FAST_POLICIES,
-    _kernel_outcomes,
-    simulate_policy_set_associative,
-    simulate_policy_sweep,
-)
+from repro.core.fastpolicy import simulate_policy_sweep
 from repro.core.indexing import ModuloIndexing
-from repro.core.simulator import simulate_indexing
 from repro.core.replacement import (
     POLICIES,
     FIFOPolicy,
@@ -29,6 +23,7 @@ from repro.core.replacement import (
     RandomPolicy,
     make_policy,
 )
+from repro.core.simulator import simulate_indexing
 from repro.trace import uniform_trace
 
 
@@ -277,53 +272,19 @@ class TestLFU:
         assert p.victim(0) == 0
 
 
-class TestPolicyKernelEntryPoints:
-    G4 = CacheGeometry(capacity_bytes=512, line_bytes=16, ways=4, address_bits=16)
+def test_one_way_sweep_replays_no_policy_loop(monkeypatch):
+    """One way leaves no victim choice, so a 1-way sweep takes the
+    direct-mapped outcome for every policy without a replay loop."""
 
-    def test_covers_every_registered_policy(self):
-        assert set(FAST_POLICIES) == set(POLICIES)
+    def refuse(*args):
+        raise AssertionError("policy replay loop for a 1-way cache")
 
-    def test_rejections(self):
-        scheme = ModuloIndexing(self.G4)
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            simulate_policy_set_associative(scheme, uniform_trace(1), self.G4, policy="bogus")
-        with pytest.raises(ValueError, match="associativity"):
-            simulate_policy_set_associative(
-                scheme, uniform_trace(1), self.G4, ways=2, policy="fifo"
-            )
-        # CacheGeometry itself enforces power-of-two ways, so the PLRU
-        # constraint is only reachable through the raw-array kernel API.
-        one = np.array([1], dtype=np.int64)
-        with pytest.raises(ValueError, match="power-of-two"):
-            _kernel_outcomes(one, one * 0, 1, 6, "plru", 0)
-
-    def test_sweep_validates_before_work(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            simulate_policy_sweep(
-                ModuloIndexing(self.G4), uniform_trace(100), self.G4, ["lru", "bogus"]
-            )
-
-    def test_sweep_preserves_order_and_models(self):
-        scheme = ModuloIndexing(self.G4)
-        policies = ["mru", "lru", "fifo"]
-        results = simulate_policy_sweep(scheme, uniform_trace(2000), self.G4, policies)
-        assert [r.model for r in results] == [
-            f"set_associative[{scheme.name},4way,{p}]" for p in policies
-        ]
-
-    def test_one_way_sweep_replays_no_policy_loop(self, monkeypatch):
-        """One way leaves no victim choice, so a 1-way sweep takes the
-        direct-mapped outcome for every policy without a replay loop."""
-
-        def refuse(*args):
-            raise AssertionError("policy replay loop for a 1-way cache")
-
-        for name in dir(fastpolicy):
-            if name.startswith("_replay_"):
-                monkeypatch.setattr(fastpolicy, name, refuse)
-        g1 = CacheGeometry(capacity_bytes=256, line_bytes=16, ways=1, address_bits=16)
-        scheme, trace = ModuloIndexing(g1), uniform_trace(2000, span_bytes=1 << 12)
-        direct = simulate_indexing(scheme, trace, g1)
-        for res in simulate_policy_sweep(scheme, trace, g1, POLICIES):
-            assert res.misses == direct.misses
-            np.testing.assert_array_equal(res.slot_misses, direct.slot_misses)
+    for name in dir(fastpolicy):
+        if name.startswith("_replay_"):
+            monkeypatch.setattr(fastpolicy, name, refuse)
+    g1 = CacheGeometry(capacity_bytes=256, line_bytes=16, ways=1, address_bits=16)
+    scheme, trace = ModuloIndexing(g1), uniform_trace(2000, span_bytes=1 << 12)
+    direct = simulate_indexing(scheme, trace, g1)
+    for res in simulate_policy_sweep(scheme, trace, g1, POLICIES):
+        assert res.misses == direct.misses
+        np.testing.assert_array_equal(res.slot_misses, direct.slot_misses)

@@ -9,27 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.address import PAPER_L1_GEOMETRY, CacheGeometry
-from repro.core.caches import DirectMappedCache, SetAssociativeCache
-from repro.core.dispatch import dispatch
-from repro.core.fastpolicy import simulate_policy_set_associative
-from repro.core.fastsim import direct_mapped_miss_flags, lru_miss_flags, per_set_counts
+from repro.core.caches import DirectMappedCache
+from repro.core.fastsim import direct_mapped_miss_flags, per_set_counts
 from repro.core.indexing import (
     ModuloIndexing,
     OddMultiplierIndexing,
     PrimeModuloIndexing,
     XorIndexing,
 )
-from repro.core.replacement import POLICIES
-from repro.core.simulator import (
-    simulate,
-    simulate_fully_associative,
-    simulate_indexing,
-    simulate_lru_sweep,
-    simulate_set_associative,
-    warmup_split,
-)
+from repro.core.simulator import simulate, simulate_indexing, warmup_split
 from repro.trace import Trace, sequential_sweep, uniform_trace, zipf_trace
-from test_differential import SMALL, TINY4, zoo
 
 G = PAPER_L1_GEOMETRY
 
@@ -105,72 +94,6 @@ class TestVectorisedVsSequential:
         res = simulate_indexing(ModuloIndexing(G), zipf)
         assert res.lookup_cycles == res.accesses
 
-    def test_all_one_set_every_access_misses(self):
-        sim = simulate_indexing(ModuloIndexing(SMALL), zoo(SMALL, "one_set"), SMALL)
-        assert sim.misses == sim.accesses
-        assert int(sim.slot_accesses[3]) == sim.accesses  # the blocks land in set 3
-
-    def test_ping_pong_pair_always_misses(self):
-        sim = simulate_indexing(ModuloIndexing(SMALL), zoo(SMALL, "ping_pong"), SMALL)
-        assert sim.misses == sim.accesses
-
-
-class TestLruSweep:
-    def test_mixed_sweep_never_adds_misses_with_ways(self):
-        """The ext-assoc shape: one direct baseline + a k-way ladder at
-        fixed sets; more ways never add misses."""
-        specs = [(1, "direct"), (2, "setassoc"), (4, "setassoc"), (8, "setassoc")]
-        batched = simulate_lru_sweep(ModuloIndexing(SMALL), zoo(SMALL, "hot"), SMALL, specs)
-        misses = [r.misses for r in batched]
-        assert misses == sorted(misses, reverse=True)
-
-    def test_results_in_spec_order(self):
-        scheme = XorIndexing(SMALL)
-        specs = [(8, "setassoc"), (1, "setassoc"), (2, "setassoc")]
-        results = simulate_lru_sweep(scheme, zoo(SMALL, "hot"), SMALL, specs)
-        assert [r.model for r in results] == [
-            f"set_associative[{scheme.name},{w}way]" for w, _ in specs
-        ]
-
-    @pytest.mark.parametrize(
-        "spec, match",
-        [((2, "direct"), "direct"), ((2, "plru"), "style"), ((0, "setassoc"), "positive")],
-    )
-    def test_rejects_bad_members(self, spec, match):
-        with pytest.raises(ValueError, match=match):
-            simulate_lru_sweep(ModuloIndexing(SMALL), zoo(SMALL, "single"), SMALL, [spec])
-
-    def test_explicit_ways_override(self):
-        """``ways`` overrides the geometry (the engine's bounds cells do this)."""
-        g2 = SMALL.with_ways(2)
-        overridden = simulate_set_associative(ModuloIndexing(g2), zoo(g2, "hot"), g2, ways=2)
-        assert overridden.misses == simulate(SetAssociativeCache(g2), zoo(g2, "hot")).misses
-
-    def test_non_lru_policy_routes_to_policy_kernels(self):
-        trace = zoo(SMALL, "hot")
-        fast = simulate_set_associative(ModuloIndexing(SMALL), trace, SMALL, policy="fifo")
-        slow = simulate(SetAssociativeCache(SMALL, policy="fifo"), trace)
-        assert (fast.accesses, fast.hits, fast.misses) == (slow.accesses, slow.hits, slow.misses)
-        np.testing.assert_array_equal(fast.slot_misses, slow.slot_misses)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            simulate_set_associative(
-                ModuloIndexing(SMALL), zoo(SMALL, "single"), SMALL, policy="belady"
-            )
-
-    def test_ways_one_matches_direct_mapped_cache(self):
-        trace = zoo(SMALL, "hot")
-        fast = simulate_set_associative(ModuloIndexing(SMALL), trace, SMALL)
-        slow = simulate(DirectMappedCache(SMALL), trace)
-        assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
-        np.testing.assert_array_equal(fast.slot_misses, slow.slot_misses)
-
-    def test_fully_associative_explicit_line_count(self):
-        trace = zoo(SMALL, "hot")
-        by_lines = simulate_fully_associative(trace, SMALL, lines=SMALL.num_lines)
-        assert by_lines.misses == simulate_fully_associative(trace, SMALL).misses
-
 
 class TestWarmup:
     def test_warmup_excluded_from_stats(self, zipf):
@@ -197,52 +120,6 @@ class TestWarmup:
     def test_warmup_too_long_rejected(self, zipf):
         with pytest.raises(ValueError):
             simulate(DirectMappedCache(G), zipf, warmup=len(zipf))
-
-    def test_lru_warmup_equals_the_kernel_past_the_prefix(self):
-        """LRU outcomes depend only on the access history, so the kernel's
-        full-trace flags past the prefix are a warmed-up ``simulate``'s."""
-        g = SMALL.with_ways(2)
-        trace = zoo(g, "hot")
-        blocks = trace.blocks(g.offset_bits).astype(np.int64)
-        indices = ModuloIndexing(g).indices_of(trace.addresses)
-        miss = lru_miss_flags(blocks, indices, 2)[300:]
-        slow = simulate(SetAssociativeCache(g, policy="lru"), trace, warmup=300)
-        assert (miss.size, int(miss.sum())) == (slow.accesses, slow.misses)
-        _, slot_misses = per_set_counts(indices[300:], miss, g.num_sets)
-        np.testing.assert_array_equal(slot_misses, slow.slot_misses)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_policy_warmup_adds_up_to_the_kernel(self, policy):
-        """A warmed-up ``simulate`` and the fast run of its prefix add up to
-        the fast run of the whole trace, per set."""
-        scheme = ModuloIndexing(TINY4)
-        trace = zoo(TINY4, "random")[:2500]
-        full = simulate_policy_set_associative(scheme, trace, TINY4, policy=policy)
-        head = simulate_policy_set_associative(scheme, trace[:500], TINY4, policy=policy)
-        warm = simulate(SetAssociativeCache(TINY4, scheme, policy=policy), trace, warmup=500)
-        assert warm.accesses == len(trace) - 500
-        for name in ("accesses", "hits", "misses", "lookup_cycles"):
-            assert getattr(head, name) + getattr(warm, name) == getattr(full, name)
-        for name in ("slot_accesses", "slot_hits", "slot_misses"):
-            np.testing.assert_array_equal(
-                getattr(head, name) + getattr(warm, name), getattr(full, name)
-            )
-
-    def test_policy_warmup_leaves_the_kernel_end_state(self):
-        """``simulate``'s warmup changes the stats only: it leaves the end
-        state of the kernel's full replay."""
-        trace = zoo(TINY4, "random")[:2000]
-        fast_cache = SetAssociativeCache(TINY4, policy="fifo")
-        slow_cache = SetAssociativeCache(TINY4, policy="fifo")
-        fast = dispatch(fast_cache, trace)
-        assert fast.path == "fast:policy"
-        slow = simulate(slow_cache, trace, warmup=300)
-        assert slow.accesses == len(trace) - 300
-        head = simulate(SetAssociativeCache(TINY4, policy="fifo"), trace[:300])
-        assert head.misses + slow.misses == fast.misses
-        np.testing.assert_array_equal(fast_cache._blocks, slow_cache._blocks)
-        np.testing.assert_array_equal(fast_cache.policy._stamp, slow_cache.policy._stamp)
-        assert fast_cache.policy._clock == slow_cache.policy._clock
 
 
 class TestWarmupSplit:

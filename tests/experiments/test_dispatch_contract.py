@@ -7,8 +7,7 @@ per-access reference loop for a cache object and stamps the result's
 * the registry: a table of acceptance and refusal cases, one path each,
   covering every :data:`~repro.core.dispatch.KERNELS` entry; each case's
   result and end state also equal ``simulate`` on a twin cache (the
-  differential harness's comparer); every entry point that takes an
-  ``engine`` rejects an unknown one;
+  differential harness's comparer);
 * the experiments: run cold, no engine cell falls back to the reference
   loop for any reason but ``sequential:no-kernel``, exactly the cells
   without a kernel (skewed, Belady, dynamic indexing) report it, and
@@ -23,12 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.address import CacheGeometry
-from repro.core.aux import (
-    AugmentedCache,
-    VictimBuffer,
-    make_aux_structures,
-    simulate_aux,
-)
+from repro.core.aux import AugmentedCache, VictimBuffer, make_aux_structures
 from repro.core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
@@ -41,21 +35,12 @@ from repro.core.caches import (
 )
 from repro.core.dispatch import KERNELS, dispatch
 from repro.core.dynamic import DynamicIndexCache
-from repro.core.fastpolicy import simulate_policy_set_associative
 from repro.core.indexing import ModuloIndexing, XorIndexing
-from repro.core.selector import ThreadSchemeTable
 from repro.core.simulator import simulate
-from repro.core.three_c import classify
 from repro.experiments import PaperConfig, available_experiments, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import cells
-from repro.multithread import (
-    SMTSharedCache,
-    StaticPartitionedCache,
-    simulate_partitioned,
-    simulate_smt,
-)
 from repro.trace import Trace
 from test_differential import assert_same_state
 
@@ -125,11 +110,6 @@ CASES = [
     ],
     ("policy-dirty", lambda: SetAssociativeCache(SA, policy="lfu"), {}, True,
      "sequential:warm-state"),
-    *[
-        (f"policy-dirty-{p}", lambda p=p: SetAssociativeCache(SA, policy=p, seed=11), {},
-         True, "sequential:warm-state")
-        for p in ("lru", "fifo", "random", "plru", "mru")
-    ],
     ("policy-invariants", lambda: SetAssociativeCache(SA, policy="lfu"),
      {"check_invariants_every": 100}, False, "sequential:invariants"),
     ("policy-subclass", lambda: _SubSetAssoc(SA, policy="fifo"), {}, False,
@@ -153,10 +133,6 @@ CASES = [
         "sequential:no-kernel",
     ),
     ("aux-dirty", _aux("mc+sb"), {}, True, "sequential:warm-state"),
-    *[
-        (f"aux-dirty-{c}", _aux(c), {}, True, "sequential:warm-state")
-        for c in ("vc", "mc", "sb", "vc+sb")
-    ],
     ("direct-mapped-modulo", lambda: DirectMappedCache(DM), {}, False,
      "fast:direct-mapped"),
     ("direct-mapped-xor", lambda: DirectMappedCache(DM, indexing=XorIndexing(DM)), {},
@@ -217,27 +193,9 @@ def test_direct_mapped_kernel_end_state(n, scheme):
     assert fast_cache.stats.summary() == slow_cache.stats.summary()
 
 
-#: Every entry point that takes ``engine=``, as ``run(trace, engine)``.
-ENGINE_ENTRY_POINTS = {
-    "dispatch": lambda t, e: dispatch(DirectMappedCache(DM), t, engine=e),
-    "simulate_policy_set_associative": lambda t, e: simulate_policy_set_associative(
-        ModuloIndexing(SA), t, SA, policy="fifo", engine=e
-    ),
-    "simulate_aux": lambda t, e: simulate_aux(ModuloIndexing(DM), t, DM, engine=e),
-    "classify": lambda t, e: classify(DirectMappedCache(DM), t, engine=e),
-    "simulate_smt": lambda t, e: simulate_smt(
-        SMTSharedCache(DM, ThreadSchemeTable([ModuloIndexing(DM)])), t, engine=e
-    ),
-    "simulate_partitioned": lambda t, e: simulate_partitioned(
-        StaticPartitionedCache(DM, 1), t, engine=e
-    ),
-}
-
-
 def test_rejects_unknown_engine():
-    for run in ENGINE_ENTRY_POINTS.values():
-        with pytest.raises(ValueError, match="unknown engine"):
-            run(_trace(n=10), "turbo")
+    with pytest.raises(ValueError, match="unknown engine"):
+        dispatch(DirectMappedCache(DM), _trace(n=10), engine="turbo")
 
 
 # -- every registered experiment, cold -------------------------------------------

@@ -1,7 +1,6 @@
-"""Sweep-family detection, batched-vs-per-cell parity and failure-attribution
-tests.
+"""Sweep-family detection and failure-attribution tests.
 
-Three contracts of sweep batching:
+Two contracts from the sweep-batching PR:
 
 * **Partition** — :func:`~repro.experiments.engine.families.detect_families`
   is a total partition of the (deduplicated) planned cell list: every cell
@@ -10,10 +9,6 @@ Three contracts of sweep batching:
   signature, ``assoc`` ones are all-LRU, and turning ``batch_sweeps`` off
   degenerates to singletons.
   Locked with a Hypothesis property over arbitrary cell grids.
-
-* **Parity** — fig 4/6/7/8- and ext-assoc-shaped grids run batched
-  (``engine="auto"``, ``batch_sweeps=True``: the decode and Mattson axes)
-  store exactly the results of per-cell ``engine="sequential"`` runs.
 
 * **Failure attribution** — a member failing mid-family surfaces as
   :class:`~repro.experiments.CellExecutionError` naming the *specific*
@@ -39,7 +34,6 @@ from repro.experiments.engine import (
     plan_cells,
     run_cells,
 )
-from test_differential import assert_same_state
 
 BASE_CONFIG = PaperConfig()
 
@@ -405,8 +399,8 @@ class TestMidBatchFailure:
 
     def test_policy_family_completes_without_batching_too(self, config):
         """The same grid answered cell by cell under --no-batch: identical
-        results (the parity half lives in TestEngineBatchedVsPerCell; here
-        the engine must simply agree on the counters)."""
+        results (the parity half lives in the differential suite; here the
+        engine must simply agree on the counters)."""
         cells = [
             make_cell("policysweep", "crc", f"modulo:{p}", config)
             for p in ("lru", "fifo", "plru")
@@ -419,108 +413,3 @@ class TestMidBatchFailure:
         for key, res in batched.items():
             assert res.misses == unbatched[key].misses, key
             assert res.hits == unbatched[key].hits, key
-
-
-def grid(kind_labels, benches, config):
-    """Cells in figure declaration order: baseline-ish cell first per bench."""
-    return [
-        make_cell(kind, bench, label, config)
-        for bench in benches
-        for kind, label in kind_labels
-    ]
-
-
-#: (figure id, cell shape) — trimmed to two benches each to stay tier-1 fast,
-#: but preserving every kind/label mix the real figures declare.
-FIGURE_SHAPES = {
-    "fig4": [
-        ("baseline", "baseline"),
-        ("indexing", "XOR"),
-        ("indexing", "Odd_Multiplier"),
-        ("indexing", "Prime_Modulo"),
-        ("indexing", "Givargis"),
-        ("indexing", "Givargis_Xor"),
-    ],
-    "fig6_7": [
-        ("baseline", "baseline"),
-        ("progassoc", "Adaptive_Cache"),
-        ("progassoc", "B_Cache"),
-        ("progassoc", "Column_associative"),
-    ],
-    "fig8": [
-        ("colassoc", "ColAssoc_Base"),
-        ("colassoc", "ColAssoc_XOR"),
-        ("colassoc", "ColAssoc_Odd_Multiplier"),
-        ("colassoc", "ColAssoc_Prime_Modulo"),
-    ],
-    "ext_assoc": [
-        ("baseline", "baseline"),
-        ("assocsweep", "2way"),
-        ("assocsweep", "4way"),
-        ("assocsweep", "8way"),
-        ("assocsweep", "16way"),
-    ],
-}
-
-
-class TestEngineBatchedVsPerCell:
-    @pytest.fixture
-    def engine_config(self, config) -> PaperConfig:
-        return replace(config, use_result_cache=False)
-
-    def _run_both(self, shape, benches, engine_config, jobs=1):
-        batched_cfg = replace(engine_config, engine="auto", batch_sweeps=True)
-        percell_cfg = replace(engine_config, engine="sequential", batch_sweeps=False)
-        batched, bstats = run_cells(
-            grid(shape, benches, batched_cfg), batched_cfg, jobs=jobs
-        )
-        percell, pstats = run_cells(
-            grid(shape, benches, percell_cfg), percell_cfg, jobs=1
-        )
-        assert list(batched) == list(percell)
-        for key in batched:
-            assert_same_state(batched[key], percell[key], str(key))
-        return bstats, pstats
-
-    @pytest.mark.parametrize("fig", ["fig4", "fig6_7", "fig8"])
-    def test_figure_families_bit_identical(self, fig, engine_config):
-        bstats, pstats = self._run_both(
-            FIGURE_SHAPES[fig], ("crc", "fft"), engine_config
-        )
-        # These figures batch on the decode axis: every cell travels in a family.
-        assert bstats.cells_batched == bstats.cells_total
-        assert bstats.families_batched == 2  # one family per bench
-        assert pstats.cells_batched == 0 and pstats.families_batched == 0
-
-    def test_figure_families_bit_identical_on_pool(self, engine_config):
-        """jobs=2 ships each bench's decode family as one pool task."""
-        bstats, _ = self._run_both(
-            FIGURE_SHAPES["fig4"], ("crc", "fft"), engine_config, jobs=2
-        )
-        assert bstats.cells_batched == bstats.cells_total
-        assert bstats.families_batched == 2
-
-    def test_mattson_family_bit_identical(self, engine_config):
-        """The ext-assoc shape: baseline + assocsweep ladder is one shared
-        stack-distance pass under auto, per-cell under sequential."""
-        bstats, _ = self._run_both(
-            FIGURE_SHAPES["ext_assoc"], ("crc",), engine_config
-        )
-        assert bstats.families_batched == 1
-        assert bstats.cells_batched == len(FIGURE_SHAPES["ext_assoc"])
-
-    def test_mattson_family_bit_identical_on_pool(self, engine_config):
-        """jobs=2 exercises the process-pool family path."""
-        self._run_both(FIGURE_SHAPES["ext_assoc"], ("crc", "fft"), engine_config, jobs=2)
-
-    def test_sequential_engine_disables_mattson_axis_only(self, engine_config):
-        """engine="sequential" + batching keeps decode families (exact by
-        construction) but never routes cells into a shared kernel pass."""
-        cfg = replace(engine_config, engine="sequential", batch_sweeps=True)
-        results, _ = run_cells(grid(FIGURE_SHAPES["ext_assoc"], ("crc",), cfg), cfg, jobs=1)
-        ref_cfg = replace(engine_config, engine="sequential", batch_sweeps=False)
-        reference, _ = run_cells(
-            grid(FIGURE_SHAPES["ext_assoc"], ("crc",), ref_cfg), ref_cfg, jobs=1
-        )
-        for key in results:
-            assert_same_state(results[key], reference[key], str(key))

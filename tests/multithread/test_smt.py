@@ -90,14 +90,6 @@ class TestSMTSharedCache:
             SMTSharedCache(CacheGeometry(32 * 1024, 32, 2), ThreadSchemeTable([ModuloIndexing(G)]))
 
 
-def test_empty_multithread_trace():
-    empty = Trace(np.empty(0, dtype=np.uint64), name="empty")
-    res = simulate_smt(SMTSharedCache(G, ThreadSchemeTable([ModuloIndexing(G)])), empty)
-    assert res.accesses == 0 and res.cross_evictions == 0
-    part = simulate_partitioned(StaticPartitionedCache(G, 1), empty)
-    assert part.accesses == 0 and part.lookup_cycles == 0
-
-
 class TestStaticPartitioned:
     def test_partition_isolation(self):
         """Threads may not evict each other's lines."""
