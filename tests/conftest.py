@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.core.address import PAPER_L1_GEOMETRY, CacheGeometry
 from repro.trace import Trace, hot_set_trace, ping_pong_trace, uniform_trace, zipf_trace
-
-# Tests anywhere import the differential harness's zoo and comparers
-# (tests/core/test_differential.py).
-sys.path.insert(0, str(Path(__file__).parent / "core"))
 
 
 @pytest.fixture

@@ -17,19 +17,21 @@ that claim for every kernel from two case tables:
 
 Rows draw traces from one zoo (:data:`ZOO`) and schemes from one lineup
 (:data:`SCHEMES`).  One Hypothesis test replays drawn address streams
-through drawn :data:`CASES` rows, and every row also checks the cold-miss
-bound, which shares no code with any kernel.
+through drawn :data:`CASES` rows, and every such row also checks both
+twins' own invariants and the cold-miss bound, which shares no code with
+any kernel.
 
-The ``test_*_differential.py`` modules beside this file keep the test names
-of the per-kernel suites this harness replaced: :data:`NAMED` maps each of
-those tests to the rows it runs, and :func:`named_tests` builds them.  The
-rows no name takes, a new kernel's included, run here.
+The ``test_*_differential.py`` modules beside this file (:data:`SUITES`)
+keep the test names of the per-kernel suites this harness replaced: each
+such test runs the rows it takes with :func:`rows`.  The rows no module
+takes, a newly registered kernel's included, run here.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import lru_cache
@@ -40,6 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential_support import assert_same_state
 from repro.core.address import PAPER_L1_GEOMETRY, CacheGeometry
 from repro.core.aux import (
     AUX_COMBOS,
@@ -86,6 +89,7 @@ from repro.core.selector import ThreadSchemeTable
 from repro.core.simulator import (
     simulate,
     simulate_fully_associative,
+    simulate_indexing,
     simulate_lru_sweep,
     simulate_set_associative,
 )
@@ -192,7 +196,8 @@ def _threads(k: int, seed: int) -> Callable[[CacheGeometry], Trace]:
 #: The one trace zoo: name → builder over a geometry.
 ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "random": _random,
-    **{f"random8k/{s}": lambda g, s=s: _random(g, n=8000, seed=s) for s in range(5)},
+    **{f"random8k/{s}": lambda g, s=s: _random(g, n=8000, seed=s) for s in range(4)},
+    **{f"random6k/{s}": lambda g, s=s: _random(g, n=6000, seed=s) for s in range(5)},
     "hot": _hot,
     "hot2k": lambda g: _hot(g, n=2000),
     "ping_pong": lambda g: _same_set(g, 3, (0, 1), 3000),
@@ -272,58 +277,12 @@ def _constructs(build) -> bool:
     return True
 
 
-# -- the comparers ----------------------------------------------------------------
-
-#: The only fields not compared as they are, with the reason.  Every other
-#: field is compared whole: arrays by dtype, shape and value, dicts and
-#: ``OrderedDict`` recency tables item by item in order.
-LOOSE = {
-    "path": "names the engine a result took, so the two sides differ by design",
-    "extra": "a counter map by hit/miss class: kernels add the classes in a "
-    "fixed order, the reference loop as they first occur, so it is compared "
-    "as a mapping",
-}
-
-
-def assert_same_state(fast, slow, where: str = "state") -> None:
-    """Walk both object graphs and assert them equal field by field: two
-    caches, two results, or anything built of them."""
-    _walk(fast, slow, where, set())
-
-
-
-
-def _walk(fast, slow, where: str, seen: set) -> None:
-    assert type(fast) is type(slow), f"{where}: {type(fast)} != {type(slow)}"
-    if fast is slow:
-        return
-    if isinstance(fast, np.ndarray):
-        assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape), where
-        np.testing.assert_array_equal(fast, slow, err_msg=where)
-    elif isinstance(fast, np.random.Generator):
-        assert fast.bit_generator.state == slow.bit_generator.state, where
-    elif isinstance(fast, dict):
-        assert list(fast) == list(slow), f"{where}: keys {list(fast)} != {list(slow)}"
-        for key, value in fast.items():
-            if key in LOOSE:  # ``path`` is skipped, ``extra`` taken as a mapping
-                assert key == "path" or value == slow[key], f"{where}.{key}"
-            else:
-                _walk(value, slow[key], f"{where}[{key!r}]", seen)
-    elif isinstance(fast, (list, tuple, deque)):
-        assert len(fast) == len(slow), f"{where}: length {len(fast)} != {len(slow)}"
-        for i, (a, b) in enumerate(zip(fast, slow)):
-            _walk(a, b, f"{where}[{i}]", seen)
-    elif hasattr(fast, "__dict__"):
-        if (id(fast), id(slow)) not in seen:
-            seen.add((id(fast), id(slow)))
-            _walk(vars(fast), vars(slow), where, seen)
-    else:
-        assert fast == slow, f"{where}: {fast!r} != {slow!r}"
+# -- the comparer ------------------------------------------------------------------
 
 
 def test_comparer_catches_order_and_counts():
     """The walker sees a reordered recency table and a one-count change in
-    a nested stats array, and forgives only the :data:`LOOSE` fields."""
+    a nested stats array."""
     a, b = AdaptiveGroupAssociativeCache(TINY), AdaptiveGroupAssociativeCache(TINY)
     trace = zoo(TINY, "hot")
     simulate(a, trace)
@@ -385,7 +344,7 @@ def _ordering_cases():
                 modes = itertools.product((1, 4), ("miss", "always"))
             for streams, allocate in modes:
                 yield Case(
-                    f"{'+'.join(order)}/d{depths[0]}-{depths[1]}/s{streams}/{allocate}",
+                    f"order/{'+'.join(order)}/d{depths[0]}-{depths[1]}/s{streams}/{allocate}",
                     lambda o=order, d=depths, s=streams, a=allocate: AugmentedCache(
                         DirectMappedCache(MID, indexing=scheme(MID, "modulo")),
                         build_structures(o, d, s, a),
@@ -399,15 +358,6 @@ def _aux(g, label, combo, depth, **kw):
         DirectMappedCache(g, indexing=scheme(g, label)),
         make_aux_structures(combo, depth, **kw),
     )
-
-
-#: The schemes of the paper-geometry random-seed rows.
-PAPER_SEED_SCHEMES = {
-    "modulo": ModuloIndexing,
-    "xor": XorIndexing,
-    "prime": PrimeModuloIndexing,
-    "odd21": lambda g: OddMultiplierIndexing(g, 21),
-}
 
 
 def _policy_geometry(ways: int) -> CacheGeometry:
@@ -503,21 +453,21 @@ CASES: dict[type, list[Case]] = {
     ]
     + [
         Case(
-            f"tiny4/random/seed{seed}",
+            f"seed{seed}/random",
             lambda s=seed: SetAssociativeCache(TINY4, policy="random", seed=s),
             ("random",),
         )
         for seed in (0, 1, 2011)
     ],
     AugmentedCache: [
-        Case(f"{combo}{depth}/{label}", _aux(MID, label, combo, depth), AUX_TRACES)
+        Case(f"combo/{combo}/d{depth}/{label}", _aux(MID, label, combo, depth), AUX_TRACES)
         for combo in AUX_COMBOS
         for label in lineup(MID)
         for depth in (1, 4)
     ]
     + [
         Case(
-            f"{combo}4/streams{streams}/{allocate}",
+            f"streams/s{streams}/{allocate}/{combo}",
             _aux(MID, "xor", combo, 4, streams=streams, allocate=allocate),
             ("scan", "random"),
         )
@@ -543,19 +493,9 @@ CASES: dict[type, list[Case]] = {
     ]
     + [
         # More odd multipliers than the lineup's one.
-        Case(f"{gname}/odd{k}", lambda g=g, k=k: DirectMappedCache(g, OddMultiplierIndexing(g, k)),
-             traces)
-        for gname, g, k, traces in (
-            ("tiny", TINY, 31, DIRECT_TRACES),
-            ("small", SMALL, 31, DIRECT_TRACES),
-            ("paper", PAPER, 31, DIRECT_TRACES),
-        )
-    ]
-    + [
-        Case(f"paper/{label}/seed{s}", lambda make=make: DirectMappedCache(PAPER, make(PAPER)),
-             (f"random8k/{s}",))
-        for s in range(5)
-        for label, make in PAPER_SEED_SCHEMES.items()
+        Case(f"{gname}/odd31", lambda g=g: DirectMappedCache(g, OddMultiplierIndexing(g, 31)),
+             DIRECT_TRACES)
+        for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
     ],
 }
 
@@ -571,9 +511,10 @@ def distinct_blocks(traces, offset_bits: int) -> int:
     return len({a >> offset_bits for t in traces for a in t.addresses.tolist()})
 
 
-def run_twins(cls: type, case: Case, trace: Trace) -> None:
+def run_twins(cls: type, case: Case, trace: Trace):
     """Run ``case`` over ``trace`` fast and sequentially; assert the path,
-    the results, the end states and the cold-miss bound."""
+    the results, the end states, both twins' invariants and the cold-miss
+    bound.  Returns the fast twin and its last result."""
     fast_cache, slow_cache = case.build(), case.build()
     geometry = fast_cache.geometry
     runs = [zoo(geometry, case.prefix), trace] if case.prefix else [trace]
@@ -588,14 +529,18 @@ def run_twins(cls: type, case: Case, trace: Trace) -> None:
         # A stream buffer prefetches: a block's first access can hit there.
         misses += [r.misses + r.extra.get("stream_hits", 0) for r in (fast, slow)]
     assert_same_state(fast_cache, slow_cache, where)
+    for cache in (fast_cache, slow_cache):
+        for model in (cache, cache.stats):
+            if hasattr(model, "check_invariants"):
+                model.check_invariants()
     assert min(misses) >= distinct_blocks(runs, geometry.offset_bits), where
+    return fast_cache, fast
 
 
-def run_case(cls: type, case: Case) -> None:
+def run_case(cls: type, case: Case) -> list:
     """Every trace of ``case`` through :func:`run_twins`."""
     geometry = case.build().geometry
-    for name in case.traces:
-        run_twins(cls, case, zoo(geometry, name))
+    return [run_twins(cls, case, zoo(geometry, name)) for name in case.traces]
 
 
 @settings(max_examples=80, deadline=None)
@@ -666,7 +611,7 @@ def _flags_row(row_id, geometry, traces, arrays, ways: int) -> StatsCase:
     )
 
 
-def _direct_flags_row(gname, g) -> StatsCase:
+def _direct_flags_row(gname, g, traces=DIRECT_TRACES) -> StatsCase:
     """Direct-mapped flags and per-set counts, each scheme of the lineup,
     against the 1-way LRU model and plain ``bincount``."""
 
@@ -685,7 +630,7 @@ def _direct_flags_row(gname, g) -> StatsCase:
             out.append((flags, *counts))
         return out
 
-    return StatsCase(gname, g, DIRECT_TRACES, fast, reference)
+    return StatsCase(gname, g, traces, fast, reference)
 
 
 def _sweep_flags_row(gname, g) -> StatsCase:
@@ -715,21 +660,47 @@ def _set_associative_row(row_id, g, labels, traces) -> StatsCase:
     )
 
 
+def _sequential_direct(g, s, trace):
+    """The sequential direct-mapped cache's result, named as the stats path
+    names it (which always reports ``direct_hits``)."""
+    res = simulate(DirectMappedCache(g, s), trace)
+    return dc_replace(res, model=f"direct_mapped[{s.name}]", extra={"direct_hits": 0, **res.extra})
+
+
+#: The schemes of the paper-geometry random-seed ``simulate_indexing`` rows.
+PAPER_SEED_SCHEMES = {
+    "modulo": ModuloIndexing,
+    "xor": XorIndexing,
+    "prime": PrimeModuloIndexing,
+    "odd21": lambda g: OddMultiplierIndexing(g, 21),
+}
+
+
+def _indexing_row(row_id, g, schemes, traces) -> StatsCase:
+    """``simulate_indexing``, the figures' direct-mapped path, under each
+    of ``schemes`` (label → scheme over ``g``)."""
+    return StatsCase(
+        row_id, g, traces,
+        lambda t: [simulate_indexing(make(g), t, g) for make in schemes.values()],
+        lambda t: [_sequential_direct(g, make(g), t) for make in schemes.values()],
+    )
+
+
+def _lineup_schemes(g) -> dict:
+    return {label: lambda g, lb=label: scheme(g, lb) for label in lineup(g)}
+
+
 def _per_cell(g, s, trace, specs):
     """Each sweep member's reference.  A ``direct`` member is the sequential
-    direct-mapped cache, named as the sweep names it (the direct style always
-    reports ``direct_hits``).  A ``setassoc`` member is the one-member sweep
+    direct-mapped cache.  A ``setassoc`` member is the one-member sweep
     ``simulate_set_associative`` at the sweep's fixed set count, which the
     ``simulate_set_associative`` rows hold to the sequential LRU cache."""
-    out = []
-    for ways, style in specs:
-        if style == "direct":
-            res = simulate(DirectMappedCache(g, s), trace)
-            out.append(dc_replace(res, model=f"direct_mapped[{s.name}]",
-                                  extra={"direct_hits": 0, **res.extra}))
-        else:
-            out.append(simulate_set_associative(s, trace, g.with_fixed_sets(ways), ways=ways))
-    return out
+    return [
+        _sequential_direct(g, s, trace)
+        if style == "direct"
+        else simulate_set_associative(s, trace, g.with_fixed_sets(ways), ways=ways)
+        for ways, style in specs
+    ]
 
 
 #: The members of the sweep rows by style.
@@ -820,6 +791,16 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
     "direct_mapped_miss_flags": [
         _direct_flags_row(gname, g)
         for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
+    ]
+    + [_direct_flags_row("wide", WIDE, ("huge",))],
+    "simulate_indexing": [
+        _indexing_row(gname, g, _lineup_schemes(g), DIRECT_TRACES)
+        for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
+    ]
+    + [_indexing_row("wide", WIDE, _lineup_schemes(WIDE), ("huge",))]
+    + [
+        _indexing_row(f"seed{s}", PAPER, PAPER_SEED_SCHEMES, (f"random6k/{s}",))
+        for s in range(5)
     ],
     "lru_miss_flags": [
         _flags_row(f"{gname}/{w}", g, LRU_TRACES, _lineup_arrays(g), w)
@@ -839,7 +820,7 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
     ]
     + [
         _set_associative_row(f"paper/seed{s}", PAPER.with_ways(4), ("modulo", "xor", "prime"),
-                             (f"random8k/{s}",))
+                             (f"random6k/{s}",))
         for s in range(3)
     ],
     "simulate_lru_sweep": [
@@ -860,10 +841,10 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
     ],
     "simulate_partitioned": [
         StatsCase(
-            f"{k}threads{suffix}", SMALL, (f"threads{k}/{s}", "empty"),
+            f"seed{s}{suffix}", SMALL, (f"threads{k}/{s}", "empty"),
             *_engine_pair(simulate_partitioned, lambda k=k: StaticPartitionedCache(SMALL, k)),
         )
-        for k, s, suffix in [(2, s, f"/seed{s}") for s in range(3)] + [(4, 0, "")]
+        for k, s, suffix in [(2, s, "") for s in range(3)] + [(4, 0, "/4threads")]
     ],
     "classify": [
         StatsCase(name, SMALL, ("random", "hot"), *_engine_pair(classify, build))
@@ -880,243 +861,65 @@ def run_stats(case: StatsCase) -> None:
         assert_same_state(case.fast(trace), case.reference(trace), f"{case.id}/{name}")
 
 
-# -- NAMED: rows run under the per-kernel suites' test names ----------------------
+# -- the rows each test runs -------------------------------------------------------
 
-#: Every row by key: ``<kernel>/<case>`` for :data:`CASES`,
-#: ``<entry point>/<case>`` for :data:`STATS_PATHS`.
-ROW_KEYS: dict[str, Callable[[], None]] = {
-    **{
-        f"{KERNELS[cls].name}/{case.id}": (lambda c=cls, k=case: run_case(c, k))
-        for cls, case in ROWS
-    },
-    **{f"{name}/{case.id}": (lambda k=case: run_stats(k)) for name, case in STATS_ROWS},
-}
+ALL_ROWS = ROWS + STATS_ROWS
 
-
-def _by_label(g: CacheGeometry, template: str) -> list[str]:
-    return [template.format(label=label) for label in lineup(g)]
-
-
-def _ordering_test_id(case_id: str) -> str:
-    """``vc+mc/d1-4/s4/miss`` as the aux suite named it: ``vc+mc-d1/4-4-miss``."""
-    order, depths, streams, allocate = case_id.split("/")
-    return f"{order}-{depths.replace('-', '/')}-{streams[1:]}-{allocate}"
-
-
-#: The tests of the ``test_*_differential.py`` modules beside this file,
-#: which keep the names the per-kernel suites gave them: module → ``class::
-#: test`` → the row keys it runs, or for a parametrised test, its ids → row
-#: keys.  The rows no test here names run in this file's two row tests.
-NAMED: dict[str, dict[str, list[str] | dict[str, list[str]]]] = {
-    "test_aux_differential.py": {
-        "TestStatsEngine::test_all_schemes_all_traces": {
-            combo: [
-                key for d in (1, 4) for key in _by_label(MID, f"aux-replay/{combo}{d}/{{label}}")
-            ]
-            for combo in AUX_COMBOS
-        },
-        "TestStatsEngine::test_stream_buffer_shapes": {
-            f"{s}-{a}": [f"aux-replay/{c}4/streams{s}/{a}" for c in ("sb", "vc+sb")]
-            for a in ("miss", "always")
-            for s in (1, 2, 8)
-        },
-        "TestAuxSweep::test_sweep_equals_per_cell_equals_sequential": [
-            "simulate_aux_sweep/xor"
-        ],
-        "TestSimulateAugmented::test_auto_equals_sequential_with_state": {
-            combo: [f"aux-replay/{combo}4/xor"] for combo in AUX_COMBOS
-        },
-        "TestSimulateAugmented::test_victim_cache_subclass_takes_fast_path": [
-            "aux-replay/victim-cache"
-        ],
-        "TestEveryOrdering::test_dispatch_equals_sequential": {
-            _ordering_test_id(case.id): [f"aux-replay/{case.id}"] for case in _ordering_cases()
-        },
-    },
-    "test_fastassoc_differential.py": {
-        "TestColumnAssociative::test_all_schemes_all_traces": {
-            f"{gname}-{p}": _by_label(g, f"colassoc/{gname}/{p}/{{label}}")
-            for gname, g in GEOMETRIES.items()
-            for p in ("protect", "noprotect")
-        },
-        "TestColumnAssociative::test_randomized_seeds": {
-            str(s): [f"colassoc/small/seed{s}"] for s in range(4)
-        },
-        "TestBCache::test_operating_points_all_traces": {
-            f"{gname}-{mf}-{bas}": [f"bcache/{gname}/mf{mf}/bas{bas}"]
-            for gname in GEOMETRIES
-            for mf, bas in ((2, 2), (2, 4), (4, 2), (4, 4))
-        },
-        "TestBCache::test_randomized_seeds": {
-            str(s): [f"bcache/small/seed{s}"] for s in range(4)
-        },
-        "TestPartnerCache::test_rebalance_periods_all_traces": {
-            f"{gname}-{p}": [f"partner/{gname}/period{p}"]
-            for gname in GEOMETRIES
-            for p in (16, 64, 257, 100_000)
-        },
-        "TestPartnerCache::test_randomized_seeds_many_windows": {
-            str(s): [f"partner/small/period97/seed{s}"] for s in range(4)
-        },
-        "TestPartnerCache::test_mid_window_resume": [
-            "partner/small/period70/mid-window-resume"
-        ],
-        "TestAdaptive::test_all_traces": {
-            gname: [f"adaptive/{gname}/modulo"] for gname in GEOMETRIES
-        },
-        "TestAdaptive::test_untrainable_primary_index": {
-            f"{name}-{gname}": [f"adaptive/{gname}/{label}"]
-            for name, label in (
-                ("xor", "xor"), ("odd_multiplier", "odd9"), ("prime_modulo", "prime")
-            )
-            for gname in GEOMETRIES
-        },
-        "TestAdaptive::test_randomized_seeds_paper_fractions": {
-            str(s): [f"adaptive/small/paper-fractions/seed{s}"] for s in range(3)
-        },
-    },
-    "test_fastpolicy_differential.py": {
-        "TestStatsEngine::test_all_schemes_all_traces": {
-            f"{gname}-{p}": _by_label(g, f"policy/{gname}4/{p}/{{label}}")
-            for gname, g in (("tiny", TINY4), ("small", SMALL4))
-            for p in POLICIES
-        },
-        "TestStatsEngine::test_associativities": {
-            f"{p}-{w}": [f"policy/{w}way/{p}"] for w in (1, 2, 8) for p in POLICIES
-        },
-        "TestStatsEngine::test_random_policy_seeds": {
-            str(s): [f"policy/tiny4/random/seed{s}"] for s in (0, 1, 2011)
-        },
-        "TestPolicySweep::test_sweep_equals_per_cell_equals_sequential": {
-            gname: [f"simulate_policy_sweep/{gname}4"] for gname in GEOMETRIES
-        },
-        "TestSimulatePolicy::test_auto_equals_sequential_with_state": {
-            p: [f"policy/tiny4/{p}/modulo"] for p in POLICIES
-        },
-    },
-    "test_fastsim_differential.py": {
-        "TestFastsimVsReference::test_all_schemes_all_traces": {
-            gname: [f"direct_mapped_miss_flags/{gname}"] for gname in ("tiny", "small", "paper")
-        },
-        "TestVectorisedVsSequentialEngine::test_simulation_results_agree_exactly": {
-            gname: _by_label(g, f"direct-mapped/{gname}/{{label}}")
-            for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
-        },
-        "TestVectorisedVsSequentialEngine::test_huge_addresses_agree": (
-            _by_label(WIDE, "direct-mapped/wide/{label}")
-        ),
-        "TestVectorisedVsSequentialEngine::test_randomized_seeds_paper_geometry": {
-            str(s): [f"direct-mapped/paper/{label}/seed{s}" for label in PAPER_SEED_SCHEMES]
-            for s in range(5)
-        },
-    },
-    "test_fastsim_lru_differential.py": {
-        "TestKernelVsReference::test_all_schemes_all_traces": {
-            f"{gname}-{w}": [f"lru_miss_flags/{gname}/{w}"]
-            for gname in GEOMETRIES
-            for w in FLAG_WAYS
-        },
-        "TestKernelVsReference::test_non_power_of_two_set_counts": {
-            f"{w}-{n}": [f"lru_miss_flags/sets{n}/{w}"]
-            for n in (1, 3, 5, 12, 37)
-            for w in (1, 2, 3, 4, 8)
-        },
-        "TestSetAssociativeVsSequentialEngine::test_all_schemes_all_traces": {
-            f"{gname}-{w}": [f"simulate_set_associative/{gname}/{w}"]
-            for gname in GEOMETRIES
-            for w in (1, 2, 4, 8)
-        },
-        "TestSetAssociativeVsSequentialEngine::test_randomized_seeds_paper_capacity": {
-            str(s): [f"simulate_set_associative/paper/seed{s}"] for s in range(3)
-        },
-        "TestFullyAssociativeVsSequentialEngine::test_traces_agree": {
-            gname: [f"simulate_fully_associative/{gname}"] for gname in GEOMETRIES
-        },
-        "TestClassifierEngines::test_direct_mapped_auto_equals_sequential": [
-            "classify/direct-mapped/modulo", "classify/direct-mapped/xor"
-        ],
-        "TestClassifierEngines::test_set_associative_auto_equals_sequential": {
-            str(w): [f"classify/{w}way-lru"] for w in (2, 4)
-        },
-        "TestClassifierEngines::test_stateful_model_falls_back_to_sequential": [
-            "classify/skewed", "classify/victim"
-        ],
-        "TestMultithreadEngines::test_smt_auto_equals_sequential": {
-            str(s): [f"simulate_smt/seed{s}"] for s in range(3)
-        },
-        "TestMultithreadEngines::test_partitioned_auto_equals_sequential": {
-            str(s): [f"simulate_partitioned/2threads/seed{s}"] for s in range(3)
-        },
-    },
-    "test_sweep_batching_differential.py": {
-        "TestSweepFlagsVsSingleWays::test_all_schemes_all_traces": {
-            gname: [f"lru_sweep_miss_flags/{gname}"] for gname in GEOMETRIES
-        },
-        "TestSweepVsPerCellSimulators::test_setassoc_members_all_schemes_all_traces": {
-            gname: [f"simulate_lru_sweep/{gname}/setassoc"] for gname in GEOMETRIES
-        },
-        "TestSweepVsPerCellSimulators::test_direct_members_all_schemes": {
-            gname: [f"simulate_lru_sweep/{gname}/direct"] for gname in GEOMETRIES
-        },
-    },
-}
-
-NAMED_KEYS = {
-    key
-    for tests in NAMED.values()
-    for rows in tests.values()
-    for keys in (rows.values() if isinstance(rows, dict) else [rows])
-    for key in keys
-}
-assert NAMED_KEYS <= set(ROW_KEYS), sorted(NAMED_KEYS - set(ROW_KEYS))
-
-
-def run_rows(keys: list[str]) -> None:
-    assert keys
-    for key in keys:
-        ROW_KEYS[key]()
-
-
-def _named_test(rows):
-    if isinstance(rows, dict):
-
-        @pytest.mark.parametrize("keys", list(rows.values()), ids=list(rows))
-        def test(self, keys):
-            run_rows(keys)
-
-    else:
-
-        def test(self):
-            run_rows(rows)
-
-    return test
-
-
-def named_tests(module: str) -> dict[str, type]:
-    """The classes of ``module``'s :data:`NAMED` tests by class name, for
-    the module to bind under that name (extended with tests of its own)."""
-    bodies: dict[str, dict] = {}
-    for node, rows in NAMED[module].items():
-        cls, name = node.split("::")
-        bodies.setdefault(cls, {})[name] = _named_test(rows)
-    return {cls: type(cls, (), body) for cls, body in bodies.items()}
-
-
-# -- the rows no named test runs ---------------------------------------------------
-
-OWN_ROWS = [(cls, c) for cls, c in ROWS if f"{KERNELS[cls].name}/{c.id}" not in NAMED_KEYS]
-OWN_STATS = [(n, c) for n, c in STATS_ROWS if f"{n}/{c.id}" not in NAMED_KEYS]
-
-
-@pytest.mark.parametrize(
-    "cls, case", OWN_ROWS, ids=[f"{KERNELS[cls].name}/{case.id}" for cls, case in OWN_ROWS]
+#: The per-kernel modules beside this file.  Each keeps the test names of
+#: the suite this harness replaced, and each such test runs the rows it
+#: takes with :func:`rows`.
+SUITES = (
+    "test_aux_differential",
+    "test_fastassoc_differential",
+    "test_fastpolicy_differential",
+    "test_fastsim_differential",
+    "test_fastsim_lru_differential",
+    "test_sweep_batching_differential",
 )
-def test_kernel_matches_sequential(cls, case):
-    run_case(cls, case)
+
+#: ``(key, row id)`` of every row a :data:`SUITES` test has taken.
+TAKEN: set[tuple] = set()
 
 
-@pytest.mark.parametrize(
-    "case", [case for _, case in OWN_STATS], ids=[f"{n}/{c.id}" for n, c in OWN_STATS]
-)
-def test_stats_path_matches_sequential(case):
-    run_stats(case)
+def rows(key, prefix: str = "") -> list[tuple]:
+    """``(key, row)`` for each row of ``key`` (a :data:`CASES` class or a
+    :data:`STATS_PATHS` name) whose id is ``prefix`` or lies under it, taken
+    so that :func:`test_rows_no_module_takes` leaves them out.  Call it at
+    import time, where the test is declared."""
+    table = CASES if isinstance(key, type) else STATS_PATHS
+    found = [
+        (key, case)
+        for case in table[key]
+        if not prefix or case.id == prefix or case.id.startswith(prefix + "/")
+    ]
+    assert found, f"no {key} row under {prefix!r}"
+    TAKEN.update((key, case.id) for _, case in found)
+    return found
+
+
+def groups(key, prefixes: dict[str, str]):
+    """Parametrise a test over ``rows``: test id → the prefix of ``key``'s
+    rows that the id runs."""
+    return pytest.mark.parametrize(
+        "rows", [rows(key, p) for p in prefixes.values()], ids=list(prefixes)
+    )
+
+
+def run_rows(taken: list[tuple]) -> list:
+    """Each row through :func:`run_case` or :func:`run_stats`; returns the
+    fast twins and last results of the :data:`CASES` rows."""
+    twins = []
+    for key, case in taken:
+        if isinstance(key, type):
+            twins += run_case(key, case)
+        else:
+            run_stats(case)
+    return twins
+
+
+def test_rows_no_module_takes():
+    """The rows no :data:`SUITES` test takes run here: the direct-mapped
+    kernel's, and any newly registered kernel's."""
+    for module in SUITES:
+        importlib.import_module(module)
+    run_rows([(key, case) for key, case in ALL_ROWS if (key, case.id) not in TAKEN])

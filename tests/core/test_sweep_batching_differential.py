@@ -1,27 +1,13 @@
-"""Differential tests: sweep batching ≡ per-cell execution, bit for bit.
+"""LRU sweeps: the differential harness's sweep rows under the
+sweep-batching suite's test names, the sweep checks that are not row
+comparisons, and the engine's batched cell grids against per-cell
+sequential runs.
 
-The sweep-batching PR promises that answering a whole cell family from one
-pass changes *nothing* observable: not a model string, not a per-set
-histogram, not an ``extra`` hit-class dict.  Three layers are pinned, in
-the same style as ``test_fastsim_lru_differential.py``:
-
-* :func:`repro.core.fastsim.lru_sweep_miss_flags` against repeated
-  single-``ways`` :func:`~repro.core.fastsim.lru_miss_flags` calls, for
-  every registered indexing scheme and the adversarial trace zoo;
-* :func:`repro.core.simulator.simulate_lru_sweep` against the per-cell
-  entry points it impersonates — :func:`~repro.core.simulator.simulate_indexing`
-  for ``style="direct"`` members and
-  :func:`~repro.core.simulator.simulate_set_associative` for
-  ``style="setassoc"`` members over fixed-sets geometries — full
-  :class:`~repro.core.simulator.SimulationResult` equality including
-  per-set counts;
-* the engine: fig 4/6/7/8-shaped and ext-assoc-shaped cell grids run
-  batched (``engine="auto"``, ``batch_sweeps=True``, the decode and
-  Mattson axes) against per-cell ``engine="sequential"`` reference
-  execution with batching disabled — every cell's stored result identical.
-
-Any new batching axis added to the engine must extend this suite
-(DESIGN.md, "Differential-testing contract").
+The rows, the trace zoo and the independent LRU model live in
+``test_differential.py``; each test here takes its rows with ``groups``.
+Any new batching axis added to the engine must extend
+``TestEngineBatchedVsPerCell`` (DESIGN.md, "Differential-testing
+contract").
 """
 
 from __future__ import annotations
@@ -31,153 +17,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.address import CacheGeometry
 from repro.core import fastsim
-from repro.core.fastsim import (
-    direct_mapped_miss_flags,
-    lru_miss_flags,
-    lru_sweep_miss_flags,
-)
-from repro.core.indexing import (
-    BitSelectIndexing,
-    GivargisIndexing,
-    GivargisXorIndexing,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PatelIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from repro.core.simulator import (
-    simulate_indexing,
-    simulate_lru_sweep,
-    simulate_set_associative,
-)
+from repro.core.decompose import decode
+from repro.core.fastsim import direct_mapped_miss_flags, lru_miss_flags, lru_sweep_miss_flags
+from repro.core.indexing import ModuloIndexing, XorIndexing
+from repro.core.simulator import simulate_indexing, simulate_lru_sweep, simulate_set_associative
 from repro.experiments import PaperConfig
 from repro.experiments.engine import make_cell, run_cells
-from repro.trace import Trace
-
-TINY = CacheGeometry(capacity_bytes=128, line_bytes=16, ways=1, address_bits=16)
-SMALL = CacheGeometry(capacity_bytes=1024, line_bytes=16, ways=1)
-
-SWEEP_WAYS = [1, 2, 3, 4, 8, 16]
+from differential_support import assert_same_state
+from test_differential import GEOMETRIES, SMALL, groups, run_rows, zoo
 
 
-# -- trace zoo (mirrors the LRU differential suite) --------------------------------
-
-
-def random_trace(geometry: CacheGeometry, n: int = 4000, seed: int = 7) -> Trace:
-    rng = np.random.default_rng(seed)
-    addrs = rng.integers(0, 1 << geometry.address_bits, size=n, dtype=np.uint64)
-    return Trace(addrs, name="random")
-
-
-def all_one_set_trace(geometry: CacheGeometry, n: int = 512) -> Trace:
-    stride = np.uint64(geometry.num_sets * geometry.line_bytes)
-    base = np.uint64(3 * geometry.line_bytes)
-    idx = np.arange(n, dtype=np.uint64)
-    addrs = (base + idx * stride) % np.uint64(1 << geometry.address_bits)
-    return Trace(addrs, name="one_set")
-
-
-def cyclic_set_trace(geometry: CacheGeometry, period: int, n: int = 900) -> Trace:
-    stride = np.uint64(geometry.num_sets * geometry.line_bytes)
-    base = np.uint64(5 * geometry.line_bytes)
-    idx = (np.arange(n) % period).astype(np.uint64)
-    addrs = (base + idx * stride) % np.uint64(1 << geometry.address_bits)
-    return Trace(addrs, name=f"cycle{period}")
-
-
-def trace_zoo(geometry: CacheGeometry) -> list[Trace]:
-    return [
-        random_trace(geometry),
-        all_one_set_trace(geometry),
-        cyclic_set_trace(geometry, 3),
-        cyclic_set_trace(geometry, 9),
-        Trace(np.empty(0, dtype=np.uint64), name="empty"),
-        Trace(np.array([7 * geometry.line_bytes], dtype=np.uint64), name="single"),
-    ]
-
-
-def scheme_lineup(geometry: CacheGeometry, fit_trace: Trace) -> list:
-    """One instance of every registered scheme, trainables fitted."""
-    fit_addrs = fit_trace.addresses
-    bit_positions = tuple(
-        range(geometry.offset_bits, geometry.offset_bits + geometry.index_bits)
-    )[::-1]
-    factories = [
-        lambda: ModuloIndexing(geometry),
-        lambda: XorIndexing(geometry),
-        lambda: OddMultiplierIndexing(geometry, 9),
-        lambda: PrimeModuloIndexing(geometry),
-        lambda: BitSelectIndexing(geometry, bit_positions),
-        lambda: GivargisIndexing(geometry).fit(fit_addrs),
-        lambda: GivargisXorIndexing(geometry).fit(fit_addrs),
-        lambda: PatelIndexing(geometry, max_swap_moves=4).fit(fit_addrs),
-    ]
-    schemes = []
-    for make in factories:
-        try:
-            schemes.append(make())
-        except ValueError:
-            pass
-    return schemes
-
-
-def fixed_sets_geometry(base: CacheGeometry, ways: int) -> CacheGeometry:
-    """Same num_sets/line size at ``ways`` — the sweep's exactness condition."""
-    return base.with_fixed_sets(ways)
-
-
-def assert_results_identical(batched, single, ctx: str) -> None:
-    """Full SimulationResult equality — the bit-identity contract."""
-    assert batched.model == single.model, ctx
-    assert batched.trace_name == single.trace_name, ctx
-    assert batched.accesses == single.accesses, ctx
-    assert batched.hits == single.hits, ctx
-    assert batched.misses == single.misses, ctx
-    assert batched.lookup_cycles == single.lookup_cycles, ctx
-    assert batched.extra == single.extra, ctx
-    np.testing.assert_array_equal(
-        batched.slot_accesses, single.slot_accesses, err_msg=ctx
-    )
-    np.testing.assert_array_equal(batched.slot_hits, single.slot_hits, err_msg=ctx)
-    np.testing.assert_array_equal(batched.slot_misses, single.slot_misses, err_msg=ctx)
-
-
-# -- kernel: one stack-distance pass ≡ one lru_miss_flags call per ways ------------
+def arrays(label: str = "modulo", trace: str = "hot"):
+    index = {"modulo": ModuloIndexing, "xor": XorIndexing}[label]
+    return decode(index(SMALL), zoo(SMALL, trace), SMALL)
 
 
 class TestSweepFlagsVsSingleWays:
-    @pytest.mark.parametrize("geometry", [TINY, SMALL], ids=["tiny", "small"])
-    def test_all_schemes_all_traces(self, geometry):
-        fit = random_trace(geometry, n=2000, seed=99)
-        for scheme in scheme_lineup(geometry, fit):
-            for trace in trace_zoo(geometry):
-                blocks = trace.blocks(geometry.offset_bits).astype(np.int64)
-                indices = scheme.indices_of(trace.addresses)
-                flags = lru_sweep_miss_flags(blocks, indices, SWEEP_WAYS)
-                assert sorted(flags) == sorted(SWEEP_WAYS)
-                for ways in SWEEP_WAYS:
-                    np.testing.assert_array_equal(
-                        flags[ways],
-                        lru_miss_flags(blocks, indices, ways),
-                        err_msg=f"{scheme.name}/{trace.name}/{ways}way",
-                    )
+    @groups("lru_sweep_miss_flags", {g: g for g in GEOMETRIES})
+    def test_all_schemes_all_traces(self, rows):
+        run_rows(rows)
 
     def test_duplicate_ways_deduplicated(self):
-        trace = random_trace(SMALL, n=1000, seed=5)
-        blocks = trace.blocks(SMALL.offset_bits).astype(np.int64)
-        indices = ModuloIndexing(SMALL).indices_of(trace.addresses)
+        blocks, indices = arrays()
         flags = lru_sweep_miss_flags(blocks, indices, [4, 2, 4, 2])
         assert sorted(flags) == [2, 4]
         np.testing.assert_array_equal(flags[2], lru_miss_flags(blocks, indices, 2))
 
     def test_empty_ways_list(self):
-        trace = random_trace(SMALL, n=100, seed=5)
-        blocks = trace.blocks(SMALL.offset_bits).astype(np.int64)
-        indices = ModuloIndexing(SMALL).indices_of(trace.addresses)
-        assert lru_sweep_miss_flags(blocks, indices, []) == {}
+        assert lru_sweep_miss_flags(*arrays(), []) == {}
 
     def test_rejects_bad_ways(self):
         with pytest.raises(ValueError):
@@ -187,9 +55,7 @@ class TestSweepFlagsVsSingleWays:
         """A sweep whose every member is 1-way is answered by the
         direct-mapped kernel (``distance != 0`` is its outcome), without
         the stack-distance pass."""
-        trace = random_trace(SMALL, n=1000, seed=5)
-        blocks = trace.blocks(SMALL.offset_bits).astype(np.int64)
-        indices = XorIndexing(SMALL).indices_of(trace.addresses)
+        blocks, indices = arrays("xor", "random")
         expected = direct_mapped_miss_flags(blocks, indices)
 
         def refuse(*args):
@@ -202,80 +68,51 @@ class TestSweepFlagsVsSingleWays:
         np.testing.assert_array_equal(lru_miss_flags(blocks, indices, 1), expected)
 
 
-# -- simulate_lru_sweep ≡ the per-cell entry points it impersonates ----------------
-
-
 class TestSweepVsPerCellSimulators:
-    @pytest.mark.parametrize("base", [TINY, SMALL], ids=["tiny", "small"])
-    def test_setassoc_members_all_schemes_all_traces(self, base):
-        """Every scheme, every trace: sweep members ≡ simulate_set_associative
-        over the matching fixed-sets geometry, per-set counts included."""
-        fit = random_trace(base, n=2000, seed=99)
-        specs = [(w, "setassoc") for w in (1, 2, 4, 8)]
-        for scheme in scheme_lineup(base, fit):
-            for trace in trace_zoo(base):
-                batched = simulate_lru_sweep(scheme, trace, base, specs)
-                for (ways, _), got in zip(specs, batched):
-                    g = fixed_sets_geometry(base, ways)
-                    want = simulate_set_associative(scheme, trace, g, ways=ways)
-                    assert_results_identical(
-                        got, want, f"{scheme.name}/{trace.name}/{ways}way"
-                    )
+    @groups("simulate_lru_sweep", {g: f"{g}/setassoc" for g in GEOMETRIES})
+    def test_setassoc_members_all_schemes_all_traces(self, rows):
+        run_rows(rows)
 
-    @pytest.mark.parametrize("base", [TINY, SMALL], ids=["tiny", "small"])
-    def test_direct_members_all_schemes(self, base):
-        """style="direct" reproduces simulate_indexing's packaging exactly —
-        including the always-present direct_hits key."""
-        fit = random_trace(base, n=2000, seed=99)
-        for scheme in scheme_lineup(base, fit):
-            for trace in trace_zoo(base):
-                (got,) = simulate_lru_sweep(scheme, trace, base, [(1, "direct")])
-                want = simulate_indexing(scheme, trace, base)
-                assert_results_identical(got, want, f"{scheme.name}/{trace.name}")
+    @groups("simulate_lru_sweep", {g: f"{g}/direct" for g in GEOMETRIES})
+    def test_direct_members_all_schemes(self, rows):
+        run_rows(rows)
 
     def test_mixed_direct_and_setassoc_sweep(self):
         """The ext-assoc shape: one direct baseline + a k-way ladder."""
-        trace = random_trace(SMALL, n=5000, seed=17)
+        trace = zoo(SMALL, "hot")
         scheme = ModuloIndexing(SMALL)
         specs = [(1, "direct"), (2, "setassoc"), (4, "setassoc"), (8, "setassoc")]
         batched = simulate_lru_sweep(scheme, trace, SMALL, specs)
-        assert_results_identical(
-            batched[0], simulate_indexing(scheme, trace, SMALL), "direct member"
-        )
+        assert_same_state(batched[0], simulate_indexing(scheme, trace, SMALL), "direct member")
         for (ways, _), got in zip(specs[1:], batched[1:]):
-            g = fixed_sets_geometry(SMALL, ways)
-            assert_results_identical(
-                got,
-                simulate_set_associative(scheme, trace, g, ways=ways),
-                f"{ways}way member",
-            )
+            g = SMALL.with_fixed_sets(ways)
+            want = simulate_set_associative(scheme, trace, g, ways=ways)
+            assert_same_state(got, want, f"{ways}way member")
         # Monotonicity sanity: more ways at fixed sets never adds misses.
         misses = [r.misses for r in batched]
         assert misses == sorted(misses, reverse=True)
 
     def test_results_in_spec_order(self):
-        trace = random_trace(SMALL, n=800, seed=23)
         scheme = XorIndexing(SMALL)
         specs = [(8, "setassoc"), (1, "setassoc"), (2, "setassoc")]
-        results = simulate_lru_sweep(scheme, trace, SMALL, specs)
+        results = simulate_lru_sweep(scheme, zoo(SMALL, "hot"), SMALL, specs)
         assert [r.model for r in results] == [
             f"set_associative[{scheme.name},{w}way]" for w, _ in specs
         ]
 
     def test_rejects_direct_with_many_ways(self):
-        trace = random_trace(SMALL, n=10)
         with pytest.raises(ValueError, match="direct"):
-            simulate_lru_sweep(ModuloIndexing(SMALL), trace, SMALL, [(2, "direct")])
+            simulate_lru_sweep(ModuloIndexing(SMALL), zoo(SMALL, "single"), SMALL, [(2, "direct")])
 
     def test_rejects_unknown_style(self):
-        trace = random_trace(SMALL, n=10)
         with pytest.raises(ValueError, match="style"):
-            simulate_lru_sweep(ModuloIndexing(SMALL), trace, SMALL, [(2, "plru")])
+            simulate_lru_sweep(ModuloIndexing(SMALL), zoo(SMALL, "single"), SMALL, [(2, "plru")])
 
     def test_rejects_nonpositive_ways(self):
-        trace = random_trace(SMALL, n=10)
         with pytest.raises(ValueError):
-            simulate_lru_sweep(ModuloIndexing(SMALL), trace, SMALL, [(0, "setassoc")])
+            simulate_lru_sweep(
+                ModuloIndexing(SMALL), zoo(SMALL, "single"), SMALL, [(0, "setassoc")]
+            )
 
 
 # -- engine: batched cell grids ≡ per-cell sequential reference --------------------
@@ -348,7 +185,7 @@ class TestEngineBatchedVsPerCell:
         )
         assert list(batched) == list(percell)
         for key in batched:
-            assert_results_identical(batched[key], percell[key], str(key))
+            assert_same_state(batched[key], percell[key], str(key))
         return bstats, pstats
 
     @pytest.mark.parametrize("fig", ["fig4", "fig6_7", "fig8"])
@@ -386,9 +223,10 @@ class TestEngineBatchedVsPerCell:
         """engine="sequential" + batching keeps decode families (exact by
         construction) but never routes cells into a shared kernel pass."""
         cfg = replace(engine_config, engine="sequential", batch_sweeps=True)
-        cells = grid(FIGURE_SHAPES["ext_assoc"], ("crc",), cfg)
-        results, stats = run_cells(cells, cfg, jobs=1)
+        results, _ = run_cells(grid(FIGURE_SHAPES["ext_assoc"], ("crc",), cfg), cfg, jobs=1)
         ref_cfg = replace(engine_config, engine="sequential", batch_sweeps=False)
-        reference, _ = run_cells(grid(FIGURE_SHAPES["ext_assoc"], ("crc",), ref_cfg), ref_cfg, jobs=1)
+        reference, _ = run_cells(
+            grid(FIGURE_SHAPES["ext_assoc"], ("crc",), ref_cfg), ref_cfg, jobs=1
+        )
         for key in results:
-            assert_results_identical(results[key], reference[key], str(key))
+            assert_same_state(results[key], reference[key], str(key))

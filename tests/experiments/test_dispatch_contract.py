@@ -42,7 +42,7 @@ from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import cells
 from repro.trace import Trace
-from test_differential import assert_same_state
+from differential_support import assert_same_state
 
 DM = CacheGeometry(capacity_bytes=1024, line_bytes=16, ways=1, address_bits=16)
 SA = CacheGeometry(capacity_bytes=512, line_bytes=16, ways=4, address_bits=16)
