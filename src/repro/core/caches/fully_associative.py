@@ -18,6 +18,9 @@ from .base import AccessResult, CacheModel
 
 __all__ = ["FullyAssociativeCache", "BeladyCache"]
 
+#: :class:`BeladyCache`'s next use of a block that is never accessed again.
+NEVER = int(np.iinfo(np.int64).max)
+
 
 class FullyAssociativeCache(CacheModel):
     """Single set spanning all lines; OrderedDict-backed LRU/FIFO."""
@@ -68,14 +71,12 @@ class BeladyCache(CacheModel):
         blocks = np.asarray(trace_blocks, dtype=np.int64).ravel()
         self._trace = blocks
         self._cursor = 0
-        # next_use[i] = position of the next occurrence of blocks[i], or inf.
-        n = blocks.size
-        self._next_use = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        last_seen: dict[int, int] = {}
-        for i in range(n - 1, -1, -1):
-            b = int(blocks[i])
-            self._next_use[i] = last_seen.get(b, np.iinfo(np.int64).max)
-            last_seen[b] = i
+        # next_use[i] = position of the next occurrence of blocks[i], or
+        # NEVER: a stable sort lines each block's occurrences up in order.
+        order = np.argsort(blocks, kind="stable")
+        same = blocks[order[1:]] == blocks[order[:-1]]
+        self._next_use = np.full(blocks.size, NEVER, dtype=np.int64)
+        self._next_use[order[:-1][same]] = order[1:][same]
         self._resident: dict[int, int] = {}  # block -> its next-use position
 
     def _access_block(self, block: int, is_write: bool) -> AccessResult:

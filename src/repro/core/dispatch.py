@@ -7,10 +7,15 @@ every result names its path in ``SimulationResult.path``: ``fast:<kernel>``,
 or ``sequential:<reason>`` with reason ``forced`` (``engine="sequential"``),
 ``no-kernel`` (nothing serves this class or configuration), ``invariants``
 (periodic invariant checks) or ``warm-state`` (the kernel replays from a
-cold cache).  Either
-path leaves the same result and end state (the differential harness,
-``tests/core/test_differential.py``, holds every entry of :data:`KERNELS`
-to it); ``tests/experiments/test_dispatch_contract.py`` pins the paths.
+cold cache).  Every cache class the experiments build has an entry: the
+programmable-associativity caches (:mod:`~repro.core.fastassoc`), the
+k-way policies (:mod:`~repro.core.fastpolicy`), the aux compositions
+(:mod:`~repro.core.aux.fast`), the direct-mapped cache, and the Belady
+bound, the skewed comparator and dynamic indexing
+(:mod:`~repro.core.fastext`).  Either path leaves the same result and end
+state (the differential harness, ``tests/core/test_differential.py``,
+holds every entry of :data:`KERNELS` to it);
+``tests/experiments/test_dispatch_contract.py`` pins the paths.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..trace.event import Trace
-from . import fastassoc, fastpolicy
+from . import fastassoc, fastext, fastpolicy
 from .aux import fast as aux_fast
 from .aux.augmented import AugmentedCache
 from .caches.adaptive import AdaptiveGroupAssociativeCache
@@ -29,9 +34,12 @@ from .caches.base import EMPTY, CacheModel
 from .caches.bcache import BalancedCache
 from .caches.column_associative import ColumnAssociativeCache
 from .caches.direct_mapped import DirectMappedCache
+from .caches.fully_associative import BeladyCache
 from .caches.partner import PartnerIndexCache
 from .caches.set_associative import SetAssociativeCache
+from .caches.skewed import SkewedAssociativeCache
 from .decompose import decode
+from .dynamic import DynamicIndexCache
 from .fastsim import direct_mapped_miss_flags
 from .replacement import LRUPolicy
 from .simulator import ENGINES, SimulationResult, _result_from_stats, check_engine, simulate
@@ -113,6 +121,21 @@ KERNELS: dict[type, Kernel] = {
         "direct-mapped",
         _direct_mapped,
         lambda c: "warm-state" if np.any(c._blocks != EMPTY) else None,
+    ),
+    BeladyCache: Kernel(
+        "belady",
+        lambda c, t: fastext.simulate_belady(c, t),
+        lambda c: "warm-state" if c._cursor else None,
+    ),
+    SkewedAssociativeCache: Kernel(
+        "skewed",
+        lambda c, t: fastext.simulate_skewed(c, t),
+        lambda c: "warm-state" if c._clock else None,
+    ),
+    DynamicIndexCache: Kernel(
+        "dynamic",
+        lambda c, t: fastext.simulate_dynamic(c, t),
+        lambda c: "warm-state" if c._tick else None,
     ),
 }
 

@@ -12,7 +12,8 @@ We implement a bounded variant as an extension, with the exact cost function
 search strategies:
 
 * greedy forward selection — grow the bit set one position at a time, keeping
-  the bit whose addition yields the lowest miss count;
+  the bit whose addition yields the lowest miss count (each step refines the
+  previous step's set grouping instead of sorting, :func:`greedy_positions`);
 * first-improvement local search — swap selected/unselected bits while any
   swap lowers the cost, up to a move budget.
 
@@ -33,13 +34,60 @@ from ..fastsim import direct_mapped_miss_count
 from .base import TrainableIndexingScheme, register_scheme
 from .bit_select import candidate_bit_positions
 
-__all__ = ["PatelIndexing", "exhaustive_best_positions"]
+__all__ = ["PatelIndexing", "exhaustive_best_positions", "greedy_positions"]
 
 
 def _cost(blocks: np.ndarray, positions: tuple[int, ...]) -> int:
     """Trace miss count when indexing by ``positions`` over block addresses."""
     indices = gather_bits_vec(blocks, positions)
     return direct_mapped_miss_count(blocks, indices)
+
+
+def _run_heads(stream: np.ndarray) -> int:
+    """The first access plus every change of block."""
+    return int(stream.size and 1 + np.count_nonzero(stream[1:] != stream[:-1]))
+
+
+def _heads_only(stream: np.ndarray) -> np.ndarray:
+    keep = np.ones(stream.size, dtype=bool)
+    keep[1:] = stream[1:] != stream[:-1]
+    return stream[keep]
+
+
+def greedy_positions(
+    blocks: np.ndarray, candidates: tuple[int, ...], count: int
+) -> tuple[list[int], int]:
+    """Greedy forward selection of ``count`` bits, each the first candidate
+    whose addition gives the fewest misses; returns the bits and their
+    ``_cost``.
+
+    Incremental, with no sort: the stream is kept grouped by the selected
+    bits, each set contiguous and in program order, so its miss count is its
+    run-head count (a block always maps to one set, so a change of set is a
+    change of block).  Adding a bit splits every set stably into its bit-0
+    and bit-1 accesses: a candidate's cost is the run-head count of the two
+    filtered streams, and the chosen bit's refinement is their
+    concatenation.  A run is one block, so one bit value, and never splits:
+    the stream is kept at its run heads, as long as the current cost.
+    """
+    blocks = np.asarray(blocks, dtype=np.uint64).ravel()
+    stream = _heads_only(blocks)
+    selected: list[int] = []
+    remaining = list(candidates)
+    cost = stream.size
+    for _ in range(count):
+        best_bit, best_cost, best_ones = None, None, None
+        for bit in remaining:
+            ones = (stream & np.uint64(1 << bit)) != 0
+            c = _run_heads(stream[~ones]) + _run_heads(stream[ones])
+            if best_cost is None or c < best_cost:
+                best_bit, best_cost, best_ones = bit, c, ones
+        assert best_bit is not None
+        selected.append(best_bit)
+        remaining.remove(best_bit)
+        stream = _heads_only(np.concatenate([stream[~best_ones], stream[best_ones]]))
+        cost = best_cost
+    return selected, cost
 
 
 def exhaustive_best_positions(
@@ -88,28 +136,12 @@ class PatelIndexing(TrainableIndexingScheme):
         # translate back to byte-address positions at the end.
         block_candidates = tuple(p - self.geometry.offset_bits for p in self._candidates
                                  if p >= self.geometry.offset_bits)
-        selected = self._greedy(blocks, block_candidates, m)
+        selected, _ = greedy_positions(blocks, block_candidates, m)
         selected, cost = self._local_search(blocks, block_candidates, selected)
         self.positions = tuple(p + self.geometry.offset_bits for p in selected)
         self.cost_ = cost
         self._fitted = True
         return self
-
-    def _greedy(
-        self, blocks: np.ndarray, candidates: tuple[int, ...], count: int
-    ) -> list[int]:
-        selected: list[int] = []
-        remaining = list(candidates)
-        for _ in range(count):
-            best_bit, best_cost = None, None
-            for bit in remaining:
-                c = _cost(blocks, tuple(selected + [bit]))
-                if best_cost is None or c < best_cost:
-                    best_bit, best_cost = bit, c
-            assert best_bit is not None
-            selected.append(best_bit)
-            remaining.remove(best_bit)
-        return selected
 
     def _local_search(
         self, blocks: np.ndarray, candidates: tuple[int, ...], selected: list[int]

@@ -215,7 +215,9 @@ class ResultCache:
             "engine_version": ENGINE_VERSION,
             "model": result.model,
             "trace_name": result.trace_name,
-            "extra": {k: int(v) for k, v in result.extra.items()},
+            # Sorted: kernels and the per-access loop add the classes in
+            # different orders, and an entry's bytes must not depend on it.
+            "extra": {k: int(v) for k, v in sorted(result.extra.items())},
         }
         for name in _SCALAR_FIELDS:
             meta[name] = int(getattr(result, name))

@@ -429,7 +429,7 @@ _BOUNDS_MODELS = {
 
 #: The other ``bounds`` columns: their knobs and cache ``(trace, config)``,
 #: run by :func:`~repro.core.dispatch.dispatch` (the victim cache takes the
-#: aux replay; skewed and Belady have no kernel).
+#: aux replay, skewed and Belady their own kernels).
 _STATEFUL_BOUNDS: dict[str, tuple[Callable, Callable]] = {
     "Skewed2": (
         lambda c: (("skew_ways", 2),),
@@ -597,6 +597,7 @@ def _partitioned(label: str, config: PaperConfig) -> _Spec:
         part = simulate_partitioned(cache, trace, engine=config.engine)
         result = _result_from_stats(cache.name, trace.name, cache.stats, part.lookup_cycles)
         result.extra["direct_hits"] = part.direct_hits
+        result.path = part.path
         return result
 
     return _Spec(run, params=params)
@@ -693,8 +694,9 @@ CELL_KINDS: dict[str, CellKind] = {
         _bounds,
         "One ext-bounds column: the ``setassoc`` labels, the "
         "programmable-associativity caches ``Adaptive`` / ``B_Cache`` / "
-        "``ColAssoc``, and ``Skewed2`` / ``Victim8`` / ``Belady``, which the "
-        "sequential reference engine (or the victim cache's aux replay) runs.",
+        "``ColAssoc``, and ``Skewed2`` / ``Victim8`` / ``Belady``, which "
+        "``dispatch`` runs (the skewed and Belady kernels, the victim cache's "
+        "aux replay).",
     ),
     "policysweep": CellKind(
         _policysweep,

@@ -26,7 +26,7 @@ adaptive variant is stateful across threads and always runs sequentially.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,6 +224,10 @@ class PartitionedResult:
     direct_hits: int
     lookup_cycles: int
     thread_misses: np.ndarray
+    #: How :func:`simulate_partitioned` produced the result
+    #: (``fast:partitioned-static``, ``fast:partitioned-adaptive`` or
+    #: ``sequential:<reason>``).  Metadata only: never stored, sent or keyed.
+    path: str = field(default="", compare=False)
 
     @property
     def miss_rate(self) -> float:
@@ -241,15 +245,19 @@ class PartitionedResult:
         return amat_direct_mapped(self.miss_rate, timing)
 
 
+def _primary_slots(cache: StaticPartitionedCache, trace: Trace):
+    """``(threads, blocks, primary slots)`` of the whole trace at once."""
+    threads = np.asarray(trace.thread).astype(np.int64)
+    blocks = trace.blocks(cache._offset_bits).astype(np.int64)
+    return threads, blocks, threads * cache.part_sets + (blocks & (cache.part_sets - 1))
+
+
 def _simulate_partitioned_fast(
     cache: StaticPartitionedCache, trace: Trace
 ) -> PartitionedResult:
     """Vectorised path for a fresh hard-walled partitioned cache."""
-    threads = np.asarray(trace.thread).astype(np.int64)
     n = trace.addresses.size
-    blocks = trace.blocks(cache._offset_bits).astype(np.int64)
-    # The partitioned primary index, computed for the whole trace at once.
-    slots = threads * cache.part_sets + (blocks & (cache.part_sets - 1))
+    threads, blocks, slots = _primary_slots(cache, trace)
     miss = direct_mapped_miss_flags(blocks, slots)
     hits = n - int(miss.sum())
     misses = n - hits
@@ -285,16 +293,183 @@ def _simulate_partitioned_fast(
     )
 
 
+def _simulate_partitioned_adaptive(
+    cache: PartitionedAdaptiveCache, trace: Trace
+) -> PartitionedResult:
+    """Hoisted replay of a fresh partitioned adaptive cache.
+
+    The SHT and OUT span the partitions, so the replay stays sequential: a
+    transliteration of :meth:`PartitionedAdaptiveCache.access`, as
+    :func:`~repro.core.fastassoc.simulate_adaptive` is of the AGAC, over
+    plain lists and local counters.
+    """
+    n = trace.addresses.size
+    threads_all, blocks_all, slots_all = _primary_slots(cache, trace)
+    threads = threads_all.tolist()
+    blocks = blocks_all.tolist()
+    slots = slots_all.tolist()
+
+    num_sets = cache.geometry.num_sets
+    acc_l = [0] * num_sets
+    hit_l = [0] * num_sets
+    mis_l = [0] * num_sets
+    th_hits = [0] * cache.num_threads
+    th_misses = [0] * cache.num_threads
+    dh = oh = 0
+
+    blk_state = cache._blocks.tolist()
+    disp = cache._disposable.tolist()
+    oop = cache._out_of_position.tolist()
+    sht = cache._sht
+    out = cache._out
+    cold_pool = cache._cold_pool
+    sht_cap = cache.sht_capacity
+    out_cap = cache.out_capacity
+    sht_move = sht.move_to_end
+    cold_move = cold_pool.move_to_end
+    out_get = out.get
+    out_pop = out.pop
+    cold_pop = cold_pool.pop
+
+    for i in range(n):
+        slot = slots[i]
+        blk = blocks[i]
+        acc_l[slot] += 1  # record_probe(slot)
+
+        if blk_state[slot] == blk:
+            hit_at = slot
+            dh += 1
+        else:
+            alt = out_get(blk)
+            if alt is not None and blk_state[alt] == blk:
+                acc_l[alt] += 1  # record_probe(alt)
+                del out[blk]
+                displaced = blk_state[slot]
+                blk_state[slot] = blk
+                oop[slot] = False
+                if displaced != EMPTY:
+                    blk_state[alt] = displaced
+                    oop[alt] = True
+                    disp[alt] = False
+                    cold_pop(alt, None)
+                    out[displaced] = alt
+                    out.move_to_end(displaced)
+                    while len(out) > out_cap:  # _trim_out()
+                        t_blk, t_dest = out.popitem(last=False)
+                        if blk_state[t_dest] == t_blk and not disp[t_dest]:
+                            disp[t_dest] = True
+                            cold_pool[t_dest] = None
+                            cold_move(t_dest)
+                else:
+                    blk_state[alt] = EMPTY
+                    oop[alt] = False
+                    if not disp[alt]:  # _make_disposable(alt)
+                        disp[alt] = True
+                        cold_pool[alt] = None
+                        cold_move(alt)
+                hit_at = alt
+                oh += 1
+            else:
+                if alt is not None:
+                    del out[blk]  # stale directory entry
+                # True miss.
+                victim = blk_state[slot]
+                if victim != EMPTY and not disp[slot] and not oop[slot]:
+                    # _select_relocation_target(slot)
+                    if len(out) >= out_cap and out:
+                        dest = next(iter(out.values()))  # LRU end
+                    else:
+                        dest = None
+                        for cand in cold_pool:
+                            if cand != slot:
+                                dest = cand
+                                break
+                    if dest is not None:
+                        out_pop(blk_state[dest], None)
+                        blk_state[dest] = victim
+                        disp[dest] = False
+                        cold_pop(dest, None)
+                        oop[dest] = True
+                        out[victim] = dest
+                        out.move_to_end(victim)
+                        while len(out) > out_cap:  # _trim_out()
+                            t_blk, t_dest = out.popitem(last=False)
+                            if blk_state[t_dest] == t_blk and not disp[t_dest]:
+                                disp[t_dest] = True
+                                cold_pool[t_dest] = None
+                                cold_move(t_dest)
+                elif victim != EMPTY:
+                    out_pop(victim, None)
+                blk_state[slot] = blk
+                oop[slot] = False
+                hit_at = -1
+
+        # _sht_touch(slot)
+        if slot in sht:
+            sht_move(slot)
+        else:
+            sht[slot] = None
+            if len(sht) > sht_cap:
+                cold, _ = sht.popitem(last=False)
+                if not disp[cold]:  # _make_disposable(cold)
+                    disp[cold] = True
+                    cold_pool[cold] = None
+                    cold_move(cold)
+        disp[slot] = False
+        cold_pop(slot, None)
+        if hit_at < 0:
+            mis_l[slot] += 1
+            th_misses[threads[i]] += 1
+        else:
+            hit_l[hit_at] += 1
+            th_hits[threads[i]] += 1
+
+    cache._blocks[:] = blk_state
+    cache._disposable[:] = disp
+    cache._out_of_position[:] = oop
+    hits = dh + oh
+    stats = cache.stats
+    stats.accesses += n
+    stats.hits += hits
+    stats.misses += n - hits
+    for key, count in (("direct_hits", dh), ("out_hits", oh)):
+        if count:
+            stats.bump(key, count)
+    stats.slot_accesses += acc_l
+    stats.slot_hits += hit_l
+    stats.slot_misses += mis_l
+    cache.thread_hits += th_hits
+    cache.thread_misses += th_misses
+    return PartitionedResult(
+        accesses=stats.accesses,
+        hits=stats.hits,
+        misses=stats.misses,
+        direct_hits=stats.extra.get("direct_hits", 0),
+        lookup_cycles=n + (cache.OUT_HIT_CYCLES - 1) * oh,
+        thread_misses=cache.thread_misses.copy(),
+    )
+
+
+#: The fast path of each partitioned model (exact class only): path name
+#: and kernel.  Both replay a cache whose stats are still empty.
+_PARTITIONED_KERNELS = {
+    StaticPartitionedCache: ("partitioned-static", _simulate_partitioned_fast),
+    PartitionedAdaptiveCache: ("partitioned-adaptive", _simulate_partitioned_adaptive),
+}
+
+
 def simulate_partitioned(
     cache: StaticPartitionedCache, trace: Trace, engine: str = "auto"
 ) -> PartitionedResult:
     """Drive a partitioned cache from an interleaved multi-thread trace.
 
-    ``engine="auto"`` (default) vectorises the hard-walled static baseline
-    (exact: a plain :class:`StaticPartitionedCache`, fresh state); the
-    adaptive subclass — stateful SHT/OUT tables spanning partitions — always
-    runs the sequential reference loop, which ``engine="sequential"`` forces
-    for every model.
+    ``engine="auto"`` (default) takes the model's fast path when the cache
+    is exactly a :class:`StaticPartitionedCache` (vectorised) or a
+    :class:`PartitionedAdaptiveCache` (hoisted replay) with empty stats;
+    ``engine="sequential"`` forces the per-access reference loop.  Either
+    way the result and the cache's end state are the same, and
+    ``result.path`` names the path taken, as
+    :func:`~repro.core.dispatch.dispatch` names it for cache objects.
     """
     check_engine(engine)
     addresses = trace.addresses
@@ -302,12 +477,18 @@ def simulate_partitioned(
     is_write = trace.is_write
     if len(trace) and int(threads.max()) >= cache.num_threads:
         raise ValueError("trace references a thread outside the partitioning")
-    if (
-        engine == "auto"
-        and type(cache) is StaticPartitionedCache
-        and cache.stats.accesses == 0
-    ):
-        return _simulate_partitioned_fast(cache, trace)
+    kernel = _PARTITIONED_KERNELS.get(type(cache))
+    if engine == "sequential":
+        reason = "forced"
+    elif kernel is None:
+        reason = "no-kernel"
+    elif cache.stats.accesses:
+        reason = "warm-state"
+    else:
+        name, run = kernel
+        result = run(cache, trace)
+        result.path = f"fast:{name}"
+        return result
     cycles = 0
     for i in range(addresses.size):
         cycles += cache.access(int(addresses[i]), int(threads[i]), bool(is_write[i]))
@@ -318,4 +499,5 @@ def simulate_partitioned(
         direct_hits=cache.stats.extra.get("direct_hits", 0),
         lookup_cycles=cycles,
         thread_misses=cache.thread_misses.copy(),
+        path=f"sequential:{reason}",
     )

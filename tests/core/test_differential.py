@@ -57,6 +57,7 @@ from repro.core.aux import (
 from repro.core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
+    BeladyCache,
     ColumnAssociativeCache,
     DirectMappedCache,
     FullyAssociativeCache,
@@ -67,6 +68,7 @@ from repro.core.caches import (
 )
 from repro.core.decompose import decode
 from repro.core.dispatch import KERNELS, dispatch
+from repro.core.dynamic import DynamicIndexCache
 from repro.core.fastpolicy import simulate_policy_set_associative, simulate_policy_sweep
 from repro.core.fastsim import (
     direct_mapped_miss_flags,
@@ -84,6 +86,8 @@ from repro.core.indexing import (
     PrimeModuloIndexing,
     XorIndexing,
 )
+from repro.core.indexing.bit_select import candidate_bit_positions
+from repro.core.indexing.patel import _cost, greedy_positions
 from repro.core.replacement import POLICIES
 from repro.core.selector import ThreadSchemeTable
 from repro.core.simulator import (
@@ -94,7 +98,11 @@ from repro.core.simulator import (
     simulate_set_associative,
 )
 from repro.core.three_c import classify
+from repro.experiments import PaperConfig
+from repro.experiments.ext_patel import PATEL_BENCHES
+from repro.experiments.warm import workload_spec
 from repro.multithread import (
+    PartitionedAdaptiveCache,
     SMTSharedCache,
     StaticPartitionedCache,
     simulate_partitioned,
@@ -184,6 +192,28 @@ def _mixed(g: CacheGeometry, n: int = 4000, seed: int = 5) -> list[int]:
     return out[:n]
 
 
+def _phases(g: CacheGeometry, n: int = 3000, seed: int = 3) -> list[int]:
+    """300-access phases that alternate: random lines of one cache's span
+    (modulo is fine), then four blocks of one modulo set (modulo thrashes),
+    so a dynamic cache switches schemes."""
+    rng = np.random.default_rng(seed)
+    span = g.num_sets * g.line_bytes
+    tags = 1 << (g.address_bits - g.offset_bits - g.index_bits)
+    out: list[int] = []
+    while len(out) < n:
+        out += (rng.integers(0, g.num_sets, size=300) * g.line_bytes).tolist()
+        ids = np.resize(rng.integers(0, tags, size=4), 300)
+        out += [int(i) * span + 3 * g.line_bytes for i in ids]
+    return out[:n]
+
+
+def _shared_threads(g: CacheGeometry, n: int = 2000, seed: int = 2) -> Trace:
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << 10, size=96, dtype=np.uint64) * np.uint64(g.line_bytes)
+    return _trace(pool[rng.integers(0, len(pool), size=n)], "shared",
+                  thread=rng.integers(0, 2, size=n))
+
+
 def _threads(k: int, seed: int) -> Callable[[CacheGeometry], Trace]:
     def make(g: CacheGeometry, n: int = 4000) -> Trace:
         rng = np.random.default_rng(seed)
@@ -210,9 +240,22 @@ ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "cycle9": lambda g: _same_set(g, 5, range(9), 900),
     "huge": _huge,
     "mixed": _mixed,
+    "phases": _phases,
     **{f"threads{k}/{s}": _threads(k, s) for k in (2, 4) for s in range(3)},
+    # 96 blocks both threads draw from, so a block can sit in two partitions.
+    "threads2/shared": lambda g: _shared_threads(g),
+    # A, B, A, A on one partition line of thread 0: a miss relocates A, so
+    # its next access is an OUT hit, before the first direct hit.
+    "threads1/out_first": lambda g: _trace(
+        _same_set(g, 3, (0, 1, 0, 0), 1200), "out_first", thread=np.zeros(1200, np.int64)
+    ),
     "empty": lambda g: [],
     "single": lambda g: [7 * g.line_bytes],
+    # ext-patel's workloads at a small size (the geometry is not used).
+    **{
+        f"patel/{b}": lambda g, b=b: workload_spec(b, PaperConfig(ref_limit=4000)).generate()
+        for b in PATEL_BENCHES
+    },
 }
 
 
@@ -305,11 +348,16 @@ def test_comparer_catches_order_and_counts():
 @dataclass(frozen=True)
 class Case:
     id: str
-    build: Callable[[], object]
+    build: Callable[..., object]
     traces: tuple[str, ...]
     #: A zoo trace both twins run first (each by its own engine), so the
     #: compared run starts from a warm cache.
     prefix: str | None = None
+    #: ``build(trace)`` takes the trace it will run (Belady's future).
+    takes_trace: bool = False
+
+    def make(self, trace: Trace):
+        return self.build(trace) if self.takes_trace else self.build()
 
 
 GEOMETRIES = {"tiny": TINY, "small": SMALL}
@@ -358,6 +406,36 @@ def _aux(g, label, combo, depth, **kw):
         DirectMappedCache(g, indexing=scheme(g, label)),
         make_aux_structures(combo, depth, **kw),
     )
+
+
+def _belady(g):
+    return lambda trace: BeladyCache(g, trace.blocks(g.offset_bits).astype(np.int64))
+
+
+def _skewed(g, ways, labels=None):
+    """A skewed cache over ``g``; ``labels`` name each bank's scheme from
+    the lineup (the model's own defaults when omitted)."""
+
+    def build():
+        if labels is None:
+            return SkewedAssociativeCache(g, ways=ways)
+        bank = CacheGeometry(g.capacity_bytes // ways, g.line_bytes, 1, g.address_bits)
+        return SkewedAssociativeCache(g, ways=ways, schemes=[scheme(bank, lb) for lb in labels])
+
+    return build
+
+
+def _dynamic(g, window, history):
+    return lambda: DynamicIndexCache(
+        g, [scheme(g, "xor"), scheme(g, "odd9"), scheme(g, "prime")], window, history
+    )
+
+
+#: (window, history) of the dynamic rows: one window per access, windows
+#: longer and shorter than the ring, and the model's defaults.
+DYNAMIC_WINDOWS = [(1, 3), (37, 1000), (64, 256), (100, 128), (4096, 8192)]
+#: Traces on which MIN's tie-breaks, heap rebuilds and skewed victims show.
+BOUND_TRACES = ("random", "hot", "one_set", "cycle9", "scan", "repeats", *EDGES)
 
 
 def _policy_geometry(ways: int) -> CacheGeometry:
@@ -497,6 +575,26 @@ CASES: dict[type, list[Case]] = {
              DIRECT_TRACES)
         for gname, g in (("tiny", TINY), ("small", SMALL), ("paper", PAPER))
     ],
+    BeladyCache: [
+        Case(gname, _belady(g), BOUND_TRACES, takes_trace=True)
+        for gname, g in (*GEOMETRIES.items(), ("paper", PAPER))
+    ],
+    SkewedAssociativeCache: [
+        Case(f"{gname}/{ways}way", _skewed(g, ways), (*BOUND_TRACES, "pair_ping_pong"))
+        for gname, g in GEOMETRIES.items()
+        for ways in (2, 4)
+    ]
+    + [
+        Case("small/prime+odd9", _skewed(SMALL, 2, ("prime", "odd9")), ("random", "hot")),
+        Case("wide/2way", _skewed(WIDE, 2), ("huge",)),
+    ],
+    DynamicIndexCache: [
+        Case(f"{gname}/w{window}/h{history}", _dynamic(g, window, history),
+             ("phases", "random", "hot", "repeats", *EDGES) if window > 1 else ("cycle9", *EDGES))
+        for gname, g in GEOMETRIES.items()
+        for window, history in DYNAMIC_WINDOWS
+        if window > 1 or g is TINY
+    ],
 }
 
 ROWS = [(cls, case) for cls, cases in CASES.items() for case in cases]
@@ -515,7 +613,7 @@ def run_twins(cls: type, case: Case, trace: Trace):
     """Run ``case`` over ``trace`` fast and sequentially; assert the path,
     the results, the end states, both twins' invariants and the cold-miss
     bound.  Returns the fast twin and its last result."""
-    fast_cache, slow_cache = case.build(), case.build()
+    fast_cache, slow_cache = case.make(trace), case.make(trace)
     geometry = fast_cache.geometry
     runs = [zoo(geometry, case.prefix), trace] if case.prefix else [trace]
     misses = np.zeros(2, dtype=np.int64)
@@ -539,7 +637,7 @@ def run_twins(cls: type, case: Case, trace: Trace):
 
 def run_case(cls: type, case: Case) -> list:
     """Every trace of ``case`` through :func:`run_twins`."""
-    geometry = case.build().geometry
+    geometry = case.make(_trace([], "empty")).geometry
     return [run_twins(cls, case, zoo(geometry, name)) for name in case.traces]
 
 
@@ -778,6 +876,31 @@ def _smt_cache():
     )
 
 
+def reference_greedy(blocks, candidates, count):
+    """Patel's greedy forward selection with a fresh sort (``_cost``) per
+    candidate: the search as it was first written."""
+    selected, remaining, cost = [], list(candidates), None
+    for _ in range(count):
+        costs = [_cost(blocks, (*selected, bit)) for bit in remaining]
+        cost = min(costs)
+        selected.append(remaining.pop(costs.index(cost)))
+    return selected, cost
+
+
+def _greedy_row(row_id, g, traces) -> StatsCase:
+    """The incremental greedy against :func:`reference_greedy` over ``g``'s
+    index bits, in block-address coordinates as ``PatelIndexing.fit`` runs
+    it."""
+    candidates = tuple(
+        p - g.offset_bits for p in candidate_bit_positions(g) if p >= g.offset_bits
+    )
+
+    def run(search):
+        return lambda t: search(t.blocks(g.offset_bits), candidates, g.index_bits)
+
+    return StatsCase(row_id, g, traces, run(greedy_positions), run(reference_greedy))
+
+
 CLASSIFY_MODELS = {
     "direct-mapped/modulo": lambda: DirectMappedCache(SMALL),
     "direct-mapped/xor": lambda: DirectMappedCache(SMALL, scheme(SMALL, "xor")),
@@ -845,7 +968,40 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
             *_engine_pair(simulate_partitioned, lambda k=k: StaticPartitionedCache(SMALL, k)),
         )
         for k, s, suffix in [(2, s, "") for s in range(3)] + [(4, 0, "/4threads")]
+    ]
+    + [
+        StatsCase(
+            f"adaptive/{tables}/{k}threads/seed{s}", SMALL,
+            (f"threads{k}/{s}", "threads1/out_first", "empty"),
+            *_engine_pair(
+                simulate_partitioned,
+                lambda k=k, f=fractions: PartitionedAdaptiveCache(SMALL, k, *f),
+            ),
+        )
+        # Nearly full tables seldom age a line out, so the cold pool runs
+        # dry and a protected victim can find no relocation target; a
+        # block two threads share can then still hold an OUT entry.
+        for tables, fractions in (
+            ("paper", (3 / 8, 4 / 16)), ("tiny", (1 / 64, 1 / 64)), ("full", (0.95, 0.95))
+        )
+        for k in (2, 4)
+        for s in range(3)
+    ]
+    + [
+        StatsCase(
+            f"adaptive/{tables}/tiny-cache", TINY, ("threads2/shared",),
+            *_engine_pair(
+                simulate_partitioned,
+                lambda f=fractions: PartitionedAdaptiveCache(TINY, 2, *f),
+            ),
+        )
+        for tables, fractions in (("paper", (3 / 8, 4 / 16)), ("full", (0.95, 0.95)))
     ],
+    "greedy_positions": [
+        _greedy_row(gname, g, ("random", "hot", "repeats", "scan", "phases", *EDGES))
+        for gname, g in (*GEOMETRIES.items(), ("paper", PAPER))
+    ]
+    + [_greedy_row("ext-patel", PAPER, tuple(f"patel/{b}" for b in PATEL_BENCHES))],
     "classify": [
         StatsCase(name, SMALL, ("random", "hot"), *_engine_pair(classify, build))
         for name, build in CLASSIFY_MODELS.items()

@@ -9,9 +9,9 @@ per-access reference loop for a cache object and stamps the result's
   result and end state also equal ``simulate`` on a twin cache (the
   differential harness's comparer);
 * the experiments: run cold, no engine cell falls back to the reference
-  loop for any reason but ``sequential:no-kernel``, exactly the cells
-  without a kernel (skewed, Belady, dynamic indexing) report it, and
-  ``engine_stats["paths"]`` counts every stamped cell.
+  loop (every cache object has a kernel, and the partitioned cells of
+  Figure 14 stamp their own fast paths), and ``engine_stats["paths"]``
+  counts every stamped cell.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.core.aux import AugmentedCache, VictimBuffer, make_aux_structures
 from repro.core.caches import (
     AdaptiveGroupAssociativeCache,
     BalancedCache,
+    BeladyCache,
     ColumnAssociativeCache,
     DirectMappedCache,
     PartnerIndexCache,
@@ -41,6 +42,11 @@ from repro.experiments import PaperConfig, available_experiments, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import cells
+from repro.multithread import (
+    PartitionedAdaptiveCache,
+    StaticPartitionedCache,
+    simulate_partitioned,
+)
 from repro.trace import Trace
 from differential_support import assert_same_state
 
@@ -81,6 +87,26 @@ class _SubDirectMapped(DirectMappedCache):
 
 class _WeirdBuffer(VictimBuffer):
     pass
+
+
+class _SubPartitioned(PartitionedAdaptiveCache):
+    pass
+
+
+#: The warm-up trace of the ``dirty`` cases.
+WARM = dict(n=400, seed=3)
+
+
+def _belady(dirty: bool = False):
+    """A Belady cache over the blocks it will see: the contract trace,
+    after the warm-up trace when ``dirty``."""
+    traces = [_trace(**WARM), _trace()] if dirty else [_trace()]
+    blocks = np.concatenate([t.blocks(DM.offset_bits) for t in traces]).astype(np.int64)
+    return lambda: BeladyCache(DM, blocks)
+
+
+def _dynamic():
+    return DynamicIndexCache(DM, [ModuloIndexing(DM), XorIndexing(DM)])
 
 
 #: ``(id, cache builder, dispatch kwargs, warm first, expected path)``.
@@ -141,15 +167,13 @@ CASES = [
      "sequential:warm-state"),
     ("direct-mapped-subclass", lambda: _SubDirectMapped(DM), {}, False,
      "sequential:no-kernel"),
-    ("skewed", lambda: SkewedAssociativeCache(DM, ways=2), {}, False,
-     "sequential:no-kernel"),
-    (
-        "dynamic",
-        lambda: DynamicIndexCache(DM, [ModuloIndexing(DM), XorIndexing(DM)]),
-        {},
-        False,
-        "sequential:no-kernel",
-    ),
+    ("skewed", lambda: SkewedAssociativeCache(DM, ways=2), {}, False, "fast:skewed"),
+    ("skewed-dirty", lambda: SkewedAssociativeCache(DM, ways=2), {}, True,
+     "sequential:warm-state"),
+    ("dynamic", _dynamic, {}, False, "fast:dynamic"),
+    ("dynamic-dirty", _dynamic, {}, True, "sequential:warm-state"),
+    ("belady", _belady(), {}, False, "fast:belady"),
+    ("belady-dirty", _belady(dirty=True), {}, True, "sequential:warm-state"),
 ]
 
 
@@ -165,7 +189,7 @@ def test_registry_paths(build, kwargs, dirty, expected):
     trace = _trace()
     cache, twin = build(), build()
     if dirty:
-        warm = _trace(n=400, seed=3)
+        warm = _trace(**WARM)
         simulate(cache, warm)
         simulate(twin, warm)
     res = dispatch(cache, trace, **kwargs)
@@ -198,14 +222,45 @@ def test_rejects_unknown_engine():
         dispatch(DirectMappedCache(DM), _trace(n=10), engine="turbo")
 
 
-# -- every registered experiment, cold -------------------------------------------
+#: ``(id, cache builder, engine, expected path)`` of ``simulate_partitioned``.
+PARTITIONED = [
+    ("static", lambda: StaticPartitionedCache(DM, 2), "auto", "fast:partitioned-static"),
+    ("adaptive", lambda: PartitionedAdaptiveCache(DM, 2), "auto",
+     "fast:partitioned-adaptive"),
+    ("adaptive-forced", lambda: PartitionedAdaptiveCache(DM, 2), "sequential",
+     "sequential:forced"),
+    ("adaptive-subclass", lambda: _SubPartitioned(DM, 2), "auto", "sequential:no-kernel"),
+]
 
-#: The cells with no kernel: they run the reference loop by design.
-NO_KERNEL = {
-    ("bounds", "Belady"),
-    ("bounds", "Skewed2"),
-    ("dynamic", "xor+odd_multiplier+prime_modulo"),
-}
+
+def _threads_trace(n: int = 1500, seed: int = 7) -> Trace:
+    trace = _trace(n, seed)
+    thread = np.random.default_rng(seed).integers(0, 2, size=n)
+    return Trace(trace.addresses, name=trace.name, thread=thread)
+
+
+@pytest.mark.parametrize("dirty", [False, True], ids=["cold", "dirty"])
+@pytest.mark.parametrize(
+    "build, engine, expected", [c[1:] for c in PARTITIONED], ids=[c[0] for c in PARTITIONED]
+)
+def test_partitioned_paths(build, engine, expected, dirty):
+    """``simulate_partitioned`` names its path as ``dispatch`` does; a cache
+    with stats already counted replays sequentially."""
+    cache, twin = build(), build()
+    if dirty:
+        warm = _threads_trace(n=400, seed=3)
+        simulate_partitioned(cache, warm, engine="sequential")
+        simulate_partitioned(twin, warm, engine="sequential")
+        if expected.startswith("fast:"):
+            expected = "sequential:warm-state"
+    trace = _threads_trace()
+    res = simulate_partitioned(cache, trace, engine=engine)
+    assert res.path == expected
+    assert_same_state(res, simulate_partitioned(twin, trace, engine="sequential"))
+    assert_same_state(cache, twin)
+
+
+# -- every registered experiment, cold -------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -247,13 +302,35 @@ def test_engine_stats_count_every_path(cold_runs, eid):
 
 
 def test_only_cells_without_a_kernel_fall_back(cold_runs):
+    """No cell lacks a kernel any more, so no cell falls back."""
     fallbacks = {
         (kind, label, path)
         for ran, _ in cold_runs.values()
         for kind, label, path in ran
         if path.startswith("sequential:")
     }
-    assert fallbacks == {(kind, label, "sequential:no-kernel") for kind, label in NO_KERNEL}
+    assert fallbacks == set()
+
+
+#: The cells whose models had no kernel before theirs landed, each with
+#: the path it now takes.
+KERNEL_CELLS = {
+    ("bounds", "Belady"): "fast:belady",
+    ("bounds", "Skewed2"): "fast:skewed",
+    ("dynamic", "xor+odd_multiplier+prime_modulo"): "fast:dynamic",
+    ("partitioned", "static"): "fast:partitioned-static",
+    ("partitioned", "adaptive"): "fast:partitioned-adaptive",
+}
+
+
+def test_cells_take_their_kernels(cold_runs):
+    taken = {
+        (kind, label, path)
+        for ran, _ in cold_runs.values()
+        for kind, label, path in ran
+        if (kind, label) in KERNEL_CELLS
+    }
+    assert taken == {(*cell, path) for cell, path in KERNEL_CELLS.items()}
 
 
 @pytest.mark.parametrize(

@@ -231,3 +231,19 @@ class TestClusterVisibleWarmResults:
         assert warm.cache_misses == 0
         assert warm.cache_hits == 1
         assert results[("crc", "baseline")].misses > 0
+
+
+class TestEntryBytes:
+    def test_entry_bytes_do_not_depend_on_the_engine(self, config, tmp_path):
+        """The colassoc kernel and the per-access loop add their ``extra``
+        classes in different orders; the stored entries are the same bytes."""
+        cell = make_cell("colassoc", "crc", "ColAssoc_XOR", config)
+        entries = {}
+        for engine in ("auto", "sequential"):
+            node = replace(config, engine=engine, result_cache_dir=tmp_path / engine)
+            run_cells([cell], node, jobs=1)
+            entries[engine] = list((tmp_path / engine).glob(f"*{cache_mod.ENTRY_SUFFIX}"))
+            assert len(entries[engine]) == 1
+        auto, sequential = (entries[e][0] for e in ("auto", "sequential"))
+        assert auto.name == sequential.name
+        assert auto.read_bytes() == sequential.read_bytes()

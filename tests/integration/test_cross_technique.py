@@ -3,7 +3,8 @@
 These tests pin the *relationships* between models that any correct cache
 simulator must exhibit, over randomised traces:
 
-* Belady/MIN lower-bounds every same-capacity organisation;
+* Belady/MIN lower-bounds every same-capacity organisation, and equals an
+  exhaustive search over eviction choices on every tiny trace;
 * accounting identities hold for every model;
 * bijective index schemes preserve total traffic and merely permute it;
 * fresh instances replay identically (no hidden global state).
@@ -14,6 +15,9 @@ per-access loop.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -73,6 +77,47 @@ class TestBeladyBound:
             for name, factory in ALL_MODELS:
                 misses = dispatch(factory(), trace, engine=engine).misses
                 assert misses >= optimal, f"{name} beat Belady (impossible), {engine}"
+
+
+def brute_force_min(blocks: tuple[int, ...], capacity: int) -> int:
+    """The fewest misses over every choice of victim at every full miss."""
+
+    @functools.lru_cache(maxsize=None)
+    def fewest(i: int, resident: frozenset) -> int:
+        if i == len(blocks):
+            return 0
+        b = blocks[i]
+        if b in resident:
+            return fewest(i + 1, resident)
+        if len(resident) < capacity:
+            return 1 + fewest(i + 1, resident | {b})
+        return 1 + min(fewest(i + 1, resident - {v} | {b}) for v in resident)
+
+    return fewest(0, frozenset())
+
+
+def tiny_traces(max_len: int, max_blocks: int):
+    """Every block sequence of up to ``max_len`` accesses over up to
+    ``max_blocks`` blocks, once per renaming of its blocks (each block is
+    numbered by its first access): renaming changes no miss count."""
+    for n in range(max_len + 1):
+        for seq in itertools.product(range(max_blocks), repeat=n):
+            if all(b <= max(seq[:i], default=-1) + 1 for i, b in enumerate(seq)):
+                yield seq
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_belady_equals_brute_force_min(capacity):
+    """MIN is optimal: on every trace of up to 8 accesses over up to 4
+    blocks, both engines' Belady misses equal the exhaustive search's."""
+    g = CacheGeometry(capacity_bytes=64, line_bytes=16, ways=1, address_bits=16)
+    for seq in tiny_traces(8, 4):
+        trace = Trace(np.array(seq, dtype=np.uint64) * np.uint64(16), name="tiny")
+        expected = brute_force_min(seq, capacity)
+        for engine in ENGINES:
+            cache = BeladyCache(g, np.array(seq, dtype=np.int64))
+            cache.capacity_lines = capacity  # any line count, not a power of two
+            assert dispatch(cache, trace, engine=engine).misses == expected, (seq, engine)
 
 
 @pytest.mark.parametrize("name,factory", ALL_MODELS, ids=[n for n, _ in ALL_MODELS])
