@@ -31,6 +31,10 @@ Behaviour per access (following the paper's prose):
 
 Default table sizes follow the paper's Section IV: SHT = 3/8 and
 OUT = 4/16 (=1/4) of the number of cache sets.
+
+The tables and these steps live in one base class, shared with the Fig. 14
+partitioned cache (:mod:`repro.multithread.partitioned`), which differs only
+in how an access finds its primary line.
 """
 
 from __future__ import annotations
@@ -47,37 +51,31 @@ from .base import EMPTY, AccessResult, CacheModel
 __all__ = ["AdaptiveGroupAssociativeCache"]
 
 
-class AdaptiveGroupAssociativeCache(CacheModel):
-    """Direct-mapped array + SHT/OUT directories + disposable bits."""
+class _AdaptiveDirectories:
+    """The SHT/OUT state of a direct-mapped line array and its transitions.
 
-    name = "adaptive"
+    The one implementation of the policy above, shared by
+    :class:`AdaptiveGroupAssociativeCache` and the thread-partitioned
+    :class:`~repro.multithread.partitioned.PartitionedAdaptiveCache`, which
+    differ only in how an access finds its primary line.  A host class has
+    a ``stats`` (:class:`~repro.core.caches.base.CacheStats`) and calls
+    :meth:`_init_directories` from its constructor.
+    """
 
     #: Extra cycles charged on an OUT-directory hit (paper Eq. 8 uses 3 total).
     OUT_HIT_CYCLES = 3
 
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        indexing: IndexingScheme | None = None,
-        sht_fraction: float = 3 / 8,
-        out_fraction: float = 4 / 16,
-    ):
-        if geometry.ways != 1:
-            raise ValueError("adaptive group-associative cache is built on a 1-way geometry")
-        super().__init__(geometry, num_slots=geometry.num_sets)
-        self.indexing = indexing if indexing is not None else ModuloIndexing(geometry)
-        n = geometry.num_sets
-        self.sht_capacity = max(1, int(n * sht_fraction))
-        self.out_capacity = max(1, int(n * out_fraction))
-        self._blocks = np.full(n, EMPTY, dtype=np.int64)
-        self._disposable = np.ones(n, dtype=bool)  # empty lines start disposable
-        self._out_of_position = np.zeros(n, dtype=bool)
+    def _init_directories(self, num_lines: int, sht_fraction: float, out_fraction: float) -> None:
+        self.sht_capacity = max(1, int(num_lines * sht_fraction))
+        self.out_capacity = max(1, int(num_lines * out_fraction))
+        self._blocks = np.full(num_lines, EMPTY, dtype=np.int64)
+        self._disposable = np.ones(num_lines, dtype=bool)  # empty lines start disposable
+        self._out_of_position = np.zeros(num_lines, dtype=bool)
         self._sht: OrderedDict[int, None] = OrderedDict()  # set index, LRU order
         self._out: OrderedDict[int, int] = OrderedDict()  # block -> alternate slot
         # Disposable lines ordered coldest-first (aging out of the SHT
         # appends; re-protection removes).  Seeded with every line.
-        self._cold_pool: OrderedDict[int, None] = OrderedDict((s, None) for s in range(n))
-        self._offset_bits = geometry.offset_bits
+        self._cold_pool: OrderedDict[int, None] = OrderedDict((s, None) for s in range(num_lines))
 
     # -- SHT management ------------------------------------------------------------
 
@@ -121,19 +119,23 @@ class AdaptiveGroupAssociativeCache(CacheModel):
 
     # -- access -----------------------------------------------------------------------
 
-    def _access_block(self, block: int, is_write: bool) -> AccessResult:
-        slot = self.indexing.index_of(block << self._offset_bits)
-        self.stats.record_probe(slot)
+    def _place(self, slot: int, block: int) -> tuple[int, int | None]:
+        """Access ``block`` whose primary line is ``slot``, recording the
+        probes and the hit or miss.  Returns the line that hit (``slot`` on
+        a direct hit, the alternate line on an OUT hit, -1 on a miss) and
+        the block a miss evicted."""
+        stats = self.stats
+        stats.record_probe(slot)
 
         if self._blocks[slot] == block:
             self._sht_touch(slot)
-            self.stats.record_hit(slot, "direct")
-            return AccessResult(True, 1, slot, slot, hit_class="direct")
+            stats.record_hit(slot, "direct")
+            return slot, None
 
         # OUT directory probed in parallel with the cache.
         alt = self._out.get(block)
         if alt is not None and self._blocks[alt] == block:
-            self.stats.record_probe(alt)
+            stats.record_probe(alt)
             del self._out[block]
             displaced = int(self._blocks[slot])
             # Swap into the primary position for future 1-cycle hits.
@@ -152,8 +154,8 @@ class AdaptiveGroupAssociativeCache(CacheModel):
                 self._out_of_position[alt] = False
                 self._make_disposable(alt)
             self._sht_touch(slot)
-            self.stats.record_hit(alt, "out")
-            return AccessResult(True, self.OUT_HIT_CYCLES, slot, alt, hit_class="out")
+            stats.record_hit(alt, "out")
+            return alt, None
         if alt is not None:
             # Stale directory entry (alternate line was reused); drop it.
             del self._out[block]
@@ -181,9 +183,10 @@ class AdaptiveGroupAssociativeCache(CacheModel):
                 self._out.move_to_end(victim)
                 self._trim_out()
             else:
-                # No disposable line available: fall back to eviction.
+                # No disposable line available: fall back to eviction.  The
+                # victim's OUT entry, if any, stays: in a partitioned cache
+                # whose threads share a block it names another copy.
                 evicted = victim
-                self._out.pop(victim, None)
         elif victim != EMPTY:
             # Disposable or out-of-position line: plain replacement.
             evicted = victim
@@ -191,24 +194,24 @@ class AdaptiveGroupAssociativeCache(CacheModel):
         self._blocks[slot] = block
         self._out_of_position[slot] = False
         self._sht_touch(slot)
-        self.stats.record_miss(slot)
-        return AccessResult(False, 1, slot, slot, evicted_block=evicted)
+        stats.record_miss(slot)
+        return -1, evicted
 
-    # -- AMAT fraction (Eq. 8 input) ----------------------------------------------
-
-    @property
-    def fraction_direct_hits(self) -> float:
-        """Share of *hits* serviced by the primary probe (1 cycle)."""
-        if not self.stats.hits:
-            return 1.0
-        return self.stats.extra.get("direct_hits", 0) / self.stats.hits
+    # -- management ---------------------------------------------------------------------
 
     def contents(self) -> set[int]:
         return {int(b) for b in self._blocks if b != EMPTY}
 
     def check_invariants(self) -> None:
+        """Table bounds, the cold pool, and two facts that hold while each
+        block has one primary line (always in the AGAC; in a partitioned
+        cache while no block is shared by two threads): no block is
+        resident twice, and no block resident in position has an OUT
+        entry."""
         resident = self._blocks[self._blocks != EMPTY]
         assert np.unique(resident).size == resident.size, "duplicate resident block"
+        in_position = self._blocks[(self._blocks != EMPTY) & ~self._out_of_position]
+        assert not any(int(b) in self._out for b in in_position), "in-position block in OUT"
         assert len(self._out) <= self.out_capacity
         assert len(self._sht) <= self.sht_capacity
         for slot in self._cold_pool:
@@ -221,4 +224,42 @@ class AdaptiveGroupAssociativeCache(CacheModel):
         self._out_of_position.fill(False)
         self._sht.clear()
         self._out.clear()
-        self._cold_pool = OrderedDict((s, None) for s in range(self.geometry.num_sets))
+        self._cold_pool = OrderedDict((s, None) for s in range(self._blocks.size))
+
+
+class AdaptiveGroupAssociativeCache(_AdaptiveDirectories, CacheModel):
+    """Direct-mapped array + SHT/OUT directories + disposable bits."""
+
+    name = "adaptive"
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        indexing: IndexingScheme | None = None,
+        sht_fraction: float = 3 / 8,
+        out_fraction: float = 4 / 16,
+    ):
+        if geometry.ways != 1:
+            raise ValueError("adaptive group-associative cache is built on a 1-way geometry")
+        super().__init__(geometry, num_slots=geometry.num_sets)
+        self.indexing = indexing if indexing is not None else ModuloIndexing(geometry)
+        self._init_directories(geometry.num_sets, sht_fraction, out_fraction)
+        self._offset_bits = geometry.offset_bits
+
+    def _access_block(self, block: int, is_write: bool) -> AccessResult:
+        slot = self.indexing.index_of(block << self._offset_bits)
+        at, evicted = self._place(slot, block)
+        if at < 0:
+            return AccessResult(False, 1, slot, slot, evicted_block=evicted)
+        if at == slot:
+            return AccessResult(True, 1, slot, slot, hit_class="direct")
+        return AccessResult(True, self.OUT_HIT_CYCLES, slot, at, hit_class="out")
+
+    # -- AMAT fraction (Eq. 8 input) ----------------------------------------------
+
+    @property
+    def fraction_direct_hits(self) -> float:
+        """Share of *hits* serviced by the primary probe (1 cycle)."""
+        if not self.stats.hits:
+            return 1.0
+        return self.stats.extra.get("direct_hits", 0) / self.stats.hits

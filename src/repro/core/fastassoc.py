@@ -568,30 +568,23 @@ def simulate_partner(cache: PartnerIndexCache, trace: Trace) -> SimulationResult
 # -- adaptive (AGAC): sequential semantics, hoisted hot loop --------------------------
 
 
-def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> SimulationResult:
-    """Hoisted sequential replay of the adaptive group-associative cache.
+def _replay_adaptive(cache, slots: np.ndarray, blocks: np.ndarray):
+    """Hoisted replay of ``(slot, block)`` accesses over the SHT/OUT state of
+    ``cache`` (an adaptive group-associative or partitioned adaptive cache).
 
-    The AGAC does **not** decompose: its SHT and OUT directories are global
-    LRU structures, so every access can move state shared by all sets.  The
-    replay therefore stays strictly sequential — this is a transliteration
-    of ``AdaptiveGroupAssociativeCache._access_block`` — but hoists all the
-    per-access overhead out of the loop: indices are vectorised up front,
-    the line arrays become plain-``int`` lists, and the stats/``AccessResult``
-    machinery is replaced by local counters.  Bit-identical to
-    ``simulate(cache, trace)``, including the post-run SHT/OUT/cold-pool
-    ordering.
+    The SHT and OUT directories are global LRU structures, so every access
+    can move state shared by all lines and the replay stays strictly
+    sequential: a transliteration of the caches' shared ``_place`` over
+    plain lists, with no stats or ``AccessResult`` per access.  It leaves
+    the cache's lines, disposable bits, SHT, OUT and cold pool exactly as
+    ``_place`` would, and returns per-line ``(accesses, hits, misses)``
+    arrays, the direct and OUT hit counts, and each access's outcome (0 for
+    a miss, 1 for a direct hit, 2 for an OUT hit).
     """
-    n = len(trace)
-    blocks_all, slots_all = decode(cache.indexing, trace, cache.geometry)
-    slots = slots_all.tolist()
-    blocks = blocks_all.tolist()
-
-    num_sets = cache.geometry.num_sets
-    acc_l = [0] * num_sets
-    hit_l = [0] * num_sets
-    mis_l = [0] * num_sets
-    hits = misses = cycles = 0
-    dh = oh = 0
+    n = len(slots)
+    num_lines = len(cache._blocks)
+    outcome = bytearray(n)  # a miss unless a hit says otherwise
+    out_lines: list[int] = []  # the alternate line of each OUT hit
 
     blk_state = cache._blocks.tolist()
     disp = cache._disposable.tolist()
@@ -601,120 +594,78 @@ def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> Sim
     cold_pool = cache._cold_pool
     sht_cap = cache.sht_capacity
     out_cap = cache.out_capacity
-    out_cycles = cache.OUT_HIT_CYCLES
     sht_move = sht.move_to_end
     cold_move = cold_pool.move_to_end
     out_get = out.get
     out_pop = out.pop
+    out_move = out.move_to_end
     cold_pop = cold_pool.pop
+    out_line = out_lines.append
+    direct, out_hit = 1, 2
 
-    for i in range(n):
-        slot = slots[i]
-        blk = blocks[i]
-        acc_l[slot] += 1  # record_probe(slot)
-
+    for i, (slot, blk) in enumerate(zip(slots.tolist(), blocks.tolist())):
         if blk_state[slot] == blk:
-            # _sht_touch(slot)
-            if slot in sht:
-                sht_move(slot)
+            outcome[i] = direct
+        else:
+            alt = out_get(blk)
+            if alt is not None and blk_state[alt] == blk:
+                del out[blk]
+                displaced = blk_state[slot]
+                blk_state[slot] = blk
+                oop[slot] = False
+                if displaced != EMPTY:
+                    blk_state[alt] = displaced
+                    oop[alt] = True
+                    disp[alt] = False
+                    cold_pop(alt, None)
+                    out[displaced] = alt
+                    out_move(displaced)
+                else:
+                    blk_state[alt] = EMPTY
+                    oop[alt] = False
+                    if not disp[alt]:  # _make_disposable(alt)
+                        disp[alt] = True
+                        cold_pool[alt] = None
+                        cold_move(alt)
+                outcome[i] = out_hit
+                out_line(alt)
             else:
-                sht[slot] = None
-                if len(sht) > sht_cap:
-                    cold, _ = sht.popitem(last=False)
-                    if not disp[cold]:  # _make_disposable(cold)
-                        disp[cold] = True
-                        cold_pool[cold] = None
-                        cold_move(cold)
-            disp[slot] = False
-            cold_pop(slot, None)
-            hits += 1
-            hit_l[slot] += 1
-            dh += 1
-            cycles += 1
-            continue
+                if alt is not None:
+                    del out[blk]  # stale directory entry
+                # True miss.
+                victim = blk_state[slot]
+                if victim != EMPTY and not disp[slot] and not oop[slot]:
+                    # _select_relocation_target(slot)
+                    if len(out) >= out_cap and out:
+                        dest = next(iter(out.values()))  # LRU end
+                    else:
+                        dest = None
+                        for cand in cold_pool:
+                            if cand != slot:
+                                dest = cand
+                                break
+                    if dest is not None:
+                        out_pop(blk_state[dest], None)
+                        blk_state[dest] = victim
+                        disp[dest] = False
+                        cold_pop(dest, None)
+                        oop[dest] = True
+                        out[victim] = dest
+                        out_move(victim)
+                elif victim != EMPTY:
+                    out_pop(victim, None)
+                blk_state[slot] = blk
+                oop[slot] = False
+            # _trim_out(): only an OUT swap or a relocation can overfill it.
+            # A miss has already filled its line; no trimmed entry names the
+            # filled block or the victim, so that order changes nothing.
+            while len(out) > out_cap:
+                t_blk, t_dest = out.popitem(last=False)
+                if blk_state[t_dest] == t_blk and not disp[t_dest]:
+                    disp[t_dest] = True
+                    cold_pool[t_dest] = None
+                    cold_move(t_dest)
 
-        alt = out_get(blk)
-        if alt is not None and blk_state[alt] == blk:
-            acc_l[alt] += 1  # record_probe(alt)
-            del out[blk]
-            displaced = blk_state[slot]
-            blk_state[slot] = blk
-            oop[slot] = False
-            if displaced != EMPTY:
-                blk_state[alt] = displaced
-                oop[alt] = True
-                disp[alt] = False
-                cold_pop(alt, None)
-                out[displaced] = alt
-                out.move_to_end(displaced)
-                while len(out) > out_cap:  # _trim_out()
-                    t_blk, t_dest = out.popitem(last=False)
-                    if blk_state[t_dest] == t_blk and not disp[t_dest]:
-                        disp[t_dest] = True
-                        cold_pool[t_dest] = None
-                        cold_move(t_dest)
-            else:
-                blk_state[alt] = EMPTY
-                oop[alt] = False
-                if not disp[alt]:  # _make_disposable(alt)
-                    disp[alt] = True
-                    cold_pool[alt] = None
-                    cold_move(alt)
-            # _sht_touch(slot)
-            if slot in sht:
-                sht_move(slot)
-            else:
-                sht[slot] = None
-                if len(sht) > sht_cap:
-                    cold, _ = sht.popitem(last=False)
-                    if not disp[cold]:
-                        disp[cold] = True
-                        cold_pool[cold] = None
-                        cold_move(cold)
-            disp[slot] = False
-            cold_pop(slot, None)
-            hits += 1
-            hit_l[alt] += 1
-            oh += 1
-            cycles += out_cycles
-            continue
-        if alt is not None:
-            del out[blk]  # stale directory entry
-
-        # True miss.
-        victim = blk_state[slot]
-        if victim != EMPTY and not disp[slot] and not oop[slot]:
-            # _select_relocation_target(slot)
-            if len(out) >= out_cap and out:
-                dest = next(iter(out.values()))  # LRU end
-            else:
-                dest = None
-                for cand in cold_pool:
-                    if cand != slot:
-                        dest = cand
-                        break
-            if dest is not None:
-                evicted_from_dest = blk_state[dest]
-                if evicted_from_dest != EMPTY:
-                    out_pop(evicted_from_dest, None)
-                blk_state[dest] = victim
-                disp[dest] = False
-                cold_pop(dest, None)
-                oop[dest] = True
-                out[victim] = dest
-                out.move_to_end(victim)
-                while len(out) > out_cap:  # _trim_out()
-                    t_blk, t_dest = out.popitem(last=False)
-                    if blk_state[t_dest] == t_blk and not disp[t_dest]:
-                        disp[t_dest] = True
-                        cold_pool[t_dest] = None
-                        cold_move(t_dest)
-            else:
-                out_pop(victim, None)
-        elif victim != EMPTY:
-            out_pop(victim, None)
-        blk_state[slot] = blk
-        oop[slot] = False
         # _sht_touch(slot)
         if slot in sht:
             sht_move(slot)
@@ -722,29 +673,46 @@ def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> Sim
             sht[slot] = None
             if len(sht) > sht_cap:
                 cold, _ = sht.popitem(last=False)
-                if not disp[cold]:
+                if not disp[cold]:  # _make_disposable(cold)
                     disp[cold] = True
                     cold_pool[cold] = None
                     cold_move(cold)
         disp[slot] = False
         cold_pop(slot, None)
-        misses += 1
-        mis_l[slot] += 1
-        cycles += 1
 
     cache._blocks[:] = blk_state
     cache._disposable[:] = disp
     cache._out_of_position[:] = oop
 
+    outcome = np.frombuffer(outcome, dtype=np.uint8)
+    out_lines = np.asarray(out_lines, dtype=np.int64)
+    hit = outcome > 0
+    out_counts = np.bincount(out_lines, minlength=num_lines)
+    slot_accesses = np.bincount(slots, minlength=num_lines) + out_counts
+    slot_hits = np.bincount(slots[outcome == direct], minlength=num_lines) + out_counts
+    slot_misses = np.bincount(slots[~hit], minlength=num_lines)
+    out_hits = len(out_lines)
+    direct_hits = int(hit.sum()) - out_hits
+    return (slot_accesses, slot_hits, slot_misses), direct_hits, out_hits, outcome
+
+
+def simulate_adaptive(cache: AdaptiveGroupAssociativeCache, trace: Trace) -> SimulationResult:
+    """Hoisted sequential replay of the adaptive group-associative cache:
+    the slots through its indexing scheme, then :func:`_replay_adaptive`.
+    Bit-identical to ``simulate(cache, trace)``, including the post-run
+    SHT/OUT/cold-pool ordering."""
+    blocks, slots = decode(cache.indexing, trace, cache.geometry)
+    (acc, hit, mis), dh, oh, _ = _replay_adaptive(cache, slots, blocks)
+    n = len(trace)
     return _finalize(
         cache,
         trace,
         accesses=n,
-        hits=hits,
-        misses=misses,
-        cycles=cycles,
-        slot_accesses=acc_l,
-        slot_hits=hit_l,
-        slot_misses=mis_l,
+        hits=dh + oh,
+        misses=n - dh - oh,
+        cycles=n + (cache.OUT_HIT_CYCLES - 1) * oh,
+        slot_accesses=acc,
+        slot_hits=hit,
+        slot_misses=mis,
         extra={"direct_hits": dh, "out_hits": oh},
     )

@@ -572,6 +572,7 @@ def _smt(label: str, config: PaperConfig) -> _Spec:
         smt = simulate_smt(cache, trace, engine=config.engine)
         result = _result_from_stats(cache.name, trace.name, cache.stats, smt.accesses)
         result.extra["cross_evictions"] = smt.cross_evictions
+        result.path = smt.path
         return result
 
     return _Spec(run, params=params)

@@ -100,6 +100,9 @@ class SMTResult:
     slot_accesses: np.ndarray
     slot_misses: np.ndarray
     extra: dict[str, float] = field(default_factory=dict)
+    #: How :func:`simulate_smt` produced the result (``fast:smt`` or
+    #: ``sequential:<reason>``).  Metadata only: never stored, sent or keyed.
+    path: str = field(default="", compare=False)
 
     @property
     def miss_rate(self) -> float:
@@ -182,7 +185,9 @@ def simulate_smt(cache: SMTSharedCache, trace: Trace, engine: str = "auto") -> S
     ``engine="auto"`` (default) uses the vectorised fast path whenever it is
     exact — a plain :class:`SMTSharedCache` (not a subclass) starting from a
     fresh state; ``engine="sequential"`` forces the one-access-at-a-time
-    reference loop (used by the differential tests).
+    reference loop (used by the differential tests).  ``result.path`` names
+    the path taken, as :func:`~repro.core.dispatch.dispatch` names it for
+    cache objects.
     """
     check_engine(engine)
     addresses = trace.addresses
@@ -191,12 +196,16 @@ def simulate_smt(cache: SMTSharedCache, trace: Trace, engine: str = "auto") -> S
     n_threads = len(cache.schemes)
     if len(trace) and int(threads.max()) >= n_threads:
         raise ValueError("trace references a thread with no indexing scheme")
-    if (
-        engine == "auto"
-        and type(cache) is SMTSharedCache
-        and cache.stats.accesses == 0
-    ):
-        return _simulate_smt_fast(cache, trace)
+    if engine == "sequential":
+        reason = "forced"
+    elif type(cache) is not SMTSharedCache:
+        reason = "no-kernel"
+    elif cache.stats.accesses:
+        reason = "warm-state"
+    else:
+        result = _simulate_smt_fast(cache, trace)
+        result.path = "fast:smt"
+        return result
     for i in range(addresses.size):
         cache.access(int(addresses[i]), int(threads[i]), bool(is_write[i]))
     return SMTResult(
@@ -207,4 +216,5 @@ def simulate_smt(cache: SMTSharedCache, trace: Trace, engine: str = "auto") -> S
         cross_evictions=cache.cross_evictions,
         slot_accesses=cache.stats.slot_accesses.copy(),
         slot_misses=cache.stats.slot_misses.copy(),
+        path=f"sequential:{reason}",
     )

@@ -307,9 +307,10 @@ def result_to_wire(
     """A :class:`SimulationResult` as a JSON-safe dict.
 
     Scalars always; the per-set arrays only on request (they dominate the
-    payload).  Everything is plain ints so two serializations of the same
-    result are byte-identical — the bit-identity contract the service
-    tests assert rides on this.
+    payload).  Everything is plain ints, and ``extra`` is in key order (as
+    the result store writes it), so two serializations of the same result
+    are byte-identical whichever engine or store produced it — the
+    bit-identity contract the service tests assert rides on this.
     """
     doc: dict[str, Any] = {
         "model": result.model,
@@ -319,7 +320,7 @@ def result_to_wire(
         "misses": int(result.misses),
         "miss_rate": result.miss_rate,
         "lookup_cycles": int(result.lookup_cycles),
-        "extra": {k: int(v) for k, v in result.extra.items()},
+        "extra": {k: int(v) for k, v in sorted(result.extra.items())},
     }
     if include_arrays:
         for name in ("slot_accesses", "slot_hits", "slot_misses"):

@@ -223,6 +223,15 @@ def _threads(k: int, seed: int) -> Callable[[CacheGeometry], Trace]:
     return make
 
 
+def _own_threads(k: int, n: int = 4000, seed: int = 5) -> Trace:
+    """``k`` threads over 128 blocks each, in disjoint address ranges (as
+    the SMT mixes' threads are)."""
+    rng = np.random.default_rng(seed)
+    thread = rng.integers(0, k, size=n)
+    addrs = rng.integers(0, 1 << 11, size=n) + (thread << 20)
+    return _trace(addrs, f"threads{k}/own", thread=thread)
+
+
 #: The one trace zoo: name → builder over a geometry.
 ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "random": _random,
@@ -242,6 +251,7 @@ ZOO: dict[str, Callable[[CacheGeometry], object]] = {
     "mixed": _mixed,
     "phases": _phases,
     **{f"threads{k}/{s}": _threads(k, s) for k in (2, 4) for s in range(3)},
+    **{f"threads{k}/own": lambda g, k=k: _own_threads(k) for k in (2, 4)},
     # 96 blocks both threads draw from, so a block can sit in two partitions.
     "threads2/shared": lambda g: _shared_threads(g),
     # A, B, A, A on one partition line of thread 0: a miss relocates A, so
@@ -852,14 +862,28 @@ def _aux_sweep_row(label) -> StatsCase:
     )
 
 
+def _one_thread_per_block(trace: Trace, offset_bits: int) -> bool:
+    """Whether no block is accessed by two threads of ``trace``."""
+    blocks = trace.blocks(offset_bits)
+    pairs = np.unique(np.stack([blocks, trace.thread.astype(blocks.dtype)]), axis=1)
+    return np.unique(pairs[0]).size == pairs.shape[1]
+
+
 def _engine_pair(run, build):
     """``run(cache, trace, engine)`` on a fresh ``build()``, both engines;
-    each side yields its result and its cache's end state."""
+    each side yields its result and its cache's end state.  A cache with
+    ``check_invariants`` is checked too, unless two threads share a block:
+    a partitioned adaptive cache then holds the block in two lines."""
 
     def side(engine):
         def go(trace):
             cache = build()
-            return run(cache, trace, engine=engine), cache
+            result = run(cache, trace, engine=engine)
+            if hasattr(cache, "check_invariants") and _one_thread_per_block(
+                trace, cache.geometry.offset_bits
+            ):
+                cache.check_invariants()
+            return result, cache
 
         return go
 
@@ -972,7 +996,7 @@ STATS_PATHS: dict[str, list[StatsCase]] = {
     + [
         StatsCase(
             f"adaptive/{tables}/{k}threads/seed{s}", SMALL,
-            (f"threads{k}/{s}", "threads1/out_first", "empty"),
+            (f"threads{k}/{s}", f"threads{k}/own", "threads1/out_first", "empty"),
             *_engine_pair(
                 simulate_partitioned,
                 lambda k=k, f=fractions: PartitionedAdaptiveCache(SMALL, k, *f),

@@ -9,9 +9,9 @@ per-access reference loop for a cache object and stamps the result's
   result and end state also equal ``simulate`` on a twin cache (the
   differential harness's comparer);
 * the experiments: run cold, no engine cell falls back to the reference
-  loop (every cache object has a kernel, and the partitioned cells of
-  Figure 14 stamp their own fast paths), and ``engine_stats["paths"]``
-  counts every stamped cell.
+  loop (every cache object has a kernel, and the SMT cells of Figure 13
+  and the partitioned cells of Figure 14 stamp their own fast paths), and
+  ``engine_stats["paths"]`` counts every stamped cell.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.core.caches import (
 from repro.core.dispatch import KERNELS, dispatch
 from repro.core.dynamic import DynamicIndexCache
 from repro.core.indexing import ModuloIndexing, XorIndexing
+from repro.core.selector import ThreadSchemeTable
 from repro.core.simulator import simulate
 from repro.experiments import PaperConfig, available_experiments, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
@@ -44,8 +45,10 @@ from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import cells
 from repro.multithread import (
     PartitionedAdaptiveCache,
+    SMTSharedCache,
     StaticPartitionedCache,
     simulate_partitioned,
+    simulate_smt,
 )
 from repro.trace import Trace
 from differential_support import assert_same_state
@@ -90,6 +93,10 @@ class _WeirdBuffer(VictimBuffer):
 
 
 class _SubPartitioned(PartitionedAdaptiveCache):
+    pass
+
+
+class _SubSMT(SMTSharedCache):
     pass
 
 
@@ -222,7 +229,12 @@ def test_rejects_unknown_engine():
         dispatch(DirectMappedCache(DM), _trace(n=10), engine="turbo")
 
 
-#: ``(id, cache builder, engine, expected path)`` of ``simulate_partitioned``.
+def _smt(cls=SMTSharedCache):
+    return lambda: cls(DM, ThreadSchemeTable([ModuloIndexing(DM), XorIndexing(DM)]))
+
+
+#: ``(id, cache builder, engine, expected path)`` of ``simulate_partitioned``
+#: and ``simulate_smt``.
 PARTITIONED = [
     ("static", lambda: StaticPartitionedCache(DM, 2), "auto", "fast:partitioned-static"),
     ("adaptive", lambda: PartitionedAdaptiveCache(DM, 2), "auto",
@@ -230,6 +242,9 @@ PARTITIONED = [
     ("adaptive-forced", lambda: PartitionedAdaptiveCache(DM, 2), "sequential",
      "sequential:forced"),
     ("adaptive-subclass", lambda: _SubPartitioned(DM, 2), "auto", "sequential:no-kernel"),
+    ("smt", _smt(), "auto", "fast:smt"),
+    ("smt-forced", _smt(), "sequential", "sequential:forced"),
+    ("smt-subclass", _smt(_SubSMT), "auto", "sequential:no-kernel"),
 ]
 
 
@@ -244,19 +259,21 @@ def _threads_trace(n: int = 1500, seed: int = 7) -> Trace:
     "build, engine, expected", [c[1:] for c in PARTITIONED], ids=[c[0] for c in PARTITIONED]
 )
 def test_partitioned_paths(build, engine, expected, dirty):
-    """``simulate_partitioned`` names its path as ``dispatch`` does; a cache
-    with stats already counted replays sequentially."""
+    """``simulate_partitioned`` and ``simulate_smt`` name their paths as
+    ``dispatch`` does; a cache with stats already counted replays
+    sequentially."""
     cache, twin = build(), build()
+    run = simulate_smt if isinstance(cache, SMTSharedCache) else simulate_partitioned
     if dirty:
         warm = _threads_trace(n=400, seed=3)
-        simulate_partitioned(cache, warm, engine="sequential")
-        simulate_partitioned(twin, warm, engine="sequential")
+        run(cache, warm, engine="sequential")
+        run(twin, warm, engine="sequential")
         if expected.startswith("fast:"):
             expected = "sequential:warm-state"
     trace = _threads_trace()
-    res = simulate_partitioned(cache, trace, engine=engine)
+    res = run(cache, trace, engine=engine)
     assert res.path == expected
-    assert_same_state(res, simulate_partitioned(twin, trace, engine="sequential"))
+    assert_same_state(res, run(twin, trace, engine="sequential"))
     assert_same_state(cache, twin)
 
 
@@ -312,9 +329,11 @@ def test_only_cells_without_a_kernel_fall_back(cold_runs):
     assert fallbacks == set()
 
 
-#: The cells whose models had no kernel before theirs landed, each with
-#: the path it now takes.
+#: The cells whose models had no kernel before theirs landed, and the SMT
+#: cells, which took theirs unnamed, each with the path it now takes.
 KERNEL_CELLS = {
+    ("smt", "modulo"): "fast:smt",
+    ("smt", "odd_multiplier"): "fast:smt",
     ("bounds", "Belady"): "fast:belady",
     ("bounds", "Skewed2"): "fast:skewed",
     ("dynamic", "xor+odd_multiplier+prime_modulo"): "fast:dynamic",

@@ -7,7 +7,8 @@ simulator must exhibit, over randomised traces:
   exhaustive search over eviction choices on every tiny trace;
 * accounting identities hold for every model;
 * bijective index schemes preserve total traffic and merely permute it;
-* fresh instances replay identically (no hidden global state).
+* fresh instances replay identically (no hidden global state);
+* a one-thread partitioned cache is its one-array counterpart.
 
 Every model runs through :func:`~repro.core.dispatch.dispatch` under both
 engines, so the properties hold for each fast kernel as well as for the
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +42,16 @@ from repro.core.caches import (
 from repro.core.dispatch import ENGINES, dispatch
 from repro.core.indexing import ModuloIndexing, OddMultiplierIndexing, XorIndexing
 from repro.core.simulator import simulate
+from repro.multithread import (
+    PartitionedAdaptiveCache,
+    StaticPartitionedCache,
+    simulate_partitioned,
+)
 from repro.trace import Trace
+from differential_support import assert_same_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+import test_differential as harness  # noqa: E402  (the harness's trace zoo)
 
 #: Small cache so short random traces exercise real contention.
 G = CacheGeometry(capacity_bytes=2048, line_bytes=32, ways=1, address_bits=20)
@@ -190,3 +202,45 @@ class TestAssociativityMonotonicity:
                 assert g.num_sets == G.num_sets
                 misses.append(dispatch(SetAssociativeCache(g), trace, engine=engine).misses)
             assert misses[0] >= misses[1] >= misses[2], engine
+
+
+#: ``(id, one-array model, its one-thread partitioned twin, end-state
+#: fields)``.  One thread owns every line, so its primary line is the
+#: modulo index.
+ONE_THREAD = [
+    (
+        "adaptive",
+        AdaptiveGroupAssociativeCache,
+        lambda g: PartitionedAdaptiveCache(g, 1),
+        ("_blocks", "_disposable", "_out_of_position", "_sht", "_out", "_cold_pool"),
+    ),
+    ("static", DirectMappedCache, lambda g: StaticPartitionedCache(g, 1), ("_blocks",)),
+]
+
+ONE_THREAD_TRACES = (
+    "random", "hot", "ping_pong", "pair_ping_pong", "conflict", "scan", "repeats",
+    "one_set", "cycle3", "cycle9", "phases", "threads1/out_first", "empty", "single",
+)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("geometry", [harness.TINY, harness.SMALL], ids=["tiny", "small"])
+@pytest.mark.parametrize(
+    "single, partitioned, fields", [r[1:] for r in ONE_THREAD], ids=[r[0] for r in ONE_THREAD]
+)
+def test_one_thread_partitioned_is_the_whole_cache(single, partitioned, fields, geometry, engine):
+    """Hits, misses, hit classes, lookup cycles, per-set arrays and end
+    state of a one-thread partitioned cache equal its one-array model's,
+    under each engine, over the differential harness's trace zoo."""
+    for name in ONE_THREAD_TRACES:
+        trace = harness.zoo(geometry, name)
+        whole, part = single(geometry), partitioned(geometry)
+        res = dispatch(whole, trace, engine=engine)
+        got = simulate_partitioned(part, trace, engine=engine)
+        assert (got.accesses, got.hits, got.misses, got.lookup_cycles) == (
+            res.accesses, res.hits, res.misses, res.lookup_cycles
+        ), name
+        assert got.direct_hits == res.extra.get("direct_hits", 0), name
+        assert_same_state(part.stats, whole.stats, name)
+        for field in fields:
+            assert_same_state(getattr(part, field), getattr(whole, field), f"{name}.{field}")

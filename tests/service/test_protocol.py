@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.simulator import SimulationResult
 from repro.experiments.config import PaperConfig
+from repro.experiments.engine import run_cells
 from repro.experiments.engine.cells import make_cell
 from repro.service import protocol
 from repro.service.protocol import (
@@ -222,3 +224,22 @@ class TestResultSerialization:
         b = json.dumps(result_to_wire(_result(), True), sort_keys=True)
         assert a == b
         assert json.loads(a)["extra"] == {"swaps": 3}
+
+    def test_wire_doc_does_not_depend_on_engine_or_store(self, tmp_path):
+        """The colassoc kernel and the per-access loop add their ``extra``
+        classes in different orders, and the store keeps them sorted: the
+        wire doc, serialized in its own key order, is the same bytes for
+        all three."""
+        config = replace(CONFIG, ref_limit=2000, trace_cache_dir=tmp_path / "traces")
+        cell = make_cell("colassoc", "crc", "ColAssoc_XOR", config)
+        docs = []
+        for engine in ("auto", "sequential"):
+            node = replace(config, engine=engine, use_result_cache=False)
+            docs.append(run_cells([cell], node, jobs=1)[0])
+        stored = replace(config, result_cache_dir=tmp_path / "results")
+        run_cells([cell], stored, jobs=1)
+        results, stats = run_cells([cell], stored, jobs=1)
+        assert stats.cache_hits == 1
+        docs.append(results)
+        wire = [json.dumps(result_to_wire(r[(cell.workload, cell.label)], True)) for r in docs]
+        assert wire[0] == wire[1] == wire[2]
