@@ -27,19 +27,7 @@ Experiments (one per paper figure)::
     result = run_experiment("fig4")
 """
 
-from .core import (
-    PAPER_L1_GEOMETRY,
-    PAPER_L2_GEOMETRY,
-    CacheGeometry,
-    CacheHierarchy,
-    SimulationResult,
-    TimingModel,
-    profile_schemes,
-    simulate,
-    simulate_indexing,
-    uniformity_report,
-)
-from .trace import Trace, record
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
@@ -58,3 +46,22 @@ __all__ = [
     "record",
     "__version__",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "core": (
+            "PAPER_L1_GEOMETRY",
+            "PAPER_L2_GEOMETRY",
+            "CacheGeometry",
+            "CacheHierarchy",
+            "SimulationResult",
+            "TimingModel",
+            "profile_schemes",
+            "simulate",
+            "simulate_indexing",
+            "uniformity_report",
+        ),
+        "trace": ("Trace", "record"),
+    },
+)

@@ -29,16 +29,13 @@ from pathlib import Path
 
 from . import __version__
 from .core.address import PAPER_L1_GEOMETRY
-from .core.indexing import TrainableIndexingScheme, available_schemes, make_scheme
-from .core.simulator import ENGINES, simulate_indexing, simulate_set_associative
+from .core.result import ENGINES
 from .experiments import (
     PaperConfig,
     available_experiments,
     render_bars,
     run_experiment,
 )
-from .trace.io import save_din, save_npz
-from .workloads import available_workloads, get_workload
 
 __all__ = ["main", "build_parser"]
 
@@ -229,6 +226,9 @@ def _config_from(args) -> PaperConfig:
 
 
 def _cmd_list() -> int:
+    from .core.indexing import available_schemes
+    from .workloads import available_workloads
+
     print("Workloads (mibench):", ", ".join(available_workloads("mibench")))
     print("Workloads (spec):   ", ", ".join(available_workloads("spec")))
     print("Indexing schemes:   ", ", ".join(available_schemes()))
@@ -262,6 +262,9 @@ def _cmd_trace(args) -> int:
     if args.out is None:
         print("error: --out is required when generating a trace", file=sys.stderr)
         return 2
+    from .trace.io import save_din, save_npz
+    from .workloads import get_workload
+
     trace = get_workload(args.workload).generate(
         seed=2011 if args.seed is None else args.seed,
         ref_limit=100_000 if args.refs is None else args.refs,
@@ -344,6 +347,10 @@ def _cmd_trace_gc(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .core.indexing import TrainableIndexingScheme, make_scheme
+    from .core.simulator import simulate_set_associative
+    from .workloads import get_workload
+
     try:
         ways_list = [int(w) for w in str(args.ways).split(",") if w.strip()]
     except ValueError:
@@ -435,6 +442,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_sweep_aux(args, trace, aux_list: list[str], lines_list: list[int]) -> int:
     """Aux sweep: every (combo, depth) point over one vectorised main pass."""
     from .core.aux import simulate_aux_sweep
+    from .core.indexing import TrainableIndexingScheme, make_scheme
 
     geometry = PAPER_L1_GEOMETRY
     specs = [(combo, depth) for combo in aux_list for depth in lines_list]
@@ -468,6 +476,7 @@ def _cmd_sweep_aux(args, trace, aux_list: list[str], lines_list: list[int]) -> i
 def _cmd_sweep_policies(args, trace, ways: int, policy_list: list[str]) -> int:
     """Policy sweep: every policy over the same sets from one pass."""
     from .core.fastpolicy import simulate_policy_sweep
+    from .core.indexing import TrainableIndexingScheme, make_scheme
 
     geometry = PAPER_L1_GEOMETRY
     if ways != 1:
@@ -501,6 +510,7 @@ def _cmd_sweep_policies(args, trace, ways: int, policy_list: list[str]) -> int:
 
 def _cmd_sweep_ways(args, trace, ways_list: list[int]) -> int:
     """Mattson sweep: every associativity over fixed sets from one pass."""
+    from .core.indexing import TrainableIndexingScheme, make_scheme
     from .core.simulator import simulate_lru_sweep
 
     if args.policy != "lru":
@@ -569,8 +579,11 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_uniformity(args) -> int:
+    from .core.indexing import TrainableIndexingScheme, make_scheme
+    from .core.simulator import simulate_indexing
     from .core.uniformity import uniformity_report, zhang_classification
     from .experiments.report import sparkline
+    from .workloads import get_workload
 
     trace = get_workload(args.workload).generate(seed=args.seed, ref_limit=args.refs)
     geometry = PAPER_L1_GEOMETRY

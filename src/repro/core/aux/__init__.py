@@ -16,15 +16,11 @@ replays only the miss events — see :mod:`repro.core.aux.fast` for the
 exactness argument.
 """
 
-from .augmented import AugmentedCache
-from .fast import (
-    AUX_COMBOS,
-    make_aux_structures,
-    replay_aux,
-    simulate_aux,
-    simulate_aux_sweep,
-)
-from .structures import AuxStructure, MissCache, StreamBuffer, VictimBuffer
+from ..._lazy import attach
+
+#: Composition specs with first-class support (probe priority in order);
+#: defined here so that cell labels validate without loading the replay.
+AUX_COMBOS = ("vc", "mc", "sb", "vc+sb", "mc+sb")
 
 __all__ = [
     "AuxStructure",
@@ -38,3 +34,12 @@ __all__ = [
     "simulate_aux",
     "simulate_aux_sweep",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "augmented": ("AugmentedCache",),
+        "fast": ("make_aux_structures", "replay_aux", "simulate_aux", "simulate_aux_sweep"),
+        "structures": ("AuxStructure", "MissCache", "StreamBuffer", "VictimBuffer"),
+    },
+)

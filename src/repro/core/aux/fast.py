@@ -74,6 +74,7 @@ from ..decompose import SetStream, decode
 from ..fastsim import per_set_counts
 from ..indexing.base import IndexingScheme
 from ..simulator import SimulationResult, _miss_stats, _result_from_stats
+from . import AUX_COMBOS
 from .augmented import AugmentedCache
 from .structures import AuxStructure, MissCache, StreamBuffer, VictimBuffer
 
@@ -84,9 +85,6 @@ __all__ = [
     "simulate_aux",
     "simulate_aux_sweep",
 ]
-
-#: Composition specs with first-class support (probe priority in order).
-AUX_COMBOS = ("vc", "mc", "sb", "vc+sb", "mc+sb")
 
 #: Structure types the fused replay implements (anything else, subclasses
 #: included, falls back to the sequential wrapper).

@@ -1,16 +1,7 @@
 """Cache models: baselines plus the paper's programmable-associativity
 architectures (Section III)."""
 
-from .adaptive import AdaptiveGroupAssociativeCache
-from .base import EMPTY, AccessResult, CacheModel, CacheStats
-from .bcache import BalancedCache
-from .column_associative import ColumnAssociativeCache
-from .direct_mapped import DirectMappedCache
-from .fully_associative import BeladyCache, FullyAssociativeCache
-from .partner import PartnerIndexCache
-from .set_associative import SetAssociativeCache
-from .skewed import SkewedAssociativeCache
-from .victim import VictimCache
+from ..._lazy import attach
 
 __all__ = [
     "AccessResult",
@@ -28,3 +19,19 @@ __all__ = [
     "PartnerIndexCache",
     "SkewedAssociativeCache",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "adaptive": ("AdaptiveGroupAssociativeCache",),
+        "base": ("EMPTY", "AccessResult", "CacheModel", "CacheStats"),
+        "bcache": ("BalancedCache",),
+        "column_associative": ("ColumnAssociativeCache",),
+        "direct_mapped": ("DirectMappedCache",),
+        "fully_associative": ("BeladyCache", "FullyAssociativeCache"),
+        "partner": ("PartnerIndexCache",),
+        "set_associative": ("SetAssociativeCache",),
+        "skewed": ("SkewedAssociativeCache",),
+        "victim": ("VictimCache",),
+    },
+)

@@ -1,25 +1,10 @@
 """Cache indexing schemes (paper Section II).
 
-Importing this package populates the scheme registry; use
+The schemes register on the first lookup in the scheme registry; use
 :func:`make_scheme`/:func:`available_schemes` for name-based construction.
 """
 
-from .base import (
-    SCHEME_REGISTRY,
-    IndexingScheme,
-    TrainableIndexingScheme,
-    available_schemes,
-    make_scheme,
-    register_scheme,
-)
-from .bit_select import BitSelectIndexing, candidate_bit_positions
-from .givargis import GivargisIndexing
-from .givargis_xor import GivargisXorIndexing
-from .modulo import ModuloIndexing
-from .odd_multiplier import RECOMMENDED_MULTIPLIERS, OddMultiplierIndexing
-from .patel import PatelIndexing
-from .prime_modulo import PrimeModuloIndexing, is_prime, largest_prime_at_most, primes_up_to
-from .xor import XorIndexing
+from ..._lazy import attach
 
 __all__ = [
     "IndexingScheme",
@@ -42,3 +27,26 @@ __all__ = [
     "BitSelectIndexing",
     "candidate_bit_positions",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "base": (
+            "SCHEME_REGISTRY",
+            "IndexingScheme",
+            "TrainableIndexingScheme",
+            "available_schemes",
+            "make_scheme",
+            "register_scheme",
+        ),
+        "bit_select": ("BitSelectIndexing", "candidate_bit_positions"),
+        "givargis": ("GivargisIndexing",),
+        "givargis_xor": ("GivargisXorIndexing",),
+        "modulo": ("ModuloIndexing",),
+        "odd_multiplier": ("RECOMMENDED_MULTIPLIERS", "OddMultiplierIndexing"),
+        "patel": ("PatelIndexing",),
+        "prime_modulo": ("PrimeModuloIndexing", "is_prime", "largest_prime_at_most", "primes_up_to"),
+        "xor": ("XorIndexing",),
+    },
+    complete=("SCHEME_REGISTRY",),
+)

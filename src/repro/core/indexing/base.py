@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..._lazy import load_all
 from ..address import CacheGeometry
 
 __all__ = [
@@ -124,6 +125,7 @@ def register_scheme(cls: type[IndexingScheme]) -> type[IndexingScheme]:
 
 def make_scheme(name: str, geometry: CacheGeometry, **params) -> IndexingScheme:
     """Instantiate a registered scheme by name."""
+    load_all(__package__)  # registers every in-tree scheme
     try:
         factory = SCHEME_REGISTRY[name]
     except KeyError:
@@ -132,4 +134,5 @@ def make_scheme(name: str, geometry: CacheGeometry, **params) -> IndexingScheme:
 
 
 def available_schemes() -> list[str]:
+    load_all(__package__)  # registers every in-tree scheme
     return sorted(SCHEME_REGISTRY)

@@ -26,13 +26,13 @@ paper's techniques.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..trace.event import Trace
 from .address import CacheGeometry
-from .caches.base import CacheModel
-from .caches.fully_associative import FullyAssociativeCache
-from .dispatch import dispatch
-from .simulator import simulate, simulate_fully_associative
+
+if TYPE_CHECKING:
+    from .caches.base import CacheModel
 
 __all__ = ["MissBreakdown", "cold_miss_count", "classify"]
 
@@ -85,6 +85,10 @@ def classify(
     reference through the stack-distance kernel; ``engine="sequential"``
     forces the reference loop for both (used by the differential tests).
     """
+    from .caches.fully_associative import FullyAssociativeCache
+    from .dispatch import dispatch
+    from .simulator import simulate, simulate_fully_associative
+
     target = dispatch(cache, trace, engine=engine)
     geometry = geometry or cache.geometry
     cold = cold_miss_count(trace, geometry)

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ...core.address import CacheGeometry
-from ...core.simulator import SimulationResult
+from ...core.result import SimulationResult
 from ...trace.event import Trace
 
 __all__ = [

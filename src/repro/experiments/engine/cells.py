@@ -23,44 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from ...core.aux import AUX_COMBOS, simulate_aux
-from ...core.caches import (
-    AdaptiveGroupAssociativeCache,
-    BalancedCache,
-    BeladyCache,
-    ColumnAssociativeCache,
-    DirectMappedCache,
-    SkewedAssociativeCache,
-    VictimCache,
-)
-from ...core.dispatch import dispatch
-from ...core.dynamic import DynamicIndexCache
-from ...core.fastpolicy import simulate_policy_set_associative
-from ...core.replacement import POLICIES
-from ...core.indexing import (
-    GivargisIndexing,
-    GivargisXorIndexing,
-    ModuloIndexing,
-    OddMultiplierIndexing,
-    PatelIndexing,
-    PrimeModuloIndexing,
-    XorIndexing,
-)
-from ...core.selector import ThreadSchemeTable
-from ...core.simulator import (
-    SimulationResult,
-    _result_from_stats,
-    simulate_fully_associative,
-    simulate_lru_sweep,
-)
-from ...core.three_c import classify
-from ...multithread import (
-    PartitionedAdaptiveCache,
-    SMTSharedCache,
-    StaticPartitionedCache,
-    simulate_partitioned,
-    simulate_smt,
-)
+# The cache-model and scheme packages resolve their classes on first use,
+# and every simulator is imported by the function that runs it: declaring
+# cells and reading their stored results loads no kernel.
+from ...core import caches, indexing
+from ...core.aux import AUX_COMBOS
+from ...core.result import SimulationResult
 from ..config import PaperConfig
 
 __all__ = [
@@ -113,13 +81,13 @@ class SimCell:
 #: ``params`` of every cell naming the scheme, and their values are part of
 #: its family signature.
 _SCHEMES: dict[str, tuple[Callable, Callable]] = {
-    "modulo": (lambda g, c: ModuloIndexing(g), lambda c: ()),
-    "xor": (lambda g, c: XorIndexing(g), lambda c: ()),
+    "modulo": (lambda g, c: indexing.ModuloIndexing(g), lambda c: ()),
+    "xor": (lambda g, c: indexing.XorIndexing(g), lambda c: ()),
     "odd_multiplier": (
-        lambda g, c: OddMultiplierIndexing(g, c.odd_multiplier),
+        lambda g, c: indexing.OddMultiplierIndexing(g, c.odd_multiplier),
         lambda c: (("odd_multiplier", c.odd_multiplier),),
     ),
-    "prime_modulo": (lambda g, c: PrimeModuloIndexing(g), lambda c: ()),
+    "prime_modulo": (lambda g, c: indexing.PrimeModuloIndexing(g), lambda c: ()),
 }
 
 #: The programmable-associativity caches by ``progassoc`` label: the config
@@ -129,7 +97,7 @@ _SCHEMES: dict[str, tuple[Callable, Callable]] = {
 _PROGASSOC_MODELS: dict[str, tuple[Callable, Callable]] = {
     "Adaptive_Cache": (
         lambda c: (("sht_fraction", c.sht_fraction), ("out_fraction", c.out_fraction)),
-        lambda c, index: AdaptiveGroupAssociativeCache(
+        lambda c, index: caches.AdaptiveGroupAssociativeCache(
             c.geometry,
             indexing=index,
             sht_fraction=c.sht_fraction,
@@ -139,13 +107,13 @@ _PROGASSOC_MODELS: dict[str, tuple[Callable, Callable]] = {
     "B_Cache": (
         lambda c: (("mapping_factor", c.bcache_mapping_factor), ("bas", c.bcache_bas)),
         # The B-cache programs its own decoder; it takes no primary index.
-        lambda c, index: BalancedCache(
+        lambda c, index: caches.BalancedCache(
             c.geometry, mapping_factor=c.bcache_mapping_factor, bas=c.bcache_bas
         ),
     ),
     "Column_associative": (
         lambda c: (("protect_conventional", c.protect_conventional),),
-        lambda c, index: ColumnAssociativeCache(
+        lambda c, index: caches.ColumnAssociativeCache(
             c.geometry, indexing=index, protect_conventional=c.protect_conventional
         ),
     ),
@@ -159,14 +127,14 @@ _PATEL_SWAP_MOVES = 16
 
 
 def _patel(g):
-    return PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES)
+    return indexing.PatelIndexing(g, max_swap_moves=_PATEL_SWAP_MOVES)
 
 
 #: ``indexing`` labels of fitted schemes: ``(factory, fitted on the profiling
 #: trace rather than the evaluation trace)``.
 _FITTED = {
-    "Givargis": (GivargisIndexing, True),
-    "Givargis_Xor": (GivargisXorIndexing, True),
+    "Givargis": (lambda g: indexing.GivargisIndexing(g), True),
+    "Givargis_Xor": (lambda g: indexing.GivargisXorIndexing(g), True),
     "Patel_train": (_patel, False),
     "Patel_transfer": (_patel, True),
 }
@@ -258,6 +226,8 @@ def _lru(build, geometry, style: str, signature: tuple | None, **fields) -> _Spe
     member = (geometry.ways, style)
 
     def run(cell, trace, profile_path):
+        from ...core.simulator import simulate_lru_sweep
+
         scheme = build(cell, profile_path, trace)
         return simulate_lru_sweep(scheme, trace, geometry, [member])[0]
 
@@ -290,6 +260,8 @@ def _prog(model: str, scheme_name: str, config: PaperConfig, params: tuple) -> _
     ``scheme_name``, run by :func:`~repro.core.dispatch.dispatch`."""
 
     def run(cell, trace, profile_path):
+        from ...core.dispatch import dispatch
+
         index = _SCHEMES[scheme_name][0](config.geometry, config)
         cache = _PROGASSOC_MODELS[model][1](config, index)
         return dispatch(cache, trace, engine=config.engine)
@@ -398,10 +370,13 @@ def _setassoc(label: str, config: PaperConfig) -> _Spec:
         gk = g.with_ways(_WAYS_LABELS[label])
         return _named_lru("modulo", config, gk, "setassoc", ways=gk.ways)
     if label == "FullAssoc":
-        return _Spec(
-            lambda cell, trace, profile_path: simulate_fully_associative(trace, g),
-            ways=g.num_lines,
-        )
+
+        def run(cell, trace, profile_path):
+            from ...core.simulator import simulate_fully_associative
+
+            return simulate_fully_associative(trace, g)
+
+        return _Spec(run, ways=g.num_lines)
     raise ValueError(
         f"unknown set-associative cell label {label!r}; "
         f"known: {sorted(_WAYS_LABELS) + ['FullAssoc']}"
@@ -433,15 +408,15 @@ _BOUNDS_MODELS = {
 _STATEFUL_BOUNDS: dict[str, tuple[Callable, Callable]] = {
     "Skewed2": (
         lambda c: (("skew_ways", 2),),
-        lambda trace, c: SkewedAssociativeCache(c.geometry, ways=2),
+        lambda trace, c: caches.SkewedAssociativeCache(c.geometry, ways=2),
     ),
     "Victim8": (
         lambda c: (("victim_lines", c.victim_lines),),
-        lambda trace, c: VictimCache(c.geometry, victim_lines=c.victim_lines),
+        lambda trace, c: caches.VictimCache(c.geometry, victim_lines=c.victim_lines),
     ),
     "Belady": (
         lambda c: (),
-        lambda trace, c: BeladyCache(
+        lambda trace, c: caches.BeladyCache(
             c.geometry, trace.blocks(c.geometry.offset_bits).astype("int64")
         ),
     ),
@@ -457,15 +432,18 @@ def _bounds(label: str, config: PaperConfig) -> _Spec:
     if label not in _STATEFUL_BOUNDS:
         raise ValueError(f"unknown bounds cell label {label!r}")
     knobs, build = _STATEFUL_BOUNDS[label]
-    return _Spec(
-        lambda cell, trace, profile_path: dispatch(
-            build(trace, config), trace, engine=config.engine
-        ),
-        params=knobs(config),
-    )
+
+    def run(cell, trace, profile_path):
+        from ...core.dispatch import dispatch
+
+        return dispatch(build(trace, config), trace, engine=config.engine)
+
+    return _Spec(run, params=knobs(config))
 
 
 def _policysweep(label: str, config: PaperConfig) -> _Spec:
+    from ...core.replacement import POLICIES
+
     scheme_name, policy = _scheme_label(label, "policy-sweep", "<policy>")
     if policy not in POLICIES:
         raise ValueError(
@@ -484,15 +462,21 @@ def _policysweep(label: str, config: PaperConfig) -> _Spec:
         # The generator seed changes random-policy outcomes, so it must
         # reach the result-cache key; other policies ignore it.
         params += (("policy_seed", config.policy_seed),)
-    return _Spec(
-        lambda cell, trace, profile_path: simulate_policy_set_associative(
+
+    def run(cell, trace, profile_path):
+        from ...core.fastpolicy import simulate_policy_set_associative
+
+        return simulate_policy_set_associative(
             build(g, config),
             trace,
             g,
             policy=policy,
             seed=config.policy_seed,
             engine=config.engine,
-        ),
+        )
+
+    return _Spec(
+        run,
         params=params,
         policy=policy,
         batch=("policy", signature, policy),
@@ -524,8 +508,11 @@ def _auxsweep(label: str, config: PaperConfig) -> _Spec:
             ("aux_allocate", config.aux_allocate),
         )
     g = config.geometry
-    return _Spec(
-        lambda cell, trace, profile_path: simulate_aux(
+
+    def run(cell, trace, profile_path):
+        from ...core.aux import simulate_aux
+
+        return simulate_aux(
             build(g, config),
             trace,
             g,
@@ -534,9 +521,9 @@ def _auxsweep(label: str, config: PaperConfig) -> _Spec:
             streams=config.aux_streams,
             allocate=config.aux_allocate,
             engine=config.engine,
-        ),
-        params=params,
-    )
+        )
+
+    return _Spec(run, params=params)
 
 
 def _threads(trace) -> int:
@@ -559,15 +546,19 @@ def _smt(label: str, config: PaperConfig) -> _Spec:
         "SMT",
         label,
         {
-            "modulo": ((), lambda n: [ModuloIndexing(g)] * n),
+            "modulo": ((), lambda n: [indexing.ModuloIndexing(g)] * n),
             "odd_multiplier": (
                 (("smt_multipliers", m),),
-                lambda n: [OddMultiplierIndexing(g, m[i % len(m)]) for i in range(n)],
+                lambda n: [indexing.OddMultiplierIndexing(g, m[i % len(m)]) for i in range(n)],
             ),
         },
     )
 
     def run(cell, trace, profile_path):
+        from ...core.selector import ThreadSchemeTable
+        from ...core.simulator import _result_from_stats
+        from ...multithread import SMTSharedCache, simulate_smt
+
         cache = SMTSharedCache(g, ThreadSchemeTable(schemes(_threads(trace))))
         smt = simulate_smt(cache, trace, engine=config.engine)
         result = _result_from_stats(cache.name, trace.name, cache.stats, smt.accesses)
@@ -580,21 +571,26 @@ def _smt(label: str, config: PaperConfig) -> _Spec:
 
 def _partitioned(label: str, config: PaperConfig) -> _Spec:
     g, sht, out = config.geometry, config.sht_fraction, config.out_fraction
-    # label → (key knobs, the cache of an n-thread mix)
-    params, build = _variant(
+    # label → key knobs
+    params = _variant(
         "partitioned",
         label,
-        {
-            "static": ((), lambda n: StaticPartitionedCache(g, n)),
-            "adaptive": (
-                (("sht_fraction", sht), ("out_fraction", out)),
-                lambda n: PartitionedAdaptiveCache(g, n, sht_fraction=sht, out_fraction=out),
-            ),
-        },
+        {"static": (), "adaptive": (("sht_fraction", sht), ("out_fraction", out))},
     )
 
     def run(cell, trace, profile_path):
-        cache = build(_threads(trace))
+        from ...core.simulator import _result_from_stats
+        from ...multithread import (
+            PartitionedAdaptiveCache,
+            StaticPartitionedCache,
+            simulate_partitioned,
+        )
+
+        n = _threads(trace)
+        if label == "static":
+            cache = StaticPartitionedCache(g, n)
+        else:
+            cache = PartitionedAdaptiveCache(g, n, sht_fraction=sht, out_fraction=out)
         part = simulate_partitioned(cache, trace, engine=config.engine)
         result = _result_from_stats(cache.name, trace.name, cache.stats, part.lookup_cycles)
         result.extra["direct_hits"] = part.direct_hits
@@ -612,7 +608,9 @@ def _threec(label: str, config: PaperConfig) -> _Spec:
     g = config.geometry
 
     def run(cell, trace, profile_path):
-        b = classify(DirectMappedCache(g), trace, g, engine=config.engine)
+        from ...core.three_c import classify
+
+        b = classify(caches.DirectMappedCache(g), trace, g, engine=config.engine)
         empty = np.zeros(0, dtype=np.int64)
         return SimulationResult(
             model="three_c",
@@ -641,6 +639,9 @@ def _dynamic(label: str, config: PaperConfig) -> _Spec:
     params = tuple(p for n in names for p in _SCHEMES[n][1](config))
 
     def run(cell, trace, profile_path):
+        from ...core.dispatch import dispatch
+        from ...core.dynamic import DynamicIndexCache
+
         cache = DynamicIndexCache(g, [_SCHEMES[n][0](g, config) for n in names])
         result = dispatch(cache, trace, engine=config.engine)
         result.extra["switches"] = cache.switches

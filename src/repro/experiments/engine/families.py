@@ -64,23 +64,28 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from ...core.fastpolicy import simulate_policy_sweep
-from ...core.simulator import SimulationResult, simulate_lru_sweep
+from ...core.result import SimulationResult
 from ..config import PaperConfig
 from .cells import CELL_KINDS, SimCell, _open_trace, timed_execute_cell
 
 __all__ = ["SweepFamily", "detect_families", "execute_family"]
 
+
+def _assoc_pass(scheme, trace, geometry, members, config):
+    from ...core.simulator import simulate_lru_sweep
+
+    return simulate_lru_sweep(scheme, trace, geometry, members)
+
+
+def _policy_pass(scheme, trace, geometry, members, config):
+    from ...core.fastpolicy import simulate_policy_sweep
+
+    return simulate_policy_sweep(scheme, trace, geometry, members, seed=config.policy_seed)
+
+
 #: The shared pass of each batching axis: ``(scheme, trace, geometry,
 #: members, config)`` → one result per member, in member order.
-_AXIS_RUNNERS = {
-    "assoc": lambda scheme, trace, geometry, members, config: simulate_lru_sweep(
-        scheme, trace, geometry, members
-    ),
-    "policy": lambda scheme, trace, geometry, members, config: simulate_policy_sweep(
-        scheme, trace, geometry, members, seed=config.policy_seed
-    ),
-}
+_AXIS_RUNNERS = {"assoc": _assoc_pass, "policy": _policy_pass}
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from ...core.simulator import SimulationResult
+from ...core.result import SimulationResult
 from ..config import PaperConfig
 from .cache import cell_key
 from .cells import CellExecutionError, SimCell, timed_execute_cell

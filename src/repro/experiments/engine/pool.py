@@ -19,6 +19,11 @@ precedence.  The lifecycle rules:
   (:meth:`EnginePool.discard`) without joining the hung worker, and a pool
   a worker died in (``BrokenProcessPool``, even while idle) takes no more
   work; either way the next request builds a new one;
+* **compute layer** — the parent imports every kernel, cache model and
+  workload generator (:func:`import_compute_layer`) before the pool forks,
+  so the workers inherit those modules instead of each compiling them
+  again; a process that never builds a pool (a warm replay) never imports
+  them;
 * **arena** — each task leaves its worker's trace arena empty: the worker
   outlives the grid, the trace pages it mapped must not;
 * **exit** — ``concurrent.futures``' interpreter exit hook joins the
@@ -31,7 +36,26 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["EnginePool", "engine_pool"]
+from ..._lazy import load_all
+
+__all__ = ["COMPUTE_PACKAGES", "EnginePool", "engine_pool", "import_compute_layer"]
+
+#: The packages whose modules simulate a cell or build a trace: everything
+#: a pool worker may run.
+COMPUTE_PACKAGES = (
+    "repro.core",
+    "repro.icache",
+    "repro.multithread",
+    "repro.trace",
+    "repro.workloads",
+)
+
+
+def import_compute_layer() -> None:
+    """Import every module of :data:`COMPUTE_PACKAGES`; a process pool calls
+    it before it forks, so that its workers inherit the modules."""
+    for package in COMPUTE_PACKAGES:
+        load_all(package)
 
 
 def _run_task(fn, *args):
@@ -48,6 +72,7 @@ class EnginePool(ProcessPoolExecutor):
     """A :class:`ProcessPoolExecutor` whose tasks leave no trace mapped."""
 
     def __init__(self, width: int):
+        import_compute_layer()
         super().__init__(max_workers=width)
         self.width = width
 

@@ -18,7 +18,6 @@ Columns are % reduction in I-cache misses vs the natural layout.
 from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
-from ..icache import CallProfile, CodeLayout, Procedure, synthetic_call_sequence
 from .config import PaperConfig
 from .engine import ExperimentEngine, make_cell
 from .report import ExperimentResult
@@ -43,6 +42,8 @@ def build_program(seed: int, n_procs: int = 24):
     """A synthetic program: procedure sizes from a few hundred bytes to a
     few KiB (libc-ish), hot loops covering part of each body."""
     import numpy as np
+
+    from ..icache import CallProfile, CodeLayout, Procedure, synthetic_call_sequence
 
     rng = np.random.default_rng(seed)
     procs = [

@@ -26,19 +26,17 @@ __all__ = ["run_fig04", "INDEXING_COLUMNS"]
 INDEXING_COLUMNS = ["XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis", "Givargis_Xor"]
 
 
-_CACHE: dict[tuple, ExperimentResult] = {}
+_CACHE: dict[PaperConfig, ExperimentResult] = {}
 
 
 @register_experiment("fig4")
 def run_fig04(config: PaperConfig) -> ExperimentResult:
     # Figures 9/10 reuse this sweep's per-set arrays; cache one config.
-    key = (config.ref_limit, config.seed, config.workload_scale, config.odd_multiplier)
-    if key in _CACHE:
-        return _CACHE[key]
-    result = _run_fig04(config)
-    _CACHE.clear()
-    _CACHE[key] = result
-    return result
+    # The key is the whole config: any knob may change a cell's result.
+    if config not in _CACHE:
+        _CACHE.clear()
+        _CACHE[config] = _run_fig04(config)
+    return _CACHE[config]
 
 
 def _run_fig04(config: PaperConfig) -> ExperimentResult:

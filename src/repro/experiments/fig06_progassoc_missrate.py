@@ -92,15 +92,15 @@ def _run_progassoc(config: PaperConfig) -> tuple[ExperimentResult, ExperimentRes
     return miss_res, amat_res
 
 
-_CACHE: dict[tuple, tuple[ExperimentResult, ExperimentResult]] = {}
+_CACHE: dict[PaperConfig, tuple[ExperimentResult, ExperimentResult]] = {}
 
 
 def _cached(config: PaperConfig) -> tuple[ExperimentResult, ExperimentResult]:
-    key = (config.ref_limit, config.seed, config.workload_scale, config.bcache_bas)
-    if key not in _CACHE:
+    # The key is the whole config: any knob may change a cell's result.
+    if config not in _CACHE:
         _CACHE.clear()  # keep at most one configuration resident
-        _CACHE[key] = _run_progassoc(config)
-    return _CACHE[key]
+        _CACHE[config] = _run_progassoc(config)
+    return _CACHE[config]
 
 
 @register_experiment("fig6")

@@ -1,9 +1,7 @@
 """Instruction-cache side: code layout, I-fetch trace generation, and the
 procedure-placement optimisation the paper discusses (its reference [16])."""
 
-from .code import CallProfile, CodeLayout, Procedure
-from .generator import generate_itrace, synthetic_call_sequence
-from .placement import optimize_placement, weighted_overlap_cost
+from .._lazy import attach
 
 __all__ = [
     "Procedure",
@@ -14,3 +12,12 @@ __all__ = [
     "optimize_placement",
     "weighted_overlap_cost",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "code": ("CallProfile", "CodeLayout", "Procedure"),
+        "generator": ("generate_itrace", "synthetic_call_sequence"),
+        "placement": ("optimize_placement", "weighted_overlap_cost"),
+    },
+)

@@ -1,12 +1,6 @@
 """Multithreaded (SMT) cache models for the paper's Section IV.E."""
 
-from .partitioned import (
-    PartitionedAdaptiveCache,
-    PartitionedResult,
-    StaticPartitionedCache,
-    simulate_partitioned,
-)
-from .smt import SMTResult, SMTSharedCache, simulate_smt
+from .._lazy import attach
 
 __all__ = [
     "SMTSharedCache",
@@ -17,3 +11,16 @@ __all__ = [
     "PartitionedResult",
     "simulate_partitioned",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "partitioned": (
+            "PartitionedAdaptiveCache",
+            "PartitionedResult",
+            "StaticPartitionedCache",
+            "simulate_partitioned",
+        ),
+        "smt": ("SMTResult", "SMTSharedCache", "simulate_smt"),
+    },
+)

@@ -56,7 +56,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.simulator import ENGINES, SimulationResult
+from ..core.result import ENGINES, SimulationResult
 from ..experiments.config import PaperConfig
 from ..experiments.engine.cells import CELL_KINDS, SimCell, make_cell
 from ..experiments.report import ExperimentResult

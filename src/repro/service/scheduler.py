@@ -44,6 +44,7 @@ from ..experiments.config import PaperConfig
 from ..experiments.engine.cells import SimCell, timed_execute_cell
 from ..experiments.engine.store import ResultStore, make_store
 from ..experiments.engine.parallel import CellPlan, plan_cells
+from ..experiments.engine.pool import import_compute_layer
 from .stats import ServiceStats
 
 __all__ = [
@@ -120,6 +121,8 @@ class CellScheduler:
             self.executor = executor
             self._owns_executor = False
         elif use_processes:
+            # As the engine's pool does: the workers fork with every kernel loaded.
+            import_compute_layer()
             self.executor = ProcessPoolExecutor(max_workers=max(1, workers))
             self._owns_executor = True
         else:

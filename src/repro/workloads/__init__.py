@@ -1,19 +1,12 @@
 """Workloads: executable kernels that emit the memory traces the paper's
 benchmarks produced under SimpleScalar.
 
-Importing :mod:`repro.workloads` registers every MiBench and SPEC-like
-workload; look them up with :func:`get_workload`.
+Look workloads up with :func:`get_workload`; the first lookup imports and
+registers every MiBench, SPEC-like and HPC workload.  The suites' benchmark
+orders (``MIBENCH_ORDER`` ...) import without them.
 """
 
-from . import hpc, mibench, spec
-from .base import (
-    DEFAULT_REF_LIMIT,
-    WORKLOAD_REGISTRY,
-    Workload,
-    available_workloads,
-    get_workload,
-    register_workload,
-)
+from .._lazy import attach
 from .hpc import HPC_ORDER
 from .mibench import MIBENCH_ORDER
 from .spec import SPEC_ORDER
@@ -32,3 +25,19 @@ __all__ = [
     "spec",
     "hpc",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "base": (
+            "DEFAULT_REF_LIMIT",
+            "WORKLOAD_REGISTRY",
+            "Workload",
+            "available_workloads",
+            "get_workload",
+            "register_workload",
+        ),
+    },
+    subpackages=("hpc", "mibench", "spec"),
+    complete=("WORKLOAD_REGISTRY",),
+)

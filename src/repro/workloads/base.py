@@ -16,9 +16,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .._lazy import load_all
 from ..trace.event import Trace
-from ..trace.recorder import Recorder, record
+
+if TYPE_CHECKING:
+    from ..trace.recorder import Recorder
 
 __all__ = [
     "Workload",
@@ -47,6 +51,7 @@ def register_workload(cls: type["Workload"]) -> type["Workload"]:
 
 
 def get_workload(name: str) -> "Workload":
+    load_all(__package__)  # registers every in-tree workload
     try:
         return WORKLOAD_REGISTRY[name]
     except KeyError:
@@ -56,6 +61,7 @@ def get_workload(name: str) -> "Workload":
 
 
 def available_workloads(suite: str | None = None) -> list[str]:
+    load_all(__package__)  # registers every in-tree workload
     names = [
         n for n, w in WORKLOAD_REGISTRY.items() if suite is None or w.suite == suite
     ]
@@ -103,6 +109,8 @@ class Workload(ABC):
         — so the knob is deliberately *not* part of any trace-cache key; it
         exists for differential tests and benchmark denominators.
         """
+        from ..trace.recorder import record
+
         if emission not in ("bulk", "scalar"):
             raise ValueError(f"unknown emission mode {emission!r}")
         trace = record(

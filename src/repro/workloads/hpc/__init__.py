@@ -1,12 +1,9 @@
 """HPC workload kernels — the suite the paper says it was extending to
 ("we are currently repeating our experiments with SPEC as well as HPC
-applications").  Importing this package registers them all."""
+applications").  Each registers on the first lookup in the workload
+registry (:func:`repro.workloads.get_workload`)."""
 
-from .histogram import HistogramWorkload
-from .jacobi import JacobiWorkload
-from .spmv import SpmvWorkload
-from .stream import StreamWorkload
-from .transpose import TransposeWorkload
+from ..._lazy import attach
 
 HPC_ORDER = ["histogram", "jacobi", "spmv", "stream", "transpose"]
 
@@ -18,3 +15,14 @@ __all__ = [
     "TransposeWorkload",
     "HPC_ORDER",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "histogram": ("HistogramWorkload",),
+        "jacobi": ("JacobiWorkload",),
+        "spmv": ("SpmvWorkload",),
+        "stream": ("StreamWorkload",),
+        "transpose": ("TransposeWorkload",),
+    },
+)

@@ -18,14 +18,12 @@ __all__ = ["SpmvWorkload", "random_csr"]
 
 def random_csr(n: int, nnz_per_row: int, rng: np.random.Generator):
     """(row_ptr, col_idx, values) with sorted random columns per row."""
-    cols = []
-    rows = [0]
-    for _ in range(n):
-        picks = np.sort(rng.choice(n, size=min(nnz_per_row, n), replace=False))
-        cols.extend(int(c) for c in picks)
-        rows.append(len(cols))
-    values = rng.normal(0, 1, size=len(cols))
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), values
+    k = min(nnz_per_row, n)
+    cols = np.empty(n * k, dtype=np.int64)
+    for i in range(n):
+        cols[i * k : (i + 1) * k] = np.sort(rng.choice(n, size=k, replace=False))
+    values = rng.normal(0, 1, size=cols.size)
+    return np.arange(n + 1, dtype=np.int64) * k, cols, values
 
 
 @register_workload

@@ -1,17 +1,8 @@
 """MiBench workload kernels (the 11 benchmarks of the paper's Figures 1,
-4, 6, 7, 9-12).  Importing this package registers them all."""
+4, 6, 7, 9-12).  Each registers on the first lookup in the workload
+registry (:func:`repro.workloads.get_workload`)."""
 
-from .adpcm import AdpcmWorkload
-from .basicmath import BasicmathWorkload
-from .bitcount import BitcountWorkload
-from .crc import CRCWorkload
-from .dijkstra import DijkstraWorkload
-from .fft import FFTWorkload
-from .patricia import PatriciaWorkload
-from .qsort import QsortWorkload
-from .rijndael import RijndaelWorkload
-from .sha import ShaWorkload
-from .susan import SusanWorkload
+from ..._lazy import attach
 
 #: The paper's Figure 4/6 benchmark order.
 MIBENCH_ORDER = [
@@ -42,3 +33,20 @@ __all__ = [
     "SusanWorkload",
     "MIBENCH_ORDER",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "adpcm": ("AdpcmWorkload",),
+        "basicmath": ("BasicmathWorkload",),
+        "bitcount": ("BitcountWorkload",),
+        "crc": ("CRCWorkload",),
+        "dijkstra": ("DijkstraWorkload",),
+        "fft": ("FFTWorkload",),
+        "patricia": ("PatriciaWorkload",),
+        "qsort": ("QsortWorkload",),
+        "rijndael": ("RijndaelWorkload",),
+        "sha": ("ShaWorkload",),
+        "susan": ("SusanWorkload",),
+    },
+)

@@ -1,16 +1,8 @@
 """SPEC-CPU2006-like workload kernels (the 10 benchmarks of the paper's
-Figure 8).  Importing this package registers them all."""
+Figure 8).  Each registers on the first lookup in the workload registry
+(:func:`repro.workloads.get_workload`)."""
 
-from .astar import AstarWorkload
-from .bzip2 import Bzip2Workload
-from .calculix import CalculixWorkload
-from .gromacs import GromacsWorkload
-from .hmmer import HmmerWorkload
-from .libquantum import LibquantumWorkload
-from .mcf import McfWorkload
-from .milc import MilcWorkload
-from .namd import NamdWorkload
-from .sjeng import SjengWorkload
+from ..._lazy import attach
 
 #: The paper's Figure 8 benchmark order.
 SPEC_ORDER = [
@@ -39,3 +31,19 @@ __all__ = [
     "SjengWorkload",
     "SPEC_ORDER",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "astar": ("AstarWorkload",),
+        "bzip2": ("Bzip2Workload",),
+        "calculix": ("CalculixWorkload",),
+        "gromacs": ("GromacsWorkload",),
+        "hmmer": ("HmmerWorkload",),
+        "libquantum": ("LibquantumWorkload",),
+        "mcf": ("McfWorkload",),
+        "milc": ("MilcWorkload",),
+        "namd": ("NamdWorkload",),
+        "sjeng": ("SjengWorkload",),
+    },
+)

@@ -25,9 +25,8 @@ def build_neighbor_list(pos: np.ndarray, box: float, cutoff: float) -> list[tupl
         d = pos - pos[i]
         d -= box * np.round(d / box)
         dist2 = (d * d).sum(axis=1)
-        for j in range(i + 1, n):
-            if dist2[j] < cutoff * cutoff:
-                pairs.append((i, j))
+        near = np.flatnonzero(dist2[i + 1 :] < cutoff * cutoff) + (i + 1)
+        pairs.extend((i, j) for j in near.tolist())
     return pairs
 
 

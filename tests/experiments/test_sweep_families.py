@@ -352,7 +352,7 @@ class TestMidBatchFailure:
     def test_assoc_family_failure_attributed_to_first_member(self, config, monkeypatch):
         cells = [make_cell("assocsweep", "crc", lab, config) for lab in ("2way", "4way")]
         monkeypatch.setattr(
-            "repro.experiments.engine.families.simulate_lru_sweep",
+            "repro.core.simulator.simulate_lru_sweep",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("kernel exploded")),
         )
         with pytest.raises(CellExecutionError) as exc:
@@ -367,7 +367,7 @@ class TestMidBatchFailure:
             for p in ("lru", "fifo", "plru")
         ]
         monkeypatch.setattr(
-            "repro.experiments.engine.families.simulate_policy_sweep",
+            "repro.core.fastpolicy.simulate_policy_sweep",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("policy kernel exploded")),
         )
         with pytest.raises(CellExecutionError) as exc:
