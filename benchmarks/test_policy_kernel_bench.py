@@ -9,8 +9,8 @@ Each floor times both of its sides in the same process:
   access at a time) on a million-access trace, for FIFO and PLRU;
 * the engine: a cold ``run_cells`` pass over an ext-policy-shaped policy
   family (five policies, one set-decomposition) must beat the same grid
-  executed per-cell with ``batch_sweeps=False`` + ``engine="sequential"``
-  by ≥ 3×.
+  under ``engine="sequential"``, where each member runs its own
+  per-access loop, by ≥ 3×.
 
 Bit-identity of everything measured here is locked by
 the differential harness, ``tests/core/test_differential.py``.
@@ -82,9 +82,9 @@ def test_engine_policy_family_cold(tmp_path):
 
     ``run_cells`` with batching on answers the five-policy grid from one
     trace decode + one index computation + one set-decomposition pass; the
-    reference is the same grid with ``batch_sweeps=False`` and
-    ``engine="sequential"`` (cells, keys and results identical: only the
-    execution plan differs).
+    reference is the same grid under ``engine="sequential"``, one decode
+    family whose members each drive the cache model access by access
+    (cells, keys and results identical: only the execution plan differs).
     """
     cfg = PaperConfig(
         ref_limit=60_000,
@@ -93,7 +93,7 @@ def test_engine_policy_family_cold(tmp_path):
         geometry=PAPER_L1_GEOMETRY.with_ways(4),
     )
     cells = [make_cell("policysweep", "crc", lab, cfg) for lab in POLICY_LADDER]
-    plain_cfg = replace(cfg, batch_sweeps=False, engine="sequential")
+    plain_cfg = replace(cfg, engine="sequential")
     run_cells(cells, plain_cfg, jobs=1)  # pre-warm the on-disk trace cache
 
     batched_s, (results, stats) = best_of(lambda: run_cells(cells, cfg, jobs=1))
@@ -103,7 +103,7 @@ def test_engine_policy_family_cold(tmp_path):
     per_cell_s, (_, plain_stats) = best_of(
         lambda: run_cells(cells, plain_cfg, jobs=1), rounds=1, warmup=0
     )
-    assert plain_stats.cells_batched == 0
+    assert plain_stats.paths == {"sequential:forced": len(cells)}
     speedup = per_cell_s / batched_s
     assert speedup >= 3.0, (
         f"batched policy family only {speedup:.1f}x over unbatched sequential"

@@ -7,8 +7,8 @@ Two floors, each timing both of its sides in the same process:
   five independent :func:`~repro.core.simulator.simulate_set_associative`
   calls;
 * the engine: a cold ``run_cells`` pass over an ext-assoc-shaped Mattson
-  family must beat the same cells executed per-cell with
-  ``batch_sweeps=False`` by ≥ 2×.
+  family must beat the same cells executed one by one (one
+  ``plan_cells``, then ``execute_cell`` per cell) by ≥ 2×.
 
 Bit-identity of everything measured here is locked by
 ``tests/core/test_sweep_batching_differential.py``.
@@ -16,15 +16,13 @@ Bit-identity of everything measured here is locked by
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from bench_timing import best_of
 
 from repro.core.address import PAPER_L1_GEOMETRY
 from repro.core.indexing import ModuloIndexing
 from repro.core.simulator import simulate_lru_sweep, simulate_set_associative
 from repro.experiments import PaperConfig
-from repro.experiments.engine import make_cell, run_cells
+from repro.experiments.engine import execute_cell, make_cell, plan_cells, run_cells
 from repro.trace import zipf_trace
 
 G = PAPER_L1_GEOMETRY
@@ -65,22 +63,24 @@ def test_mattson_sweep_kernel_1m():
 def test_engine_mattson_family_cold(tmp_path):
     """Cold engine pass over one ext-assoc Mattson family (≥ 2× per-cell).
 
-    ``run_cells`` with batching on answers the five-cell ladder from one
-    kernel pass; the reference is the same grid with ``batch_sweeps=False``
-    (cells, keys and results identical: only the execution plan differs).
+    ``run_cells`` answers the five-cell ladder from one kernel pass; the
+    reference plans the same grid and executes each cell on its own on the
+    planned trace paths, one pass per cell (cells and results identical:
+    only the execution plan differs).
     """
     cfg = PaperConfig(ref_limit=60_000, trace_cache_dir=tmp_path, use_result_cache=False)
     cells = [make_cell(kind, "crc", lab, cfg) for kind, lab in LADDER]
-    plain_cfg = replace(cfg, batch_sweeps=False)
-    run_cells(cells, plain_cfg, jobs=1)  # pre-warm the on-disk trace cache
+    run_cells(cells, cfg, jobs=1)  # pre-warm the on-disk trace cache
 
     batched_s, (results, stats) = best_of(lambda: run_cells(cells, cfg, jobs=1))
     assert stats.families_batched == 1 and stats.cells_batched == len(cells)
     assert len(results) == len(cells)
 
-    per_cell_s, (_, plain_stats) = best_of(
-        lambda: run_cells(cells, plain_cfg, jobs=1), rounds=1, warmup=0
-    )
-    assert plain_stats.cells_batched == 0
+    def per_cell():
+        plan = plan_cells(cells, cfg, jobs=1)
+        return [execute_cell(c, cfg, plan.trace_paths[c.workload]) for c in cells]
+
+    per_cell_s, singles = best_of(per_cell, rounds=1, warmup=0)
+    assert [r.misses for r in singles] == [results[(c.workload, c.label)].misses for c in cells]
     speedup = per_cell_s / batched_s
     assert speedup >= 2.0, f"batched family only {speedup:.1f}x over per-cell run"

@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "either way",
     )
     run.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable sweep-family batching (one execution unit per cell; "
-        "results are bit-identical either way)",
-    )
-    run.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
@@ -218,8 +212,6 @@ def _config_from(args) -> PaperConfig:
         updates["use_result_cache"] = False
     if getattr(args, "engine", None) is not None:
         updates["engine"] = args.engine
-    if getattr(args, "no_batch", False):
-        updates["batch_sweeps"] = False
     if getattr(args, "cell_timeout", None) is not None:
         updates["cell_timeout"] = args.cell_timeout
     return replace(cfg, **updates) if updates else cfg

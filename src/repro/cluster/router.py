@@ -14,11 +14,9 @@ routing
     are *split* into one sub-sweep per owning worker and the streamed
     progress events are re-merged/renumbered.  ``experiment`` requests run
     the unmodified figure runner in a router thread with a
-    :class:`ClusterExecutor` injected through the engine's pool hook, so
-    each of the figure's cells is routed cluster-wide (``batch_sweeps`` is
-    forced off: every unit of routed work must be one wire-expressible
-    cell; figures that bypass the engine, fig13/fig14, simply execute
-    router-locally).
+    :class:`ClusterExecutor` injected through the engine's pool hook: each
+    sweep family the engine submits is split into one routed ``cell``
+    request per member, so every cell of the figure runs cluster-wide.
 
 router-level single-flight
     Identical concurrent keys coalesce into one in-flight forward *before*
@@ -51,13 +49,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import replace
+from concurrent.futures import Executor
 from typing import Any
 
 from .. import __version__
 from ..experiments.config import PaperConfig
-from ..experiments.engine.cells import SimCell, timed_execute_cell
+from ..experiments.engine.cells import SimCell
+from ..experiments.engine.families import SweepFamily, execute_family
 from ..service import protocol
 from ..service.protocol import (
     CONFIG_OVERRIDES,
@@ -94,32 +92,42 @@ def parse_worker(addr: str) -> tuple[str, str, int]:
 class ClusterExecutor(Executor):
     """Bridge from the engine's pool hook onto the router's ring.
 
-    ``run_cells`` submits ``timed_execute_cell(cell, config, ...)`` units
-    to whatever executor :func:`engine_pool_scope` injected; this executor
-    turns each such unit into a routed ``cell`` request on the router's
-    event loop and hands back a :class:`concurrent.futures.Future` (via
-    ``run_coroutine_threadsafe``), so the engine's own timeout/cancel
-    bookkeeping keeps working unchanged.  Anything that is not a plain
-    cell unit falls back to a local thread — correctness first.
+    ``run_cells`` submits ``execute_family(family, config, ...)`` units to
+    whatever executor :func:`engine_pool_scope` injected; this executor
+    routes each member of such a unit as one ``cell`` request on the
+    router's event loop, all members in flight at once, and hands back a
+    :class:`concurrent.futures.Future` (via ``run_coroutine_threadsafe``)
+    of ``execute_family``'s ``(completed, failure)`` reply, so the engine's
+    own settle, timeout and cancel bookkeeping keeps working unchanged.
+    It holds no threads of its own.
     """
 
     def __init__(self, router: "ClusterRouter", loop: asyncio.AbstractEventLoop):
         self._router = router
         self._loop = loop
-        self._fallback = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-route-local"
-        )
 
     def submit(self, fn, /, *args, **kwargs):
-        if fn is timed_execute_cell and not kwargs and len(args) >= 2:
-            cell, config = args[0], args[1]
-            return asyncio.run_coroutine_threadsafe(
-                self._router.route_engine_cell(cell, config), self._loop
-            )
-        return self._fallback.submit(fn, *args, **kwargs)
+        if fn is not execute_family or kwargs:
+            raise TypeError(f"the cluster executor runs execute_family only, not {fn!r}")
+        family, config = args[0], args[1]
+        return asyncio.run_coroutine_threadsafe(
+            self._route_family(family, config), self._loop
+        )
 
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        self._fallback.shutdown(wait=wait, cancel_futures=cancel_futures)
+    async def _route_family(self, family: SweepFamily, config: PaperConfig):
+        """``execute_family``'s reply for a family routed member by member:
+        the members that completed, in member order, up to the first that
+        failed, and that member's ``(workload, label, message)``."""
+        replies = await asyncio.gather(
+            *(self._router.route_engine_cell(cell, config) for cell in family.members),
+            return_exceptions=True,
+        )
+        completed = []
+        for cell, reply in zip(family.members, replies):
+            if isinstance(reply, BaseException):
+                return completed, (cell.workload, cell.label, str(reply))
+            completed.append((cell, *reply))
+        return completed, None
 
 
 class ClusterRouter(ReproServer):
@@ -190,8 +198,6 @@ class ClusterRouter(ReproServer):
             flight.cancel()
         for link in self.links.values():
             await link.close()
-        if self._cluster_executor is not None:
-            self._cluster_executor.shutdown(wait=False, cancel_futures=True)
         await super().close()
 
     # -- health probing ---------------------------------------------------------------
@@ -561,13 +567,6 @@ class ClusterRouter(ReproServer):
 
     # -- routed experiments -------------------------------------------------------------
 
-    def _experiment_config(self, config: PaperConfig) -> PaperConfig:
-        # Every routed unit of work must be one wire-expressible cell, so
-        # family batching (whose units are multi-cell) is forced off.
-        # Results and keys are bit-identical either way by the families
-        # module's contract.
-        return replace(config, batch_sweeps=False)
-
     def _experiment_engine_pool(self) -> ClusterExecutor:
         if self._cluster_executor is None:
             self._cluster_executor = ClusterExecutor(
@@ -578,8 +577,8 @@ class ClusterRouter(ReproServer):
     async def route_engine_cell(self, cell: SimCell, config: PaperConfig):
         """Route one engine-submitted cell; returns ``(result, seconds)``.
 
-        Mirrors ``timed_execute_cell``'s contract for the
-        :class:`ClusterExecutor` bridge.  Overrides are sent as absolute
+        One member of a family the :class:`ClusterExecutor` bridge routes,
+        with ``timed_execute_cell``'s reply.  Overrides are sent as absolute
         values for every whitelisted knob, so runner-level config
         variation in those knobs survives the wire; everything else
         (geometry, table fractions, ...) must match across the cluster's

@@ -553,7 +553,10 @@ def simulate_policy_sweep(
         )
         stats = _miss_stats(indices, miss, geometry.num_sets)
         model = _canonical_model(scheme.name, ways, policy)
-        results.append(_result_from_stats(model, trace.name, stats, stats.accesses))
+        result = _result_from_stats(model, trace.name, stats, stats.accesses)
+        # The path a lone cell of the same policy takes through dispatch.
+        result.path = "fast:policy"
+        results.append(result)
     return results
 
 

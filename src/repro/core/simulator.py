@@ -182,7 +182,8 @@ def simulate_lru_sweep(
     :class:`SimulationResult` per spec, in spec order, each bit-identical
     (per-set counts included) to its per-cell equivalent — the contract
     the ``simulate_lru_sweep`` rows of ``tests/core/test_differential.py``
-    hold against the sequential caches.
+    hold against the sequential caches — and naming its path
+    ``fast:lru-sweep``.
     """
     specs = [(int(ways), style) for ways, style in specs]
     for ways, style in specs:
@@ -202,7 +203,9 @@ def simulate_lru_sweep(
         else:
             model = f"set_associative[{scheme.name},{ways}way]"
         stats = _miss_stats(indices, flags[ways], geometry.num_sets, direct_mapped=direct)
-        results.append(_result_from_stats(model, trace.name, stats, stats.accesses))
+        result = _result_from_stats(model, trace.name, stats, stats.accesses)
+        result.path = "fast:lru-sweep"
+        results.append(result)
     return results
 
 
@@ -223,7 +226,9 @@ def simulate_fully_associative(
     blocks = trace.blocks(offset_bits).astype(np.int64)
     indices = np.zeros(blocks.size, dtype=np.int64)
     stats = _miss_stats(indices, lru_miss_flags(blocks, indices, capacity), 1)
-    return _result_from_stats("fully_associative", trace.name, stats, stats.accesses)
+    result = _result_from_stats("fully_associative", trace.name, stats, stats.accesses)
+    result.path = "fast:fully-associative"
+    return result
 
 
 def simulate_indexing(

@@ -85,12 +85,21 @@ def classify(
     reference through the stack-distance kernel; ``engine="sequential"``
     forces the reference loop for both (used by the differential tests).
     """
-    from .caches.fully_associative import FullyAssociativeCache
     from .dispatch import dispatch
-    from .simulator import simulate, simulate_fully_associative
 
     target = dispatch(cache, trace, engine=engine)
-    geometry = geometry or cache.geometry
+    return split_misses(target.misses, trace, geometry or cache.geometry, engine)
+
+
+def split_misses(
+    total: int, trace: Trace, geometry: CacheGeometry, engine: str = "auto"
+) -> MissBreakdown:
+    """3C breakdown of ``total`` misses that a cache of ``geometry`` took on
+    ``trace`` (the second half of :func:`classify`, for a caller that ran
+    the target itself)."""
+    from .caches.fully_associative import FullyAssociativeCache
+    from .simulator import simulate, simulate_fully_associative
+
     cold = cold_miss_count(trace, geometry)
     fa_geometry = CacheGeometry(
         geometry.capacity_bytes, geometry.line_bytes, 1, geometry.address_bits
@@ -100,9 +109,9 @@ def classify(
     else:
         fa = simulate_fully_associative(trace, fa_geometry).misses
     capacity = fa - cold
-    conflict = target.misses - fa
+    conflict = total - fa
     return MissBreakdown(
-        total=target.misses,
+        total=total,
         cold=cold,
         capacity=capacity,
         conflict=conflict,

@@ -30,7 +30,6 @@ from .config import MULTITHREAD_MIXES_FIG13, MULTITHREAD_MIXES_FIG14, PaperConfi
 from .engine import (
     CellExecutionError,
     EngineStats,
-    ExperimentEngine,
     ResultCache,
     ResultStore,
     SharedDirStore,
@@ -59,7 +58,6 @@ __all__ = [
     "available_experiments",
     "EXPERIMENT_REGISTRY",
     "workload_trace",
-    "ExperimentEngine",
     "EngineStats",
     "ResultCache",
     "ResultStore",

@@ -139,22 +139,15 @@ class PaperConfig:
     #: ``"auto"`` takes the exact fast kernels where they apply;
     #: ``"sequential"`` forces the per-access reference loop for the
     #: ``progassoc``, ``colassoc``, ``bounds``, ``policysweep``, ``auxsweep``,
-    #: ``smt``, ``partitioned`` and ``threec`` cells and turns sweep-family
-    #: batching off.  ``baseline``, ``indexing``, ``setassoc`` and
-    #: ``assocsweep`` cells (and the k-way and ``FullAssoc`` ``bounds``
-    #: columns) stay on the vectorised kernels: their results are stored
-    #: under the same keys either way.  Results are bit-identical either
-    #: way, so this knob is *not* part of cache keys.
+    #: ``smt``, ``partitioned`` and ``threec`` cells and limits sweep
+    #: families to the ``decode`` axis, where each member runs its own
+    #: per-cell path (see :mod:`repro.experiments.engine.families`).
+    #: ``baseline``, ``indexing``, ``setassoc`` and ``assocsweep`` cells
+    #: (and the k-way and ``FullAssoc`` ``bounds`` columns) stay on the
+    #: vectorised kernels: their results are stored under the same keys
+    #: either way.  Results are bit-identical either way, so this knob is
+    #: *not* part of cache keys.
     engine: str = "auto"
-    #: Batch provably-equivalent cells into *sweep families* (see
-    #: :mod:`repro.experiments.engine.families`): same-mapping LRU cells of
-    #: one workload share a single stack-distance pass (the Mattson axis)
-    #: and remaining same-workload cells share one trace decode.  Results
-    #: and result-cache keys are bit-identical either way — execution knob
-    #: only, *not* part of cache keys (like ``jobs``/``engine``).  The
-    #: Mattson axis additionally requires ``engine == "auto"``.  Surfaced
-    #: as ``run --no-batch`` on the CLI.
-    batch_sweeps: bool = True
     #: Per-cell wall-clock budget in seconds (``None`` = unlimited).  A cell
     #: exceeding it fails the run with a :class:`CellExecutionError` naming
     #: the (workload, scheme) pair instead of blocking forever — see

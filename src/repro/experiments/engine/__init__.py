@@ -31,7 +31,6 @@ from .families import SweepFamily, detect_families, execute_family
 from .parallel import (
     CellPlan,
     EngineStats,
-    ExperimentEngine,
     effective_jobs,
     engine_pool_scope,
     plan_cells,
@@ -58,7 +57,6 @@ __all__ = [
     "detect_families",
     "CellExecutionError",
     "CellPlan",
-    "ExperimentEngine",
     "EngineStats",
     "effective_jobs",
     "engine_pool_scope",

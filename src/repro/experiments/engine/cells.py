@@ -608,9 +608,11 @@ def _threec(label: str, config: PaperConfig) -> _Spec:
     g = config.geometry
 
     def run(cell, trace, profile_path):
-        from ...core.three_c import classify
+        from ...core.dispatch import dispatch
+        from ...core.three_c import split_misses
 
-        b = classify(caches.DirectMappedCache(g), trace, g, engine=config.engine)
+        target = dispatch(caches.DirectMappedCache(g), trace, engine=config.engine)
+        b = split_misses(target.misses, trace, g, engine=config.engine)
         empty = np.zeros(0, dtype=np.int64)
         return SimulationResult(
             model="three_c",
@@ -623,6 +625,7 @@ def _threec(label: str, config: PaperConfig) -> _Spec:
             slot_hits=empty,
             slot_misses=empty,
             extra={"cold": b.cold, "capacity": b.capacity, "conflict": b.conflict},
+            path=target.path,
         )
 
     return _Spec(run)
@@ -823,7 +826,8 @@ def timed_execute_cell(
     trace_path=None,
     profile_path=None,
 ) -> tuple[SimulationResult, float]:
-    """``execute_cell`` plus wall-clock seconds (the pool-worker entry point)."""
+    """``execute_cell`` plus wall-clock seconds: the per-cell entry point of
+    :func:`~.families.execute_family` and of the service scheduler."""
     t0 = time.perf_counter()
     if config.cell_delay:
         # Load-generator knob: deterministic service-time floor so cluster

@@ -36,19 +36,22 @@ a family is the same-workload cells with equal ``(axis, signature)``:
     / stream-buffer compositions) ride this axis, each member running the
     exact miss-event replay of :mod:`repro.core.aux.fast` on its own.
     :func:`~repro.core.aux.simulate_aux_sweep` would also share the decode
-    and the miss events across members, but family members carry no
-    dispatch path, so an ``aux`` axis would cost the ``fast:aux-replay``
+    and the miss events across members, but its shared pass bypasses
+    dispatch, so an ``aux`` axis would cost the ``fast:aux-replay``
     attribution.
 
 ``single``
-    The one-member fallback; detection is a *partition* — every planned
-    cell lands in exactly one family (a Hypothesis property test locks
-    this down).
+    A cell alone: the only cell of its workload in the grid, or the one
+    member of its family still pending after cache hits.  It runs its own
+    per-cell path.  Detection is a *partition* — every planned cell lands
+    in exactly one family (a Hypothesis property test locks this down) —
+    and ``run_cells`` runs every unit as a family, so
+    :func:`execute_family` is the engine's one unit of work.
 
-Batching is an execution detail, invisible to results and result-cache
-keys: each member is stored under its unchanged per-cell key, so warm
-caches, replay and the service's single-flight coalescing interoperate
-freely with batched runs (audited by ``TestCacheKeyAudit``).
+Batching is always on and invisible to results and result-cache keys:
+each member is stored under its unchanged per-cell key, so warm caches,
+replay, the service's per-cell requests and single-flight coalescing
+interoperate freely with batched runs (audited by ``TestCacheKeyAudit``).
 
 Failure attribution: :func:`execute_family` never raises.  It returns the
 members that completed plus, on failure, the ``(workload, label, message)``
@@ -94,7 +97,7 @@ class SweepFamily:
 
     #: ``"assoc"`` (shared stack-distance pass), ``"policy"`` (shared
     #: set-decomposition, per-policy kernels), ``"decode"`` (shared trace
-    #: decode, per-member execution) or ``"single"`` (fallback).
+    #: decode, per-member execution) or ``"single"`` (one cell alone).
     axis: str
     workload: str
     members: tuple[SimCell, ...]
@@ -134,15 +137,12 @@ def detect_families(
     ``single`` when it is alone), which keeps each member's own execution
     path.
 
-    ``config.batch_sweeps=False`` degenerates to all-singleton families;
-    the ``assoc`` and ``policy`` axes additionally require
-    ``config.engine == "auto"`` (the same discipline as every other
-    vectorised fast path — forcing ``"sequential"`` keeps per-cell
-    reference execution).
+    The ``assoc`` and ``policy`` axes require ``config.engine == "auto"``
+    (the same discipline as every other vectorised fast path — forcing
+    ``"sequential"`` keeps per-cell reference execution, so only
+    ``decode`` families form).
     """
     cells = list(dict.fromkeys(cells))  # dedupe, preserving declaration order
-    if not config.batch_sweeps:
-        return tuple(SweepFamily("single", c.workload, (c,)) for c in cells)
     keys = {cell: _offer(cell, config) for cell in cells}
     sizes = Counter(keys.values())
     groups: dict[tuple, list[SimCell]] = {}
@@ -166,7 +166,7 @@ def execute_family(
 ) -> tuple[
     list[tuple[SimCell, SimulationResult, float]], tuple[str, str, str] | None
 ]:
-    """Execute one family (the pool-worker entry point); never raises.
+    """Execute one family, in-process or on a pool worker; never raises.
 
     Returns ``(completed, failure)``: ``completed`` holds ``(cell, result,
     seconds)`` for every member that finished, in member order; ``failure``

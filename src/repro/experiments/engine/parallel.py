@@ -1,7 +1,7 @@
 """Fan-out executor: run a list of cells, memoized and optionally parallel.
 
-``run_cells`` (or the thin :class:`ExperimentEngine` wrapper the figure
-runners use) takes the declared cell list of one experiment grid and
+``run_cells`` is the one way to run an experiment grid: every figure
+runner hands it the declared cell list and
 
 1. pre-warms the on-disk trace cache *in parallel* through
    :func:`repro.experiments.warm.warm_traces` — every missing workload and
@@ -12,24 +12,34 @@ runners use) takes the declared cell list of one experiment grid and
    address arrays;
 2. answers as many cells as possible from the content-addressed
    :class:`~repro.experiments.engine.cache.ResultCache`;
-3. executes the remaining cells either in-process (``jobs=1``, the
-   deterministic sequential fallback) or on the process-wide
+3. runs every remaining cell inside exactly one unit — its planned
+   :class:`~repro.experiments.engine.families.SweepFamily`, restricted to
+   the members still pending — through
+   :func:`~repro.experiments.engine.families.execute_family`, either
+   in-process (``jobs=1`` or a single unit, the deterministic sequential
+   fallback) or on the process-wide
    :class:`~repro.experiments.engine.pool.EnginePool` of ``jobs`` workers
    (``jobs>1``; ``jobs=0`` means ``os.cpu_count()``), built on the first
    run that needs it and reused by every later run and trace warm-up in
-   the process; then
+   the process; both cases settle units through the same loop; then
 4. returns ``{(workload, label): SimulationResult}`` **in declared cell
    order** plus an :class:`EngineStats` with cache-hit/miss counters and
    per-cell wall times.
+
+When ``run_cells`` builds the result store itself (no ``result_cache``
+argument), it flushes and closes it before returning, so a write-behind
+shared tier holds every entry of the run and no publisher thread outlives
+it.
 
 Because every cell is a pure function of its spec and aggregation order is
 fixed by the caller's declaration order, parallel runs are bit-identical to
 sequential ones — a property locked down by
 ``tests/experiments/test_parallel_engine.py``.
 
-Worker failures are re-raised in the parent as
+A failing cell is re-raised in the parent as
 :class:`~repro.experiments.engine.cells.CellExecutionError` naming the
-failing (workload, scheme) cell, with the original exception chained.
+failing (workload, scheme) cell, with the original message chained; the
+members that completed before it keep their result-cache entries.
 
 Serving-layer hooks
 -------------------
@@ -40,28 +50,28 @@ service request and an in-process run can never derive different
 result-cache keys (audited by ``tests/service/test_key_parity.py``).
 
 Two :mod:`contextvars` scopes let a long-lived host embed the engine
-without touching the figure runners (which construct their own
-:class:`ExperimentEngine`):
+without touching the figure runners:
 
 * :func:`progress_scope` — a per-context progress callback invoked after
   every cell settles (cache hits and fresh simulations alike), so a server
   can stream cell completions while ``run_experiment`` is still working;
 * :func:`engine_pool_scope` — a per-context executor that ``run_cells``
-  submits pending cells to *instead of* the engine's own pool (the job
-  server injects its scheduler's pool; the router, its ring).
+  submits its ``execute_family`` units to *instead of* the engine's own
+  pool (the job server injects its scheduler's pool; the router, its
+  ring).
 
 Per-cell timeouts
 -----------------
 ``cell_timeout`` (``config.cell_timeout`` / ``--cell-timeout``) bounds how
-long the engine waits for any single cell.  On the pool path a cell that
-exceeds the budget fails *with attribution* (a :class:`CellExecutionError`
-naming the cell) instead of blocking the whole run forever; remaining
-futures are cancelled and the engine's own pool is discarded without
-joining the hung worker (the next run builds a new one).  A worker that
-dies fails the run naming the cell, and the next run gets a new pool.
-The ``jobs=1`` in-process path cannot preempt a running cell, so there
-the timeout is enforced post-hoc (the run still fails, naming the
-offending cell, as soon as the cell returns).
+long the engine waits for a unit: ``cell_timeout`` times its member
+count.  On the pool path a unit that exceeds the budget fails *with
+attribution* (a :class:`CellExecutionError` naming its first cell) instead
+of blocking the whole run forever; remaining futures are cancelled and the
+engine's own pool is discarded without joining the hung worker (the next
+run builds a new one).  A worker that dies fails the run naming the cell,
+and the next run gets a new pool.  The in-process path cannot preempt a
+running unit, so there the budget is checked once the unit returns (the
+run still fails with the same message, and the late unit stores nothing).
 """
 
 from __future__ import annotations
@@ -75,14 +85,14 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from ...core.result import SimulationResult
 from ..config import PaperConfig
 from .cache import cell_key
-from .cells import CellExecutionError, SimCell, timed_execute_cell
+from .cells import CellExecutionError, SimCell
 from .families import SweepFamily, detect_families, execute_family
 from .pool import EnginePool, engine_pool
 from .store import ResultStore, make_store
@@ -90,7 +100,6 @@ from .store import ResultStore, make_store
 __all__ = [
     "CellPlan",
     "EngineStats",
-    "ExperimentEngine",
     "effective_jobs",
     "engine_pool_scope",
     "plan_cells",
@@ -348,9 +357,9 @@ def run_cells(
     finally:
         if owns_store and result_cache is not None:
             # A run-owned write-behind store must be durable before we
-            # return — even on a failed run, so completed members persisted
-            # by ``_store_partial`` reach the shared tier (a long-lived
-            # host owns its store's lifecycle itself).
+            # return — even on a failed run, so the members that completed
+            # before the failure reach the shared tier (a long-lived host
+            # owns its store's lifecycle itself).
             result_cache.flush()
             result_cache.close()
 
@@ -393,169 +402,96 @@ def _run_cells(
         else:
             pending.append(cell)
 
+    # Every pending cell runs in exactly one unit: its planned family,
+    # restricted to the members still pending (cache hits drop out
+    # member by member); a remainder of one member runs alone.
+    pend = set(pending)
+    units: list[SweepFamily] = []
+    for family in plan.families:
+        members = tuple(c for c in family.members if c in pend)
+        if len(members) >= 2:
+            units.append(replace(family, members=members))
+        elif members:
+            units.append(SweepFamily("single", family.workload, members))
+
     pool = _POOL_OVERRIDE.get()
+    in_process = pool is None and (jobs <= 1 or len(units) <= 1)
+    if not in_process and pool is None:
+        pool = engine_pool(jobs)
     computed: dict[SimCell, tuple[SimulationResult, float]] = {}
+    futures: dict[SweepFamily, Future] = {}
 
-    def _store_partial() -> None:
-        # Persist what already finished before surfacing a family failure:
-        # a mid-batch failure must leave completed members' cache entries
-        # valid, not poison the whole family.
-        if result_cache is not None:
-            for done_cell, (done_result, _seconds) in computed.items():
-                result_cache.store(keys[done_cell], done_result)
+    def _args(unit: SweepFamily) -> tuple:
+        return (
+            unit,
+            config,
+            trace_paths.get(unit.workload),
+            profile_paths.get(unit.workload),
+        )
 
-    def _settle_family(family: SweepFamily, family_completed, family_failure) -> None:
-        for member, member_result, member_seconds in family_completed:
-            computed[member] = (member_result, member_seconds)
-            _notify(member, cached=False)
-        if family_failure is not None:
-            workload, label, message = family_failure
-            _store_partial()
-            # The worker ships the failure as a string (arbitrary exception
-            # types must not need cross-process pickling); re-hydrate a
-            # cause so ``__cause__`` always carries the original message.
-            raise CellExecutionError(
-                f"experiment cell ({workload}, {label}) failed: {message}"
-            ) from RuntimeError(message)
-        stats.families_batched += 1
-        stats.cells_batched += len(family.members)
-
-    if pending:
-        # Restrict the planned family partition to the cells still pending
-        # (cache hits drop out member-by-member); families reduced to one
-        # member fall back to the ordinary per-cell path.
-        pend = set(pending)
-        units: list[SweepFamily] = []
-        loose: list[SimCell] = []
-        for family in plan.families:
-            members = tuple(c for c in family.members if c in pend)
-            if len(members) >= 2:
-                units.append(
-                    SweepFamily(family.axis, family.workload, members, family.signature)
-                )
-            else:
-                loose.extend(members)
-        covered = {c for u in units for c in u.members} | set(loose)
-        loose.extend(dict.fromkeys(c for c in pending if c not in covered))
-
-        if pool is None and (jobs <= 1 or len(units) + len(loose) == 1):
-            for family in units:
-                t0_family = time.perf_counter()
-                family_completed, family_failure = execute_family(
-                    family,
-                    config,
-                    trace_paths.get(family.workload),
-                    profile_paths.get(family.workload),
-                )
-                _settle_family(family, family_completed, family_failure)
-                # Post-hoc budget, scaled by family size (one unit does the
-                # work of len(members) cells).
-                if cell_timeout is not None:
-                    elapsed = time.perf_counter() - t0_family
-                    budget = cell_timeout * len(family.members)
-                    if elapsed > budget:
-                        first = family.members[0]
-                        _store_partial()
-                        raise CellExecutionError(
-                            f"experiment cell ({first.workload}, {first.label}) "
-                            f"family of {len(family.members)} exceeded the "
-                            f"per-cell timeout ({elapsed:.3f}s > {budget:g}s)"
-                        )
-            for cell in loose:
-                try:
-                    computed[cell] = timed_execute_cell(
-                        cell,
-                        config,
-                        trace_paths.get(cell.workload),
-                        profile_paths.get(cell.workload) if cell.needs_profile else None,
-                    )
-                except Exception as exc:
-                    raise CellExecutionError(
-                        f"experiment cell ({cell.workload}, {cell.label}) failed: {exc}"
-                    ) from exc
-                # The in-process path cannot preempt a running cell; enforce
-                # the budget post-hoc so the run still fails with attribution.
-                if cell_timeout is not None and computed[cell][1] > cell_timeout:
-                    raise CellExecutionError(
-                        f"experiment cell ({cell.workload}, {cell.label}) exceeded "
-                        f"the per-cell timeout ({computed[cell][1]:.3f}s > "
-                        f"{cell_timeout:g}s)"
-                    )
-                _notify(cell, cached=False)
-        else:
-            if pool is None:
-                pool = engine_pool(jobs)
-            futures: dict[Any, Future] = {}
+    try:
+        if not in_process:
             try:
-                try:
-                    for family in units:
-                        futures[family] = pool.submit(
-                            execute_family,
-                            family,
-                            config,
-                            trace_paths.get(family.workload),
-                            profile_paths.get(family.workload),
-                        )
-                    for cell in loose:
-                        futures[cell] = pool.submit(
-                            timed_execute_cell,
-                            cell,
-                            config,
-                            trace_paths.get(cell.workload),
-                            profile_paths.get(cell.workload) if cell.needs_profile else None,
-                        )
-                except BrokenProcessPool as exc:
-                    # A worker died under a unit already submitted: collecting
-                    # that unit's future below names it, and this stand-in
-                    # names the first unit not sent if none does.
-                    unsent = next(u for u in (*units, *loose) if u not in futures)
-                    futures[unsent] = Future()
-                    futures[unsent].set_exception(exc)
-                for item, future in futures.items():
-                    if isinstance(item, SweepFamily):
-                        workload, label = item.members[0].workload, item.members[0].label
-                        budget = (
-                            cell_timeout * len(item.members)
-                            if cell_timeout is not None
-                            else None
-                        )
-                    else:
-                        workload, label = item.workload, item.label
-                        budget = cell_timeout
-                    try:
-                        settled = future.result(timeout=budget)
-                    except FutureTimeoutError:
-                        # Abandon the engine's pool without joining the hung
-                        # worker (joining would re-introduce the indefinite
-                        # block the timeout exists to prevent).
-                        if isinstance(pool, EnginePool):
-                            pool.discard()
-                        if isinstance(item, SweepFamily):
-                            _store_partial()
-                        raise CellExecutionError(
-                            f"experiment cell ({workload}, {label}) "
-                            f"exceeded the per-cell timeout ({budget:g}s)"
-                        ) from None
-                    except FutureCancelledError:
-                        raise CellExecutionError(
-                            f"experiment cell ({workload}, {label}) "
-                            f"was cancelled"
-                        ) from None
-                    except Exception as exc:
-                        raise CellExecutionError(
-                            f"experiment cell ({workload}, {label}) "
-                            f"failed in worker: {exc}"
-                        ) from exc
-                    if isinstance(item, SweepFamily):
-                        _settle_family(item, settled[0], settled[1])
-                    else:
-                        computed[item] = settled
-                        _notify(item, cached=False)
-            finally:
-                # A failed run leaves no work of its own queued on a pool
-                # that outlives it (a no-op on settled futures).
-                for f in futures.values():
-                    f.cancel()
+                for unit in units:
+                    futures[unit] = pool.submit(execute_family, *_args(unit))
+            except BrokenProcessPool as exc:
+                # A worker died under a unit already submitted: collecting
+                # that unit's future below names it, and this stand-in names
+                # the unit that could not be sent if none does.
+                futures[unit] = Future()
+                futures[unit].set_exception(exc)
+        for unit in units:
+            first = unit.members[0]
+            where = f"experiment cell ({first.workload}, {first.label})"
+            # One unit does the work of len(members) cells.
+            budget = None if cell_timeout is None else cell_timeout * len(unit.members)
+            try:
+                if in_process:
+                    # A running unit cannot be preempted here: the budget is
+                    # checked once it returns, so the run still fails with
+                    # attribution.
+                    t0 = time.perf_counter()
+                    completed, failure = execute_family(*_args(unit))
+                    if budget is not None and time.perf_counter() - t0 > budget:
+                        raise FutureTimeoutError
+                else:
+                    completed, failure = futures[unit].result(timeout=budget)
+            except FutureTimeoutError:
+                # Abandon the engine's pool without joining the hung worker
+                # (joining would re-introduce the indefinite block the
+                # timeout exists to prevent).
+                if isinstance(pool, EnginePool):
+                    pool.discard()
+                raise CellExecutionError(
+                    f"{where} exceeded the per-cell timeout ({budget:g}s)"
+                ) from None
+            except FutureCancelledError:
+                raise CellExecutionError(f"{where} was cancelled") from None
+            except Exception as exc:
+                raise CellExecutionError(f"{where} failed in worker: {exc}") from exc
+            # Members are stored as they settle, so a failure later in the
+            # run (or in this unit) leaves every completed entry valid.
+            for member, member_result, member_seconds in completed:
+                computed[member] = (member_result, member_seconds)
+                if result_cache is not None:
+                    result_cache.store(keys[member], member_result)
+                _notify(member, cached=False)
+            if failure is not None:
+                workload, label, message = failure
+                # The worker ships the failure as a string (arbitrary
+                # exception types must not need cross-process pickling);
+                # re-hydrate a cause so ``__cause__`` carries the message.
+                raise CellExecutionError(
+                    f"experiment cell ({workload}, {label}) failed: {message}"
+                ) from RuntimeError(message)
+            if len(unit.members) >= 2:
+                stats.families_batched += 1
+                stats.cells_batched += len(unit.members)
+    finally:
+        # A failed run leaves no work of its own queued on a pool that
+        # outlives it (a no-op on settled futures).
+        for future in futures.values():
+            future.cancel()
 
     for cell in pending:
         result, seconds = computed[cell]
@@ -564,8 +500,6 @@ def _run_cells(
         stats.cell_seconds[cell.name] = seconds
         if result.path:
             stats.paths[result.path] += 1
-        if result_cache is not None:
-            result_cache.store(keys[cell], result)
 
     # Deterministic aggregation order: the caller's declaration order, not
     # completion order.
@@ -576,33 +510,3 @@ def _run_cells(
     stats.wall_seconds = time.perf_counter() - t_start
     return ordered, stats
 
-
-class ExperimentEngine:
-    """Convenience wrapper binding a config (+ optional overrides)."""
-
-    def __init__(
-        self,
-        config: PaperConfig,
-        jobs: int | None = None,
-        result_cache: ResultStore | None = None,
-        cell_timeout: float | None = None,
-    ):
-        self.config = config
-        self.jobs = effective_jobs(config.jobs if jobs is None else jobs)
-        if result_cache is None:
-            result_cache = make_store(config)
-        self.result_cache = result_cache
-        self.cell_timeout = (
-            config.cell_timeout if cell_timeout is None else cell_timeout
-        )
-
-    def run(
-        self, cells: Iterable[SimCell]
-    ) -> tuple[dict[tuple[str, str], SimulationResult], EngineStats]:
-        return run_cells(
-            cells,
-            self.config,
-            jobs=self.jobs,
-            result_cache=self.result_cache,
-            cell_timeout=self.cell_timeout,
-        )

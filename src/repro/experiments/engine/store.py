@@ -37,8 +37,11 @@ backends:
 
 ``make_store`` maps a :class:`~repro.experiments.config.PaperConfig` to a
 backend (``config.result_store``: ``"local"`` | ``"shared"``), and is the
-single construction path used by ``run_cells``, ``ExperimentEngine``, the
-service scheduler and the cluster router.
+single construction path used by ``run_cells``, the service scheduler and
+the cluster router.  Whoever builds a store owns its lifetime: ``run_cells``
+flushes and closes the store it builds before it returns, so a
+write-behind publisher never outlives the run that started it, while a
+long-lived server keeps one store open across requests.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -45,7 +45,7 @@ def run_ext_assoc(config: PaperConfig) -> ExperimentResult:
             make_cell("assocsweep", bench, label, config)
             for label in EXT_ASSOC_COLUMNS[1:]
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in MIBENCH_ORDER:
         result.add_row(
             bench,

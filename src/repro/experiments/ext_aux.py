@@ -34,7 +34,7 @@ import numpy as np
 from ..core.uniformity import aux_structure_report, eviction_absorption_gini
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -84,7 +84,7 @@ def run_ext_aux(config: PaperConfig) -> ExperimentResult:
                     make_cell("auxsweep", bench, f"{scheme}:{combo}{depth}", config)
                 )
             cells.append(make_cell(col_kind, bench, col_label, config))
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     head_to_head = []
     for bench in MIBENCH_ORDER:
         for scheme in EXT_AUX_SCHEMES:

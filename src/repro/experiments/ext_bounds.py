@@ -28,7 +28,7 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -65,7 +65,7 @@ def run_ext_bounds(config: PaperConfig) -> ExperimentResult:
         cells.extend(
             make_cell("bounds", bench, label, config) for label in EXT_BOUNDS_COLUMNS
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         row = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -53,7 +53,7 @@ def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
         cells.append(make_cell("baseline", trace, "baseline", config))
         cells.extend(make_cell("indexing", trace, lab, config) for lab in STATIC_LABELS.values())
         cells.append(make_cell("dynamic", trace, DYNAMIC_CANDIDATES, config))
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for a, b in PHASE_PAIRS:
         trace = phase_name((a, b))
         base = sims[(trace, "baseline")].misses

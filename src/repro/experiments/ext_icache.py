@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -78,7 +78,7 @@ def run_ext_icache(config: PaperConfig) -> ExperimentResult:
             make_cell(kind, itrace_name(k, placed), label, config)
             for placed, kind, label in ICACHE_COLUMNS.values()
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for k in PROGRAMS:
         base = sims[(itrace_name(k), "baseline")]
         result.add_row(

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.uniformity import uniformity_report
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -56,7 +56,7 @@ def run_ext_policy(config: PaperConfig) -> ExperimentResult:
         for scheme in EXT_POLICY_SCHEMES
         for policy in EXT_POLICY_COLUMNS
     ]
-    sims, stats = ExperimentEngine(pol_config).run(cells)
+    sims, stats = run_cells(cells, pol_config)
     for bench in MIBENCH_ORDER:
         for scheme in EXT_POLICY_SCHEMES:
             row = {}

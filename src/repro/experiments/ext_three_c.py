@@ -15,7 +15,7 @@ from ..core.three_c import MissBreakdown
 from ..workloads.mibench import MIBENCH_ORDER
 from ..workloads.spec import SPEC_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -30,8 +30,9 @@ def run_ext_three_c(config: PaperConfig) -> ExperimentResult:
         columns=["miss_rate%", "cold%", "capacity%", "conflict%"],
     )
     benches = MIBENCH_ORDER + SPEC_ORDER
-    sims, stats = ExperimentEngine(config).run(
-        make_cell("threec", bench, "direct_mapped", config) for bench in benches
+    sims, stats = run_cells(
+        [make_cell("threec", bench, "direct_mapped", config) for bench in benches],
+        config,
     )
     for bench in benches:
         sim = sims[(bench, "direct_mapped")]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.uniformity import uniformity_report, zhang_classification
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult, sparkline
 from .runner import register_experiment
 
@@ -20,9 +20,7 @@ __all__ = ["run_fig01"]
 
 @register_experiment("fig1")
 def run_fig01(config: PaperConfig) -> ExperimentResult:
-    sims, stats = ExperimentEngine(config).run(
-        [make_cell("baseline", "fft", "baseline", config)]
-    )
+    sims, stats = run_cells([make_cell("baseline", "fft", "baseline", config)], config)
     sim = sims[("fft", "baseline")]
     accesses = sim.slot_accesses
     rep = uniformity_report(accesses)

@@ -7,9 +7,9 @@ universal winner, Givargis worst on average (with catastrophic regressions
 whose baselines are near zero — their -5e8% bar for susan).
 
 Each bench's six cells (baseline + five schemes) form one "decode" sweep
-family under ``config.batch_sweeps``: the engine ships them to a worker as
-one unit that decodes the trace once, keeping the per-cell result-cache
-keys and outcomes bit-identical (``tests/core/test_sweep_batching_differential.py``).
+family: the engine ships them to a worker as one unit that decodes the
+trace once, keeping the per-cell result-cache keys and outcomes
+bit-identical (``tests/core/test_sweep_batching_differential.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -53,7 +53,7 @@ def _run_fig04(config: PaperConfig) -> ExperimentResult:
         cells.extend(
             make_cell("indexing", bench, label, config) for label in INDEXING_COLUMNS
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         row = {}

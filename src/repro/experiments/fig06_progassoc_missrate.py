@@ -14,9 +14,9 @@ reduction.
 Both figures come from the same three sequential simulations per benchmark,
 so one runner computes them and the fig7 entry point reuses its cache.
 
-Under ``config.batch_sweeps`` each bench's four cells (baseline + three
-models) travel as one "decode" sweep family — one trace decode per bench
-per worker, unchanged per-cell execution paths, keys and results.
+Each bench's four cells (baseline + three models) travel as one "decode"
+sweep family — one trace decode per bench per worker, unchanged per-cell
+execution paths, keys and results.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..core.amat import (
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -60,7 +60,7 @@ def _run_progassoc(config: PaperConfig) -> tuple[ExperimentResult, ExperimentRes
         cells.extend(
             make_cell("progassoc", bench, label, config) for label in PROGASSOC_COLUMNS
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         base_amat = amat_direct_mapped(base.miss_rate, timing)

@@ -7,9 +7,9 @@ column-associative cache.  Paper shape: odd-multiplier best on average;
 some benchmarks regress under non-conventional indexes (their text calls
 out calculix and sjeng).
 
-Under ``config.batch_sweeps`` each bench's four column-associative cells
-form one "decode" sweep family — one trace decode per bench per worker,
-with per-cell execution, keys and results untouched.
+Each bench's four column-associative cells form one "decode" sweep family
+— one trace decode per bench per worker, with per-cell execution, keys and
+results untouched.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.spec import SPEC_ORDER
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -43,7 +43,7 @@ def run_fig08(config: PaperConfig) -> ExperimentResult:
         cells.extend(
             make_cell("colassoc", bench, label, config) for label in FIG8_COLUMNS
         )
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in SPEC_ORDER:
         base = sims[(bench, "ColAssoc_Base")]
         row = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import MULTITHREAD_MIXES_FIG13, PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -33,10 +33,13 @@ def run_fig13(config: PaperConfig) -> ExperimentResult:
         columns=["reduction"],
     )
     labels = ("modulo", "odd_multiplier")
-    sims, stats = ExperimentEngine(config).run(
-        make_cell("smt", mix_name(mix), label, config)
-        for mix in MULTITHREAD_MIXES_FIG13
-        for label in labels
+    sims, stats = run_cells(
+        [
+            make_cell("smt", mix_name(mix), label, config)
+            for mix in MULTITHREAD_MIXES_FIG13
+            for label in labels
+        ],
+        config,
     )
     for mix in MULTITHREAD_MIXES_FIG13:
         base, multi = (sims[(mix_name(mix), label)] for label in labels)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..core.amat import amat_adaptive, amat_direct_mapped
 from ..core.uniformity import percent_reduction
 from .config import MULTITHREAD_MIXES_FIG14, PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .fig13_smt_indexing import mix_label
 from .report import ExperimentResult
 from .runner import register_experiment
@@ -30,10 +30,13 @@ def run_fig14(config: PaperConfig) -> ExperimentResult:
     )
     timing = config.timing
     labels = ("static", "adaptive")
-    sims, stats = ExperimentEngine(config).run(
-        make_cell("partitioned", mix_name(mix), label, config)
-        for mix in MULTITHREAD_MIXES_FIG14
-        for label in labels
+    sims, stats = run_cells(
+        [
+            make_cell("partitioned", mix_name(mix), label, config)
+            for mix in MULTITHREAD_MIXES_FIG14
+            for label in labels
+        ],
+        config,
     )
     for mix in MULTITHREAD_MIXES_FIG14:
         static, adaptive = (sims[(mix_name(mix), label)] for label in labels)

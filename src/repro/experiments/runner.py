@@ -16,7 +16,7 @@ from ..core.uniformity import percent_reduction
 from ..trace.event import Trace
 from ..trace.io import TraceCache
 from .config import PaperConfig
-from .engine import ExperimentEngine, make_cell
+from .engine import make_cell, run_cells
 from .report import ExperimentResult
 from .warm import TraceSpec, load_spec, profile_spec, workload_spec
 
@@ -143,7 +143,7 @@ def add_reduction_rows(
     for bench in benches:
         cells.append(make_cell("baseline", bench, "baseline", config))
         cells.extend(make_cell(kind, bench, label, config) for kind, label in columns.values())
-    sims, stats = ExperimentEngine(config).run(cells)
+    sims, stats = run_cells(cells, config)
     for bench in benches:
         base = sims[(bench, "baseline")]
         result.add_row(

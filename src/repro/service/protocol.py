@@ -118,7 +118,6 @@ CONFIG_OVERRIDES: dict[str, Callable[[Any], Any]] = {
     "seed": int,
     "workload_scale": float,
     "engine": str,
-    "batch_sweeps": bool,
     "cell_timeout": lambda v: None if v is None else float(v),
     "profile_seed_offset": int,
     "odd_multiplier": int,

@@ -346,13 +346,8 @@ class ReproServer:
         """
         return self.scheduler.executor
 
-    def _experiment_config(self, config: PaperConfig) -> PaperConfig:
-        """Hook for subclasses to constrain experiment configs (router)."""
-        return config
-
     async def _handle_experiment(self, req: dict, send: Send) -> dict:
         eid, config = protocol.normalize_experiment_request(req, self.config)
-        config = self._experiment_config(config)
         deadline = protocol.parse_deadline(req, self.default_deadline)
         rid = req.get("id")
         loop = asyncio.get_running_loop()

@@ -20,16 +20,19 @@ The acceptance contract of ISSUE 7, locked executable:
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cluster.router import ClusterExecutor
 from repro.experiments import run_experiment
 from repro.experiments.engine import plan_cells
 from repro.experiments.engine.cache import ENTRY_SUFFIX
 from repro.experiments.engine.cells import execute_cell, make_cell
+from repro.experiments.engine.families import SweepFamily, execute_family
 from repro.service import ServiceError, ServiceUnavailable
 from repro.service.protocol import result_to_wire, sweep_cell
 
@@ -337,3 +340,43 @@ class TestRoutedExperiments:
         assert cluster.router.stats.cells_executed == 0
         assert events, "no progress events streamed"
         assert events[-1]["done"] == events[-1]["total"]
+
+    def test_routed_families_match_in_process_run(self, make_cluster, cluster_config):
+        """ext-assoc's ladders form assoc families: the router splits each
+        into per-member cell requests, and the rows stay the local ones."""
+        cluster = make_cluster(2)
+        with cluster.client() as client:
+            reply = client.run_experiment("ext-assoc")
+        local = run_experiment("ext-assoc", cluster_config)
+        assert local.engine_stats["families_batched"] > 0
+        assert reply["experiment"]["rows"] == {k: dict(v) for k, v in local.rows.items()}
+        assert cluster.total_executed() > 0
+        assert cluster.router.stats.cells_executed == 0
+
+
+def test_cluster_executor_family_blames_the_failing_member(cluster_config):
+    """A routed family returns the members before the failing one as
+    completed and names the one that failed, as ``execute_family`` does."""
+    cells = [make_cell("assocsweep", "crc", lab, cluster_config) for lab in ("2way", "4way")]
+    family = SweepFamily("assoc", "crc", tuple(cells))
+
+    class Router:
+        async def route_engine_cell(self, cell, config):
+            if cell == cells[1]:
+                raise RuntimeError("worker exploded")
+            return f"result:{cell.label}", 0.5
+
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        future = ClusterExecutor(Router(), loop).submit(
+            execute_family, family, cluster_config, None, None
+        )
+        completed, failure = future.result(timeout=30)
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30)
+        loop.close()
+    assert completed == [(cells[0], "result:2way", 0.5)]
+    assert failure == ("crc", "4way", "worker exploded")

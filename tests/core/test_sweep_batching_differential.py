@@ -23,7 +23,7 @@ from repro.core.fastsim import direct_mapped_miss_flags, lru_miss_flags, lru_swe
 from repro.core.indexing import ModuloIndexing, XorIndexing
 from repro.core.simulator import simulate_indexing, simulate_lru_sweep, simulate_set_associative
 from repro.experiments import PaperConfig
-from repro.experiments.engine import make_cell, run_cells
+from repro.experiments.engine import EngineStats, make_cell, run_cells
 from differential_support import assert_same_state
 from test_differential import GEOMETRIES, SMALL, groups, run_rows, zoo
 
@@ -173,16 +173,24 @@ FIGURE_SHAPES = {
 }
 
 
+def run_alone(cells, config):
+    """Each cell in its own ``run_cells`` call: one unit per run."""
+    results, stats = {}, EngineStats()
+    for cell in cells:
+        result, cell_stats = run_cells([cell], config, jobs=1)
+        results.update(result)
+        stats.merge(cell_stats)
+    return results, stats
+
+
 class TestEngineBatchedVsPerCell:
     def _run_both(self, shape, benches, engine_config, jobs=1):
-        batched_cfg = replace(engine_config, engine="auto", batch_sweeps=True)
-        percell_cfg = replace(engine_config, engine="sequential", batch_sweeps=False)
+        batched_cfg = replace(engine_config, engine="auto")
+        percell_cfg = replace(engine_config, engine="sequential")
         batched, bstats = run_cells(
             grid(shape, benches, batched_cfg), batched_cfg, jobs=jobs
         )
-        percell, pstats = run_cells(
-            grid(shape, benches, percell_cfg), percell_cfg, jobs=1
-        )
+        percell, pstats = run_alone(grid(shape, benches, percell_cfg), percell_cfg)
         assert list(batched) == list(percell)
         for key in batched:
             assert_same_state(batched[key], percell[key], str(key))
@@ -220,13 +228,12 @@ class TestEngineBatchedVsPerCell:
         self._run_both(FIGURE_SHAPES["ext_assoc"], ("crc", "fft"), engine_config, jobs=2)
 
     def test_sequential_engine_disables_mattson_axis_only(self, engine_config):
-        """engine="sequential" + batching keeps decode families (exact by
-        construction) but never routes cells into a shared kernel pass."""
-        cfg = replace(engine_config, engine="sequential", batch_sweeps=True)
-        results, _ = run_cells(grid(FIGURE_SHAPES["ext_assoc"], ("crc",), cfg), cfg, jobs=1)
-        ref_cfg = replace(engine_config, engine="sequential", batch_sweeps=False)
-        reference, _ = run_cells(
-            grid(FIGURE_SHAPES["ext_assoc"], ("crc",), ref_cfg), ref_cfg, jobs=1
-        )
+        """engine="sequential" keeps decode families (exact by construction)
+        but never routes cells into a shared kernel pass."""
+        cfg = replace(engine_config, engine="sequential")
+        cells = grid(FIGURE_SHAPES["ext_assoc"], ("crc",), cfg)
+        results, stats = run_cells(cells, cfg, jobs=1)
+        assert stats.families_batched == 1 and stats.cells_batched == len(cells)
+        reference, _ = run_alone(cells, cfg)
         for key in results:
             assert_same_state(results[key], reference[key], str(key))

@@ -7,7 +7,7 @@ The engine bounds how long any single cell may run:
   instead of blocking forever, and the remaining futures are cancelled;
 * ``jobs=1`` in-process path — cannot preempt, so the budget is enforced
   post-hoc: the run still fails naming the offending cell as soon as it
-  returns;
+  returns, with the pool path's message;
 * no timeout (default) and generous timeouts change nothing.
 """
 
@@ -20,14 +20,9 @@ from dataclasses import replace
 
 import pytest
 
-import repro.experiments.engine.parallel as parallel_mod
-from repro.experiments import PaperConfig
-from repro.experiments.engine import (
-    CellExecutionError,
-    ExperimentEngine,
-    make_cell,
-    run_cells,
-)
+import repro.experiments.engine.families as families_mod
+from repro.experiments import PaperConfig, run_experiment
+from repro.experiments.engine import CellExecutionError, make_cell, run_cells
 from repro.experiments.engine.parallel import engine_pool_scope
 
 REFS = 1500
@@ -62,13 +57,13 @@ def _slow_execute(duration: float, release: threading.Event | None = None):
 class TestSequentialPath:
     def test_post_hoc_enforcement_names_the_cell(self, config, monkeypatch):
         monkeypatch.setattr(
-            parallel_mod, "timed_execute_cell", _slow_execute(0.05)
+            families_mod, "timed_execute_cell", _slow_execute(0.05)
         )
         cell = make_cell("indexing", "fft", "XOR", config)
         with pytest.raises(CellExecutionError) as exc_info:
             run_cells([cell], config, jobs=1, cell_timeout=0.001)
         message = str(exc_info.value)
-        assert "(fft, XOR)" in message and "per-cell timeout" in message
+        assert "(fft, XOR)" in message and "per-cell timeout (0.001s)" in message
 
     def test_generous_timeout_passes(self, config):
         cell = make_cell("indexing", "fft", "XOR", config)
@@ -78,7 +73,7 @@ class TestSequentialPath:
 
     def test_timed_out_cell_is_not_cached(self, config, monkeypatch):
         monkeypatch.setattr(
-            parallel_mod, "timed_execute_cell", _slow_execute(0.05)
+            families_mod, "timed_execute_cell", _slow_execute(0.05)
         )
         cell = make_cell("indexing", "fft", "XOR", config)
         with pytest.raises(CellExecutionError):
@@ -96,7 +91,7 @@ class TestPoolPath:
     def test_hung_worker_fails_with_attribution(self, config, monkeypatch):
         release = threading.Event()
         monkeypatch.setattr(
-            parallel_mod, "timed_execute_cell", _slow_execute(0.0, release)
+            families_mod, "timed_execute_cell", _slow_execute(0.0, release)
         )
         cells = [make_cell("indexing", "fft", "XOR", config)]
         pool = ThreadPoolExecutor(max_workers=2)
@@ -132,7 +127,7 @@ class TestPoolPath:
 class TestConfigPlumbing:
     def test_config_field_is_the_default_budget(self, config, monkeypatch):
         monkeypatch.setattr(
-            parallel_mod, "timed_execute_cell", _slow_execute(0.05)
+            families_mod, "timed_execute_cell", _slow_execute(0.05)
         )
         strict = replace(config, cell_timeout=0.001)
         cell = make_cell("indexing", "fft", "XOR", strict)
@@ -141,7 +136,7 @@ class TestConfigPlumbing:
 
     def test_explicit_argument_overrides_config(self, config, monkeypatch):
         monkeypatch.setattr(
-            parallel_mod, "timed_execute_cell", _slow_execute(0.05)
+            families_mod, "timed_execute_cell", _slow_execute(0.05)
         )
         strict = replace(config, cell_timeout=0.001)
         cell = make_cell("indexing", "fft", "XOR", strict)
@@ -149,11 +144,13 @@ class TestConfigPlumbing:
         results, _ = run_cells([cell], strict, jobs=1, cell_timeout=300.0)
         assert ("fft", "XOR") in results
 
-    def test_engine_wrapper_inherits_config_budget(self, config):
-        engine = ExperimentEngine(replace(config, cell_timeout=123.0))
-        assert engine.cell_timeout == 123.0
-        engine = ExperimentEngine(config, cell_timeout=7.0)
-        assert engine.cell_timeout == 7.0
+    def test_runners_inherit_config_budget(self, config, monkeypatch):
+        monkeypatch.setattr(
+            families_mod, "timed_execute_cell", _slow_execute(0.05)
+        )
+        strict = replace(config, cell_timeout=0.001)
+        with pytest.raises(CellExecutionError, match=r"\(fft, baseline\).*per-cell timeout"):
+            run_experiment("fig1", strict)
 
     def test_cell_timeout_not_in_cache_keys(self, config):
         """An execution knob must not shift content-addressed keys."""

@@ -11,7 +11,8 @@ per-access reference loop for a cache object and stamps the result's
 * the experiments: run cold, no engine cell falls back to the reference
   loop (every cache object has a kernel, and the SMT cells of Figure 13
   and the partitioned cells of Figure 14 stamp their own fast paths), and
-  ``engine_stats["paths"]`` counts every stamped cell.
+  every simulated cell, batched or alone, names its path in
+  ``engine_stats["paths"]``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.core.simulator import simulate
 from repro.experiments import PaperConfig, available_experiments, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments import fig06_progassoc_missrate as fig06
-from repro.experiments.engine import cells
+from repro.experiments.engine import cells, make_cell, run_cells
 from repro.multithread import (
     PartitionedAdaptiveCache,
     SMTSharedCache,
@@ -51,6 +52,7 @@ from repro.multithread import (
     simulate_smt,
 )
 from repro.trace import Trace
+from repro.workloads.mibench import MIBENCH_ORDER
 from differential_support import assert_same_state
 
 DM = CacheGeometry(capacity_bytes=1024, line_bytes=16, ways=1, address_bits=16)
@@ -282,7 +284,9 @@ def test_partitioned_paths(build, engine, expected, dirty):
 
 @pytest.fixture(scope="module")
 def cold_runs(tmp_path_factory):
-    """``eid`` → (``(kind, label, path)`` of each cell run, counted paths)."""
+    """``eid`` → (``(kind, label, path)`` of each cell run through
+    ``execute_cell``, engine stats).  Members of ``assoc`` and ``policy``
+    families run inside their family's shared pass instead."""
     runs = {}
     execute = cells.execute_cell
     with pytest.MonkeyPatch.context() as mp:
@@ -303,7 +307,7 @@ def cold_runs(tmp_path_factory):
             fig04._CACHE.clear()
             fig06._CACHE.clear()
             result = run_experiment(eid, config)
-            runs[eid] = (list(seen), result.engine_stats["paths"])
+            runs[eid] = (list(seen), result.engine_stats)
             seen.clear()
     fig04._CACHE.clear()
     fig06._CACHE.clear()
@@ -312,10 +316,11 @@ def cold_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("eid", available_experiments())
 def test_engine_stats_count_every_path(cold_runs, eid):
-    ran, counted = cold_runs[eid]
-    stamped = [path for *_, path in ran if path]
-    assert sum(counted.values()) == len(stamped)
-    assert counted.keys() == set(stamped)
+    ran, stats = cold_runs[eid]
+    counted = stats["paths"]
+    assert all(path for *_, path in ran)
+    assert sum(counted.values()) == stats["cache_misses"]
+    assert counted.keys() >= {path for *_, path in ran}
 
 
 def test_only_cells_without_a_kernel_fall_back(cold_runs):
@@ -356,16 +361,45 @@ def test_cells_take_their_kernels(cold_runs):
     "engine, path", [("auto", "fast:policy"), ("sequential", "sequential:forced")]
 )
 def test_unbatched_policy_cells_name_their_path(tmp_path, engine, path):
-    """A policysweep cell outside a family builds its cache and hands it to
-    ``dispatch``, so every one carries the path that cache took."""
+    """A policysweep cell outside a family (the only cell of its workload)
+    builds its cache and hands it to ``dispatch``, so every one carries the
+    path that cache took."""
     config = replace(
-        PaperConfig(),
-        ref_limit=2000,
-        trace_cache_dir=tmp_path / "traces",
-        batch_sweeps=False,
-        engine=engine,
+        PaperConfig(), ref_limit=2000, trace_cache_dir=tmp_path / "traces", engine=engine
     )
-    stats = run_experiment("ext-policy", config).engine_stats
-    assert stats["cache_misses"] == stats["cells_total"] > 0
-    assert stats["cells_batched"] == 0
-    assert stats["paths"] == {path: stats["cells_total"]}
+    cells = [
+        make_cell("policysweep", w, f"xor:{p}", config)
+        for w, p in zip(MIBENCH_ORDER, ("fifo", "plru", "mru", "lfu", "random", "lru"))
+    ]
+    _, stats = run_cells(cells, config, jobs=1)
+    assert stats.cache_misses == len(cells)
+    assert stats.cells_batched == 0
+    assert stats.paths == {path: len(cells)}
+
+
+#: One cell of every kind.
+ONE_OF_EACH_KIND = [
+    ("baseline", "crc", "baseline"),
+    ("indexing", "crc", "Givargis"),
+    ("progassoc", "crc", "B_Cache"),
+    ("colassoc", "crc", "ColAssoc_XOR"),
+    ("setassoc", "crc", "FullAssoc"),
+    ("assocsweep", "crc", "4way"),
+    ("bounds", "crc", "Victim8"),
+    ("policysweep", "crc", "xor:plru"),
+    ("auxsweep", "crc", "modulo:vc+sb4"),
+    ("smt", "smt:crc+fft", "odd_multiplier"),
+    ("partitioned", "smt:crc+fft", "adaptive"),
+    ("threec", "crc", "direct_mapped"),
+    ("dynamic", "phase:crc+fft", "xor+prime_modulo"),
+]
+
+
+def test_every_simulated_cell_names_its_path(tmp_path):
+    config = replace(PaperConfig(), ref_limit=2000, trace_cache_dir=tmp_path / "traces")
+    assert {kind for kind, *_ in ONE_OF_EACH_KIND} == set(cells.CELL_KINDS)
+    grid = [make_cell(kind, w, label, config) for kind, w, label in ONE_OF_EACH_KIND]
+    _, stats = run_cells(grid, config, jobs=1)
+    assert stats.cache_misses == len(grid)
+    assert sum(stats.paths.values()) == stats.cache_misses
+    assert not any(path.startswith("sequential:") for path in stats.paths)

@@ -33,11 +33,13 @@ from repro.experiments import ext_hybrid
 from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.engine import (
     ENGINE_VERSION,
+    EngineStats,
     ResultCache,
     SimCell,
     cell_key,
     effective_jobs,
     make_cell,
+    plan_cells,
     run_cells,
     trace_fingerprint,
 )
@@ -53,6 +55,14 @@ from repro.experiments.runner import (
 REFS = 4000
 #: Cheap figures used for the jobs=1 ≡ jobs=4 equivalence checks.
 CHEAP_FIGURES = ["fig1", "fig4", "fig8"]
+
+
+def _run_alone(cells, config, cache) -> EngineStats:
+    """Run each cell in its own ``run_cells`` call (one unit per run)."""
+    stats = EngineStats()
+    for cell in cells:
+        stats.merge(run_cells([cell], config, jobs=1, result_cache=cache)[1])
+    return stats
 
 
 @pytest.fixture(autouse=True)
@@ -337,21 +347,21 @@ class TestCacheKeyAudit:
         assert warm.cache_hits == 1 and warm.cache_misses == 0
 
     def test_batch_sweeps_is_not_in_keys(self, config):
-        """Batching is an execution knob; batched and per-cell runs are
-        bit-identical, so they must share cache entries."""
-        for kind, label in [
-            ("baseline", "baseline"),
-            ("indexing", "XOR"),
-            ("assocsweep", "4way"),
-            ("progassoc", "Column_associative"),
-        ]:
-            batched = make_cell(kind, "crc", label, config)
-            plain = make_cell(
-                kind, "crc", label, replace(config, batch_sweeps=False)
-            )
-            assert batched == plain, (kind, label)
-            assert batched.params == plain.params, (kind, label)
-            assert self._key(batched, config) == self._key(plain, config)
+        """Batching is an execution plan: a cell planned inside its family
+        keeps the key it has alone."""
+        grid = [
+            make_cell(kind, "crc", label, config)
+            for kind, label in [
+                ("baseline", "baseline"),
+                ("indexing", "XOR"),
+                ("assocsweep", "4way"),
+                ("progassoc", "Column_associative"),
+            ]
+        ]
+        plan = plan_cells(grid, config, jobs=1)
+        assert {f.axis for f in plan.families} == {"assoc", "decode"}
+        for cell in grid:
+            assert plan.keys[cell] == self._key(cell, config), cell.label
 
     def test_warm_cache_survives_batching_switch(self, config):
         """Entries written by a batched family must serve the per-cell run
@@ -365,15 +375,13 @@ class TestCacheKeyAudit:
         _, cold = run_cells(cells, config, jobs=1, result_cache=cache)
         assert cold.cache_misses == len(cells)
         assert cold.families_batched == 1 and cold.cells_batched == len(cells)
-        # Per-cell warm run against the batched entries: all hits.
-        plain_cfg = replace(config, batch_sweeps=False)
-        plain_cells = [make_cell(kind, "crc", lab, plain_cfg) for kind, lab in labels]
-        _, warm = run_cells(plain_cells, plain_cfg, jobs=1, result_cache=cache)
+        # Each cell run alone against the batched entries: all hits.
+        warm = _run_alone(cells, config, cache)
         assert (warm.cache_hits, warm.cache_misses) == (len(cells), 0)
         assert warm.families_batched == 0
         # And the reverse direction, from a fresh cache.
         reverse = ResultCache(config.result_cache_path.parent / "rc_reverse")
-        _, cold2 = run_cells(plain_cells, plain_cfg, jobs=1, result_cache=reverse)
+        cold2 = _run_alone(cells, config, reverse)
         assert cold2.cache_misses == len(cells) and cold2.cells_batched == 0
         _, warm2 = run_cells(cells, config, jobs=1, result_cache=reverse)
         assert (warm2.cache_hits, warm2.cache_misses) == (len(cells), 0)
@@ -639,15 +647,17 @@ class TestCacheKeyAudit:
         assert self._key(det_a, config) == self._key(det_b, config)
 
     def test_policy_batching_is_not_in_keys(self, config):
-        """The policy axis is an execution knob like batch_sweeps: batched
-        and per-cell policysweep runs must share cache entries."""
-        for label in ("modulo:fifo", "xor:random"):
-            batched = make_cell("policysweep", "crc", label, config)
-            plain = make_cell(
-                "policysweep", "crc", label, replace(config, batch_sweeps=False)
-            )
-            assert batched == plain, label
-            assert self._key(batched, config) == self._key(plain, config)
+        """The policy axis is an execution plan like the assoc axis: a
+        policysweep cell planned inside its family keeps the key it has
+        alone."""
+        grid = [
+            make_cell("policysweep", "crc", label, config)
+            for label in ("modulo:fifo", "modulo:random", "xor:fifo", "xor:random")
+        ]
+        plan = plan_cells(grid, config, jobs=1)
+        assert {f.axis for f in plan.families} == {"policy"}
+        for cell in grid:
+            assert plan.keys[cell] == self._key(cell, config), cell.label
 
     def test_warm_cache_survives_policy_batching_switch(self, config):
         """Entries written by a batched policy family must serve the
@@ -658,15 +668,11 @@ class TestCacheKeyAudit:
         _, cold = run_cells(cells, config, jobs=1, result_cache=cache)
         assert cold.cache_misses == len(cells)
         assert cold.families_batched == 1 and cold.cells_batched == len(cells)
-        plain_cfg = replace(config, batch_sweeps=False)
-        plain_cells = [
-            make_cell("policysweep", "crc", lab, plain_cfg) for lab in labels
-        ]
-        _, warm = run_cells(plain_cells, plain_cfg, jobs=1, result_cache=cache)
+        warm = _run_alone(cells, config, cache)
         assert (warm.cache_hits, warm.cache_misses) == (len(cells), 0)
         assert warm.families_batched == 0
         reverse = ResultCache(config.result_cache_path.parent / "rc_pol_reverse")
-        _, cold2 = run_cells(plain_cells, plain_cfg, jobs=1, result_cache=reverse)
+        cold2 = _run_alone(cells, config, reverse)
         assert cold2.cache_misses == len(cells) and cold2.cells_batched == 0
         _, warm2 = run_cells(cells, config, jobs=1, result_cache=reverse)
         assert (warm2.cache_hits, warm2.cache_misses) == (len(cells), 0)

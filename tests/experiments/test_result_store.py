@@ -16,13 +16,14 @@ Locks the store layer's contracts:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.simulator import SimulationResult
-from repro.experiments import PaperConfig
+from repro.experiments import PaperConfig, run_experiment
 from repro.experiments.engine import (
     LocalDirStore,
     ResultCache,
@@ -231,6 +232,23 @@ class TestClusterVisibleWarmResults:
         assert warm.cache_misses == 0
         assert warm.cache_hits == 1
         assert results[("crc", "baseline")].misses > 0
+
+    def test_figure_runner_leaves_no_publish_behind(self, config, tmp_path):
+        """A figure runner's store belongs to its engine run: when
+        ``run_experiment`` returns, every local entry is in the shared
+        tier and no publisher thread is left running."""
+        cfg = replace(config, result_store="shared", shared_store_dir=tmp_path / "shared")
+        before = set(_publishers())
+        run_experiment("fig1", cfg)
+        pattern = f"*{cache_mod.ENTRY_SUFFIX}"
+        local = {p.name for p in cfg.result_cache_path.glob(pattern)}
+        shared = {p.name for p in cfg.shared_store_dir.glob(pattern)}
+        assert local and local <= shared
+        assert set(_publishers()) <= before
+
+
+def _publishers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "repro-store-publisher"]
 
 
 class TestEntryBytes:

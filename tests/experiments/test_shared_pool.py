@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.experiments.engine.parallel as parallel_mod
+import repro.experiments.engine.families as families_mod
 from repro.experiments import PaperConfig, run_experiment
 from repro.experiments import fig04_indexing_missrate as fig04
 from repro.experiments.engine import (
@@ -157,7 +157,9 @@ def test_timeout_discards_the_pool_and_the_next_run_succeeds(config):
 
 
 def test_dead_worker_names_its_cell_and_the_next_run_succeeds(config, monkeypatch):
-    monkeypatch.setattr(parallel_mod, "timed_execute_cell", _exit_on_fft)
+    monkeypatch.setattr(families_mod, "timed_execute_cell", _exit_on_fft)
+    # The workers inherit the stand-in only when they fork after it is set.
+    engine_pool(2).discard()
     with pytest.raises(CellExecutionError) as err:
         run_cells(_cells(config), config, jobs=2)
     assert "(fft, XOR)" in str(err.value)

@@ -6,8 +6,8 @@ Two contracts from the sweep-batching PR:
   is a total partition of the (deduplicated) planned cell list: every cell
   lands in exactly one family, no family mixes workloads (hence traces),
   ``assoc`` and ``policy`` families share one :meth:`~.cells.CellKind.batch`
-  signature, ``assoc`` ones are all-LRU, and turning ``batch_sweeps`` off
-  degenerates to singletons.
+  signature, ``assoc`` ones are all-LRU, and a cell alone on its workload
+  is a singleton.
   Locked with a Hypothesis property over arbitrary cell grids.
 
 * **Failure attribution** — a member failing mid-family surfaces as
@@ -98,9 +98,8 @@ cell_strategy = st.builds(
 grid_strategy = st.lists(cell_strategy, min_size=0, max_size=30)
 
 config_strategy = st.builds(
-    lambda engine, batch: replace(BASE_CONFIG, engine=engine, batch_sweeps=batch),
+    lambda engine: replace(BASE_CONFIG, engine=engine),
     st.sampled_from(["auto", "sequential"]),
-    st.booleans(),
 )
 
 
@@ -143,16 +142,17 @@ class TestPartitionProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(cells=grid_strategy)
-    def test_batching_disabled_degenerates_to_singletons(self, cells):
-        config = replace(BASE_CONFIG, batch_sweeps=False)
-        families = detect_families(cells, config)
+    def test_lone_cells_are_singletons(self, cells):
+        """A cell with no other cell of its workload runs alone."""
+        lone = list({c.workload: c for c in cells}.values())
+        families = detect_families(lone, BASE_CONFIG)
         assert all(f.axis == "single" and len(f.members) == 1 for f in families)
-        assert [f.members[0] for f in families] == list(dict.fromkeys(cells))
+        assert [f.members[0] for f in families] == lone
 
     @settings(max_examples=60, deadline=None)
     @given(cells=grid_strategy)
     def test_sequential_engine_never_forms_assoc_or_policy_families(self, cells):
-        config = replace(BASE_CONFIG, engine="sequential", batch_sweeps=True)
+        config = replace(BASE_CONFIG, engine="sequential")
         families = detect_families(cells, config)
         assert all(f.axis in ("decode", "single") for f in families)
 
@@ -338,7 +338,7 @@ class TestMidBatchFailure:
     def test_failure_on_the_pool_path(self, config):
         good, bad = self._grid_with_bad_tail(config)
         cache = ResultCache(config.result_cache_path)
-        # Two units (a crc decode family + an fft loose cell) + jobs=2 →
+        # Two units (a crc decode family + a lone fft cell) + jobs=2 →
         # the ProcessPoolExecutor path; the bad label explodes in a worker.
         cells = good + [bad, make_cell("baseline", "fft", "baseline", config)]
         with pytest.raises(CellExecutionError) as exc:
@@ -398,18 +398,18 @@ class TestMidBatchFailure:
         assert (stats.cache_hits, stats.cache_misses) == (2, 0)
 
     def test_policy_family_completes_without_batching_too(self, config):
-        """The same grid answered cell by cell under --no-batch: identical
-        results (the parity half lives in the differential suite; here the
-        engine must simply agree on the counters)."""
+        """The same grid answered by each cell run alone: identical results
+        (the parity half lives in the differential suite; here the engine
+        must simply agree on the counters)."""
         cells = [
             make_cell("policysweep", "crc", f"modulo:{p}", config)
             for p in ("lru", "fifo", "plru")
         ]
         batched, bstats = run_cells(cells, config, jobs=1)
-        unbatched, _ = run_cells(
-            cells, replace(config, batch_sweeps=False, use_result_cache=False), jobs=1
-        )
+        uncached = replace(config, use_result_cache=False)
         assert bstats.cells_batched == 3
-        for key, res in batched.items():
-            assert res.misses == unbatched[key].misses, key
-            assert res.hits == unbatched[key].hits, key
+        for cell in cells:
+            (alone,) = run_cells([cell], uncached, jobs=1)[0].values()
+            res = batched[(cell.workload, cell.label)]
+            assert res.misses == alone.misses, cell.label
+            assert res.hits == alone.hits, cell.label

@@ -30,6 +30,8 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import profile_trace_path, workload_trace
 from repro.service.protocol import (
+    E_BAD_REQUEST,
+    ProtocolError,
     normalize_cell_request,
     normalize_sweep_request,
     sweep_cell,
@@ -164,25 +166,20 @@ class TestSweepBatchingParity:
         ("assocsweep", lab) for lab in ("2way", "4way", "8way")
     ]
 
-    def test_batch_sweeps_override_does_not_shift_keys(self, service_config):
+    def test_batch_sweeps_override_is_rejected(self, service_config):
+        """Batching is not a knob: a request that asks to turn it off is a
+        bad request, not silently ignored."""
         req = {"type": "cell", "kind": "assocsweep", "workload": "fft", "label": "4way"}
-        cell_a, cfg_a = normalize_cell_request(req, service_config)
-        cell_b, cfg_b = normalize_cell_request(
-            {**req, "config": {"batch_sweeps": False}}, service_config
-        )
-        assert cell_a == cell_b
-        key_a = plan_cells([cell_a], cfg_a, jobs=1).keys[cell_a]
-        key_b = plan_cells([cell_b], cfg_b, jobs=1).keys[cell_b]
-        assert key_a == key_b
+        with pytest.raises(ProtocolError, match="batch_sweeps") as exc:
+            normalize_cell_request({**req, "config": {"batch_sweeps": False}}, service_config)
+        assert exc.value.code == E_BAD_REQUEST
 
     def test_per_cell_submissions_serve_batched_run(self, server, service_config):
-        """Cells submitted over the wire with batching off must be found by
-        an in-process batched run — pure cache hits, nothing re-simulated."""
+        """Cells submitted over the wire one by one must be found by an
+        in-process batched run — pure cache hits, nothing re-simulated."""
         with server.client() as client:
             for kind, label in self.LADDER:
-                meta = client.submit_cell(
-                    kind, "fft", label, config={"batch_sweeps": False}
-                )["meta"]
+                meta = client.submit_cell(kind, "fft", label)["meta"]
                 assert meta["cache_hit"] is False  # fresh tmp cache
         cells = [make_cell(kind, "fft", label, service_config) for kind, label in self.LADDER]
         _, stats = run_cells(cells, service_config, jobs=1)
@@ -190,15 +187,13 @@ class TestSweepBatchingParity:
 
     def test_batched_run_serves_per_cell_submissions(self, server, service_config):
         """And the reverse: a batched in-process Mattson family warms the
-        cache for every later wire submission, batched or not."""
+        cache for every later per-cell wire submission."""
         cells = [make_cell(kind, "crc", label, service_config) for kind, label in self.LADDER]
         _, stats = run_cells(cells, service_config, jobs=1)
         assert stats.families_batched == 1 and stats.cells_batched == len(cells)
         with server.client() as client:
             for kind, label in self.LADDER:
-                meta = client.submit_cell(
-                    kind, "crc", label, config={"batch_sweeps": False}
-                )["meta"]
+                meta = client.submit_cell(kind, "crc", label)["meta"]
                 assert meta["cache_hit"] is True, label
 
     def test_service_stats_report_batched_families(self, server):
