@@ -7,27 +7,32 @@ serve`` daemons sharing one shared result store, fronted by one
 TCP:
 
 1.  router ``health`` reports both ring workers alive;
-2.  a cold sweep is split across the ring exactly as the consistent-hash
-    placement (recomputed independently in this process) dictates, and
-    every row matches the in-process engine bit-for-bit;
+2.  a cold sweep's cells each run on their ring owner — every worker's
+    ``executed`` delta equals the count the consistent-hash placement
+    (recomputed independently in this process) gives it — and every row
+    matches the in-process engine bit-for-bit;
 3.  ``fig1`` routed cold, then rerun — the rerun is answered entirely
     from cache (zero new simulations) and is bit-identical;
-4.  a worker is SIGKILLed mid-burst: the burst still completes with every
+4.  ``fig13`` (SMT traces) and ``ext-policy`` (4-way geometry), routed
+    whole to one worker, equal their in-process rows;
+5.  a worker is SIGKILLed mid-burst: the burst still completes with every
     row ok (structured retriable failover, no client-visible error), the
     router ejects the dead node, and the rows are *still* bit-identical
     to the in-process engine;
-5.  exactly-once: a warm rerun of the failover burst executes nothing on
+6.  exactly-once: a warm rerun of the failover burst executes nothing on
     the survivor, and every requested key exists exactly once in the
     shared store;
-6.  ``shutdown`` stops router and surviving worker cleanly.
+7.  ``shutdown`` stops router and surviving worker cleanly.
 
 Run:  PYTHONPATH=src python scripts/cluster_smoke.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,7 +45,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster.ring import HashRing  # noqa: E402
-from repro.experiments import PaperConfig  # noqa: E402
+from repro.experiments import PaperConfig, run_experiment  # noqa: E402
 from repro.experiments.engine import ResultCache, plan_cells  # noqa: E402
 from repro.experiments.engine.cells import execute_cell  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
@@ -62,6 +67,12 @@ def check(condition: bool, message: str) -> None:
     print(f"  ok: {message}")
 
 
+def kill(proc: subprocess.Popen) -> None:
+    """SIGKILL a daemon and every process it forked."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
 def start(args: list[str], workdir: Path, pattern: str) -> tuple[subprocess.Popen, int]:
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONUNBUFFERED="1")
     workdir.mkdir(parents=True, exist_ok=True)
@@ -72,8 +83,11 @@ def start(args: list[str], workdir: Path, pattern: str) -> tuple[subprocess.Pope
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        # Own process group: a daemon that ran a figure has forked engine
+        # pool workers, and a SIGKILL must take them down with it.
+        start_new_session=True,
     )
-    watchdog = threading.Timer(STARTUP_TIMEOUT, proc.kill)
+    watchdog = threading.Timer(STARTUP_TIMEOUT, kill, (proc,))
     watchdog.daemon = True
     watchdog.start()
     try:
@@ -83,7 +97,7 @@ def start(args: list[str], workdir: Path, pattern: str) -> tuple[subprocess.Pope
         watchdog.cancel()
     match = re.search(pattern, line)
     if match is None:
-        proc.kill()
+        kill(proc)
         raise SystemExit(f"cluster-smoke FAILED: unexpected startup line {line!r}")
     # Drain further stdout so the daemon never blocks on a full pipe.
     threading.Thread(target=lambda: proc.stdout.read(), daemon=True).start()
@@ -120,6 +134,15 @@ def local_reference(config: PaperConfig, workload: str, labels: list[str]):
     return out
 
 
+def executed_per_worker(client: ServiceClient) -> dict[str, int]:
+    """Each ring worker's ``executed`` counter, as the router reports it."""
+    workers = client.stats()["cluster"]["workers"]
+    return {
+        node: int(((snap or {}).get("cells") or {}).get("executed", 0))
+        for node, snap in workers.items()
+    }
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro_cluster_smoke_") as tmp:
         root = Path(tmp)
@@ -153,23 +176,25 @@ def main() -> int:
                     "health reports 2/2 ring workers alive",
                 )
 
-                # 2. cold sweep: split per the ring, bit-identical rows
-                reference = local_reference(config, "fft", SWEEP_LABELS)
+                # 2. cold sweep: each cell on its ring owner, bit-identical rows
+                # (over crc: fig1's one cell, fft baseline, stays cold for 3.)
+                reference = local_reference(config, "crc", SWEEP_LABELS)
                 ring = HashRing(workers)
-                expected_shards: dict[str, int] = {}
+                expected = {node: 0 for node in workers}
                 for label in SWEEP_LABELS:
-                    owner = ring.owner(reference[label][1])
-                    expected_shards[owner] = expected_shards.get(owner, 0) + 1
-                reply = client.sweep("fft", SWEEP_LABELS, arrays=True)
+                    expected[ring.owner(reference[label][1])] += 1
+                before = executed_per_worker(client)
+                reply = client.sweep("crc", SWEEP_LABELS, arrays=True)
                 check(
                     all(row["ok"] for row in reply["rows"]),
                     f"cold sweep completed all {len(SWEEP_LABELS)} rows",
                 )
+                after = executed_per_worker(client)
                 check(
-                    reply["meta"]["shards"] == expected_shards,
-                    f"sweep split matches independent placement {expected_shards}",
+                    {node: after[node] - before[node] for node in workers} == expected,
+                    f"each worker executed the cells the ring gives it {expected}",
                 )
-                if len(expected_shards) < 2:
+                if sum(1 for n in expected.values() if n) < 2:
                     print("  note: this port draw hashed every key to one worker")
                 for row in reply["rows"]:
                     local, _key = reference[row["label"]]
@@ -193,7 +218,16 @@ def main() -> int:
                 )
                 check(second["rows"] == first["rows"], "fig1 reruns bit-identical")
 
-                # 4. SIGKILL a worker mid-burst: failover, no client errors
+                # 4. derived-trace and 4-way figures route whole
+                for eid in ("fig13", "ext-policy"):
+                    routed = client.run_experiment(eid)["experiment"]["rows"]
+                    local = run_experiment(eid, config).rows
+                    check(
+                        routed == {k: dict(v) for k, v in local.items()},
+                        f"routed {eid} rows equal the in-process run",
+                    )
+
+                # 5. SIGKILL a worker mid-burst: failover, no client errors
                 burst_reference = local_reference(config, "sha", SWEEP_LABELS)
                 burst_result: dict = {}
 
@@ -208,7 +242,7 @@ def main() -> int:
                 burst_thread = threading.Thread(target=burst)
                 burst_thread.start()
                 time.sleep(CELL_DELAY)  # land the kill mid-flight
-                w2.kill()
+                kill(w2)
                 burst_thread.join(timeout=600)
                 check(not burst_thread.is_alive(), "burst finished after the kill")
                 rows = burst_result["reply"]["rows"]
@@ -228,7 +262,7 @@ def main() -> int:
                     time.sleep(0.2)
                 check(True, "router ejected the dead worker (1/2 alive)")
 
-                # 5. exactly-once: a warm rerun executes nothing new...
+                # 6. exactly-once: a warm rerun executes nothing new...
                 stats_before = client.stats()["cluster"]["worker_cell_totals"]
                 rerun = client.sweep("sha", SWEEP_LABELS)
                 check(all(row["ok"] for row in rerun["rows"]), "warm rerun ok")
@@ -248,7 +282,7 @@ def main() -> int:
                     f"all {len(wanted)} requested keys present in the shared store",
                 )
 
-                # 6. clean shutdown of router and survivor
+                # 7. clean shutdown of router and survivor
                 check(client.shutdown() is True, "router shutdown acknowledged")
             with ServiceClient("127.0.0.1", p1, timeout=60.0) as wclient:
                 check(wclient.shutdown() is True, "survivor shutdown acknowledged")
@@ -256,9 +290,8 @@ def main() -> int:
             check(w1.wait(timeout=60) == 0, "survivor exited cleanly")
         finally:
             for proc in procs:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=30)
+                kill(proc)  # the whole group: a SIGKILLed daemon leaves its forks
+                proc.wait(timeout=30)
     print("cluster-smoke PASSED")
     return 0
 

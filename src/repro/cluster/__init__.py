@@ -16,9 +16,10 @@ out by exploiting exactly that:
     service's JSON-lines protocol.
 
 :mod:`repro.cluster.router`
-    The router daemon (``repro route``): forwards ``cell``/``sweep``/
-    ``experiment`` frames to the owning worker, splits multi-cell plans
-    per owner, merges streamed progress, health-checks workers and fails
+    The router daemon (``repro route``): serves ``cell``/``sweep``
+    requests on the daemon's own scheduler and forwards each missed key
+    to its owning worker, forwards ``experiment`` requests whole to one
+    worker and relays their progress, health-checks workers and fails
     routed keys over to the next ring node with exactly-once semantics
     preserved by the key-addressed shared store.
 """

@@ -42,10 +42,10 @@ Error codes
                  every preference-order node is down) — retriable.
 
 ``config`` overrides are whitelisted (see :data:`CONFIG_OVERRIDES`): a
-request may change trace length, seed, scale, engine selection, sweep
-batching or the cell timeout, but never cache locations or worker
-counts — those belong
-to the operator who started the daemon.
+request may change trace length, seed, scale, engine selection, the cell
+timeout, the profile seed offset, the odd multiplier and the auxiliary
+structure knobs, but never cache locations or worker counts — those
+belong to the operator who started the daemon.
 """
 
 from __future__ import annotations
@@ -214,9 +214,9 @@ def _require_str(req: dict[str, Any], field: str) -> str:
 def _check_workload(name: str) -> str:
     from ..workloads import available_workloads
 
-    known = available_workloads("mibench") + available_workloads("spec")
+    known = available_workloads()
     if name not in known:
-        raise ProtocolError(f"unknown workload {name!r}; known: {sorted(known)}")
+        raise ProtocolError(f"unknown workload {name!r}; known: {known}")
     return name
 
 
@@ -330,10 +330,9 @@ def result_to_wire(
 def result_from_wire(doc: dict[str, Any]) -> SimulationResult:
     """Inverse of :func:`result_to_wire` (requires the per-set arrays).
 
-    The cluster router rehydrates a worker's ``cell`` reply through this
-    when it needs a real :class:`SimulationResult` (the routed-experiment
-    executor path); round-tripping is lossless, so routed results stay
-    bit-identical to locally executed ones.
+    The cluster router rehydrates every forwarded ``cell`` reply through
+    this to settle its own flight; round-tripping is lossless, so routed
+    results stay bit-identical to locally executed ones.
     """
     missing = [
         name

@@ -8,11 +8,13 @@ schedules individual engine cells onto it with three serving disciplines:
 Single-flight coalescing
     Concurrent submissions of the *same* result-cache key share one
     computation: the first waiter creates a *flight* (an asyncio task that
-    checks the content-addressed :class:`ResultCache`, simulates on a miss,
-    and stores the result); every later identical submission joins the
-    existing flight and fans the one result out.  Identical concurrent
-    cells are therefore simulated exactly once (``stats.cells_executed``
-    counts real simulations, so the property is observable).
+    checks the content-addressed :class:`ResultCache` and settles a miss
+    through :attr:`CellScheduler.settle`: a daemon simulates and stores
+    the result, the cluster router forwards the key to its worker); every
+    later identical submission joins the existing flight and fans the one
+    result out.  Identical concurrent cells are therefore simulated
+    exactly once (``stats.cells_executed`` counts real simulations, so the
+    property is observable).
 
 Bounded admission / backpressure
     At most ``max_pending`` flights may exist at once.  A submission that
@@ -37,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..experiments.config import PaperConfig
@@ -52,6 +54,7 @@ __all__ = [
     "DeadlineExceeded",
     "FlightCancelled",
     "Overloaded",
+    "Settled",
     "SubmitOutcome",
 ]
 
@@ -91,14 +94,18 @@ class SubmitOutcome:
     coalesced: bool
     #: Seconds this waiter spent waiting on the flight.
     seconds: float
+    #: The cluster node that answered a forwarded miss (``None``: this node).
+    worker: str | None = None
 
 
 @dataclass
-class _FlightResult:
+class Settled:
+    """What a flight settles to, shared by every waiter of its key."""
+
     result: Any
     cache_hit: bool
-    seconds: float = 0.0
-    extras: dict[str, Any] = field(default_factory=dict)
+    #: The cluster node that answered a forwarded miss (``None``: this node).
+    worker: str | None = None
 
 
 class CellScheduler:
@@ -131,6 +138,10 @@ class CellScheduler:
             )
             self._owns_executor = True
         self.result_cache: ResultStore | None = make_store(config)
+        #: Settles a key the store missed: ``await settle(cell, config,
+        #: plan)`` → :class:`Settled`.  A daemon executes it; the cluster
+        #: router swaps in a forward to the key's worker.
+        self.settle = self.execute
         self._flights: dict[str, _Flight] = {}
 
     # -- introspection --------------------------------------------------------------
@@ -241,48 +252,48 @@ class CellScheduler:
             cache_hit=settled.cache_hit,
             coalesced=coalesced,
             seconds=time.perf_counter() - t0,
+            worker=settled.worker,
         )
 
     async def _fly(
         self, cell: SimCell, config: PaperConfig, plan: CellPlan
-    ) -> _FlightResult:
-        """Flight body: cache probe, then one pool execution, then store."""
-        loop = asyncio.get_running_loop()
+    ) -> Settled:
+        """Flight body: probe the store, settle the miss, count."""
         key = plan.keys[cell]
         if self.result_cache is not None:
+            loop = asyncio.get_running_loop()
             cached = await loop.run_in_executor(None, self.result_cache.load, key)
             if cached is not None:
                 self.stats.cells_cache_hits += 1
-                return _FlightResult(result=cached, cache_hit=True)
+                return Settled(result=cached, cache_hit=True)
         flight = self._flights.get(key)
         if flight is not None:
             flight.executing = True
-        t0 = time.perf_counter()
         try:
-            result, seconds = await loop.run_in_executor(
-                self.executor,
-                timed_execute_cell,
-                cell,
-                config,
-                plan.trace_paths.get(cell.workload),
-                plan.profile_paths.get(cell.workload) if cell.needs_profile else None,
-            )
-        except asyncio.CancelledError:
-            raise
+            return await self.settle(cell, config, plan)
         except Exception:
             self.stats.cells_failed += 1
             raise
+
+    async def execute(
+        self, cell: SimCell, config: PaperConfig, plan: CellPlan
+    ) -> Settled:
+        """A daemon's :attr:`settle`: run the cell on the pool, store it."""
+        loop = asyncio.get_running_loop()
+        result, _seconds = await loop.run_in_executor(
+            self.executor,
+            timed_execute_cell,
+            cell,
+            config,
+            plan.trace_paths.get(cell.workload),
+            plan.profile_paths.get(cell.workload) if cell.needs_profile else None,
+        )
         self.stats.cells_executed += 1
         if self.result_cache is not None:
             await loop.run_in_executor(
-                None, self.result_cache.store, key, result
+                None, self.result_cache.store, plan.keys[cell], result
             )
-        return _FlightResult(
-            result=result,
-            cache_hit=False,
-            seconds=time.perf_counter() - t0,
-            extras={"worker_seconds": seconds},
-        )
+        return Settled(result=result, cache_hit=False)
 
     # -- lifecycle ------------------------------------------------------------------
 

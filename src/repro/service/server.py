@@ -271,6 +271,7 @@ class ReproServer:
                 "cache_hit": outcome.cache_hit,
                 "coalesced": outcome.coalesced,
                 "seconds": round(outcome.seconds, 6),
+                "worker": outcome.worker,
             },
         }
 
@@ -301,6 +302,9 @@ class ReproServer:
                 }
             except asyncio.CancelledError:
                 raise
+            except ProtocolError as exc:
+                self.stats.count_error(exc.code)
+                row = self._sweep_error(cell, exc.code, exc)
             except Overloaded as exc:
                 self.stats.count_error(E_OVERLOADED)
                 row = self._sweep_error(cell, E_OVERLOADED, exc)
@@ -338,20 +342,11 @@ class ReproServer:
             "error": {"code": code, "message": str(exc)},
         }
 
-    def _experiment_engine_pool(self):
-        """Executor injected into ``run_cells`` for experiment requests.
-
-        The single-node server reuses the scheduler's warm pool; the
-        cluster router overrides this to fan cells out over the ring.
-        """
-        return self.scheduler.executor
-
     async def _handle_experiment(self, req: dict, send: Send) -> dict:
         eid, config = protocol.normalize_experiment_request(req, self.config)
         deadline = protocol.parse_deadline(req, self.default_deadline)
         rid = req.get("id")
         loop = asyncio.get_running_loop()
-        engine_pool = self._experiment_engine_pool()
         events: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue()
 
         def hook(cell_name: str, done: int, total: int, cached: bool) -> None:
@@ -374,7 +369,7 @@ class ReproServer:
 
             # Stream cell completions and reuse the scheduler's warm pool
             # for the figure's own cell grid.
-            with progress_scope(hook), engine_pool_scope(engine_pool):
+            with progress_scope(hook), engine_pool_scope(self.scheduler.executor):
                 return run_experiment(eid, config)
 
         async def pump() -> None:
@@ -410,6 +405,9 @@ class ReproServer:
         events.put_nowait(None)
         await pump_task
         engine_stats = getattr(result, "engine_stats", None) or {}
+        # The figure's cells ran on this daemon's pool or hit its store.
+        self.stats.cells_executed += int(engine_stats.get("cache_misses", 0))
+        self.stats.cells_cache_hits += int(engine_stats.get("cache_hits", 0))
         self.stats.families_batched += int(engine_stats.get("families_batched", 0))
         self.stats.cells_batched += int(engine_stats.get("cells_batched", 0))
         return {

@@ -1,40 +1,49 @@
 """End-to-end cluster router tests (real loopback TCP, in-process daemons).
 
-The acceptance contract of ISSUE 7, locked executable:
+The router is a forwarder on the daemon's own serving path; locked here:
 
 * every cell kind routed through the cluster is **bit-identical** to the
   in-process engine's answer (differential over the full wire payload,
   arrays included), and the router/worker content keys agree;
-* sweeps are split per owning worker exactly as the ring dictates, rows
-  come back merged in request order, and progress events are renumbered
-  router-wide;
+* a sweep's cells each go to their ring owner (per-worker executed
+  counts match the placement), rows come back in request order, and
+  progress events count router-wide;
 * identical concurrent cells coalesce at the router — one simulation
   cluster-wide, every client bit-identical;
+* router flights keep the scheduler's admission (``max_pending``),
+  waiter deadlines and last-waiter cancellation;
 * a fresh cluster sharing only the shared store answers warm without
   simulating (cross-node warm hits);
 * killing a worker mid-use ejects it, the key fails over to a survivor,
   and with no survivors the client gets a retriable ``unavailable`` error;
 * ``stats``/``health`` aggregate per-worker counters cluster-wide;
-* a routed experiment reproduces the in-process figure exactly.
+* every registered experiment, forwarded whole to one worker, reproduces
+  the in-process figure exactly.
 """
 
 from __future__ import annotations
 
-import asyncio
+import gc
+import logging
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster.router import ClusterExecutor
-from repro.experiments import run_experiment
+from repro.experiments import available_experiments, run_experiment
 from repro.experiments.engine import plan_cells
 from repro.experiments.engine.cache import ENTRY_SUFFIX
 from repro.experiments.engine.cells import execute_cell, make_cell
-from repro.experiments.engine.families import SweepFamily, execute_family
-from repro.service import ServiceError, ServiceUnavailable
-from repro.service.protocol import result_to_wire, sweep_cell
+from repro.service import (
+    ServiceError,
+    ServiceOverloaded,
+    ServiceTimeout,
+    ServiceUnavailable,
+)
+from repro.service.protocol import encode_frame, result_to_wire, sweep_cell
 
 #: One representative cell per engine kind (labels per ``make_cell``).
 KIND_LABELS = [
@@ -107,14 +116,13 @@ class TestSweepRouting:
         assert [row["label"] for row in rows] == self.LABELS
         assert all(row["ok"] for row in rows)
 
-        # The split matches the ring's placement exactly.
+        # Where the ring places each cell.
         cells = [sweep_cell(WORKLOAD, lab, cluster_config) for lab in self.LABELS]
         plan = plan_cells(cells, cluster_config, jobs=1)
         expected_shards: dict[str, int] = {}
         for cell in cells:
             owner = router.ring.owner(plan.keys[cell])
             expected_shards[owner] = expected_shards.get(owner, 0) + 1
-        assert reply["meta"]["shards"] == expected_shards
         assert sum(expected_shards.values()) == len(self.LABELS)
 
         # Each worker only executed the cells the ring assigned to it.
@@ -338,12 +346,16 @@ class TestRoutedExperiments:
         # The figure's cells really ran on the workers, not in the router.
         assert cluster.total_executed() > 0
         assert cluster.router.stats.cells_executed == 0
+        # Forwarded whole: the one worker named in meta ran every cell.
+        owner = next(w for w in cluster.workers if w.addr == reply["meta"]["worker"])
+        assert owner.stats.cells_executed == cluster.total_executed()
         assert events, "no progress events streamed"
         assert events[-1]["done"] == events[-1]["total"]
 
     def test_routed_families_match_in_process_run(self, make_cluster, cluster_config):
-        """ext-assoc's ladders form assoc families: the router splits each
-        into per-member cell requests, and the rows stay the local ones."""
+        """ext-assoc's ladders form assoc families: the worker that runs the
+        figure batches them as ``serve`` does, and the rows stay the local
+        ones."""
         cluster = make_cluster(2)
         with cluster.client() as client:
             reply = client.run_experiment("ext-assoc")
@@ -354,29 +366,90 @@ class TestRoutedExperiments:
         assert cluster.router.stats.cells_executed == 0
 
 
-def test_cluster_executor_family_blames_the_failing_member(cluster_config):
-    """A routed family returns the members before the failing one as
-    completed and names the one that failed, as ``execute_family`` does."""
-    cells = [make_cell("assocsweep", "crc", lab, cluster_config) for lab in ("2way", "4way")]
-    family = SweepFamily("assoc", "crc", tuple(cells))
+@pytest.mark.parametrize("eid", available_experiments())
+def test_every_experiment_routes_whole(eid, make_cluster, cluster_config, caplog):
+    """Each registered figure, forwarded whole through a 2-worker cluster,
+    equals the in-process run row for row, and no routed task dies
+    unobserved."""
+    cluster = make_cluster(2)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with cluster.client() as client:
+            reply = client.run_experiment(eid)
+        cluster.stop()
+        gc.collect()
+    local = run_experiment(eid, cluster_config)
+    assert reply["experiment"]["rows"] == {k: dict(v) for k, v in local.rows.items()}
+    assert not [r for r in caplog.records if "never retrieved" in r.getMessage()]
 
-    class Router:
-        async def route_engine_cell(self, cell, config):
-            if cell == cells[1]:
-                raise RuntimeError("worker exploded")
-            return f"result:{cell.label}", 0.5
 
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    try:
-        future = ClusterExecutor(Router(), loop).submit(
-            execute_family, family, cluster_config, None, None
+class TestRouterServing:
+    """Router flights are scheduler flights: admission, waiter deadlines
+    and last-waiter cancellation hold at the router too."""
+
+    #: Worker service time per cell, longer than every wait below.
+    DELAY = 3.0
+
+    def _slow_cluster(self, make_cluster, cluster_config, **router_kwargs):
+        return make_cluster(
+            1,
+            config=replace(cluster_config, cell_delay=self.DELAY),
+            router_kwargs=router_kwargs,
         )
-        completed, failure = future.result(timeout=30)
-    finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30)
-        loop.close()
-    assert completed == [(cells[0], "result:2way", 0.5)]
-    assert failure == ("crc", "4way", "worker exploded")
+
+    def test_max_pending_rejects_a_second_distinct_key(
+        self, make_cluster, cluster_config
+    ):
+        cluster = self._slow_cluster(make_cluster, cluster_config, max_pending=1)
+        first: dict = {}
+
+        def submit_first() -> None:
+            with cluster.client() as client:
+                first["reply"] = client.submit_cell("indexing", WORKLOAD, "XOR")
+
+        thread = threading.Thread(target=submit_first)
+        thread.start()
+        with cluster.client() as client:
+            _wait_until(
+                lambda: client.health()["queue_depth"] == 1, what="the first flight"
+            )
+            with pytest.raises(ServiceOverloaded):
+                client.submit_cell("indexing", WORKLOAD, "Prime_Modulo")
+        thread.join(60)
+        assert first["reply"]["result"]["accesses"] > 0
+        assert cluster.router.stats.cells_rejected == 1
+
+    def test_client_disconnect_releases_the_router_flight(
+        self, make_cluster, cluster_config
+    ):
+        cluster = self._slow_cluster(make_cluster, cluster_config)
+        sock = socket.create_connection(("127.0.0.1", cluster.router.port), timeout=10)
+        sock.sendall(
+            encode_frame(
+                {
+                    "id": "gone",
+                    "type": "cell",
+                    "kind": "indexing",
+                    "workload": WORKLOAD,
+                    "label": "XOR",
+                }
+            )
+        )
+        with cluster.client() as client:
+            _wait_until(
+                lambda: client.health()["queue_depth"] == 1, what="the flight"
+            )
+            sock.close()  # the only waiter walks away
+            _wait_until(
+                lambda: client.health()["queue_depth"] == 0,
+                timeout=1.0,
+                what="the router to cancel the abandoned flight",
+            )
+        assert cluster.router.stats.cells_cancelled == 1
+
+    def test_routed_cell_deadline_answers_timeout(self, make_cluster, cluster_config):
+        cluster = self._slow_cluster(make_cluster, cluster_config)
+        with cluster.client() as client:
+            with pytest.raises(ServiceTimeout):
+                client.submit_cell("indexing", WORKLOAD, "XOR", deadline=0.5)
+            assert client.health()["status"] == "ok"
+        assert cluster.router.stats.deadline_timeouts == 1

@@ -37,7 +37,7 @@ from repro.service import (
     ServiceOverloaded,
     ServiceTimeout,
 )
-from repro.service.protocol import decode_frame, encode_frame
+from repro.service.protocol import decode_frame, encode_frame, result_to_wire
 
 N_CLIENTS = 32
 
@@ -112,6 +112,18 @@ class TestConcurrentClients:
             assert set(seen) == {f"p{i}" for i in range(6)}
             assert all(f["ok"] for f in seen.values())
         assert server.stats.cells_executed == 1  # all six coalesced/cached
+
+
+class TestWorkloads:
+    def test_hpc_workload_cell_matches_in_process(self, server, service_config):
+        """The service accepts every registered workload, the HPC kernels too."""
+        with server.client() as client:
+            reply = client.submit_cell("indexing", "spmv", "XOR", arrays=True)
+        cell = make_cell("indexing", "spmv", "XOR", service_config)
+        plan = plan_cells([cell], service_config, jobs=1)
+        local = execute_cell(cell, service_config, plan.trace_paths["spmv"])
+        assert reply["result"] == result_to_wire(local, include_arrays=True)
+        assert reply["meta"]["key"] == plan.keys[cell]
 
 
 class TestSweep:
