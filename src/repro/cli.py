@@ -286,9 +286,6 @@ def _cmd_trace_warm(args) -> int:
             print(f"error: unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
     specs = specs_for(ids, cfg)
-    if not specs:
-        print("nothing to warm: no selected experiment declares trace needs")
-        return 0
     t0 = time.perf_counter()
     entries = warm_traces(specs, cfg, jobs=args.jobs)
     wall = time.perf_counter() - t0

@@ -63,7 +63,7 @@ from ..service.protocol import (
 from ..service.scheduler import Settled
 from ..service.server import ReproServer, Send
 from .link import WorkerDown, WorkerLink
-from .ring import DEFAULT_VNODES, HashRing
+from .ring import HashRing
 
 __all__ = ["ClusterRouter", "Unavailable", "parse_worker"]
 
@@ -100,7 +100,6 @@ class ClusterRouter(ReproServer):
         default_deadline: float | None = None,
         probe_interval: float = 1.0,
         probe_timeout: float = 2.0,
-        vnodes: int = DEFAULT_VNODES,
     ):
         # workers=1/use_processes=False: the scheduler's pool is a single
         # idle thread — the router never simulates; its scheduler settles
@@ -116,7 +115,7 @@ class ClusterRouter(ReproServer):
         )
         self.scheduler.settle = self._forward_cell
         parsed = [parse_worker(addr) for addr in workers]
-        self.ring = HashRing([node for node, _h, _p in parsed], vnodes=vnodes)
+        self.ring = HashRing([node for node, _h, _p in parsed])
         self.links: dict[str, WorkerLink] = {
             node: WorkerLink(node, h, p) for node, h, p in parsed
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..core.address import PAPER_L1_GEOMETRY, PAPER_L2_GEOMETRY, CacheGeometry
+from ..core.address import PAPER_L1_GEOMETRY, CacheGeometry
 from ..core.amat import TimingModel
 
 __all__ = ["PaperConfig", "MULTITHREAD_MIXES_FIG13", "MULTITHREAD_MIXES_FIG14"]
@@ -51,7 +51,6 @@ class PaperConfig:
     """All knobs of the reproduction, defaulted to the paper's values."""
 
     geometry: CacheGeometry = PAPER_L1_GEOMETRY
-    l2_geometry: CacheGeometry = PAPER_L2_GEOMETRY
     timing: TimingModel = field(default_factory=TimingModel)
 
     # Adaptive cache (Section IV: SHT 3/8, OUT 4/16 of the sets).
@@ -103,15 +102,6 @@ class PaperConfig:
 
     # On-disk trace cache (regeneration is the slow part of a sweep).
     trace_cache_dir: Path = field(default_factory=lambda: Path(".trace_cache"))
-    #: Byte budget of the process-wide trace arena (the bounded LRU of
-    #: opened/mapped traces every trace-path consumer shares — see
-    #: :mod:`repro.trace.arena`).  Bounds how much mapped trace data a
-    #: long-lived process (``repro serve``, cluster workers, pool
-    #: workers) retains; raw-format entries are mapped zero-copy, so the
-    #: budget is address-space/worst-case-residency, not guaranteed RSS.
-    #: Execution knob only (like ``jobs``/``engine``): results are
-    #: bit-identical at any budget, so it is *not* part of cache keys.
-    trace_arena_bytes: int = 1 << 30
 
     # -- parallel experiment engine ------------------------------------------------
     #: Worker processes for experiment grids: 1 = deterministic in-process

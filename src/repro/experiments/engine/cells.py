@@ -271,7 +271,7 @@ def _prog(model: str, scheme_name: str, config: PaperConfig, params: tuple) -> _
 
 def _profile_addresses(cell: SimCell, config: PaperConfig, profile_path):
     if profile_path is not None:
-        return _trace_at(profile_path, cell.workload, config).addresses
+        return _trace_at(profile_path, cell.workload).addresses
     from ..runner import profile_trace
 
     return profile_trace(cell.workload, config).addresses
@@ -766,7 +766,7 @@ def make_cell(kind: str, workload: str, label: str, config: PaperConfig) -> SimC
 
 # -- execution (runs in the parent at jobs=1, in pool workers otherwise) ----------
 
-def _trace_at(path, name: str, config: PaperConfig | None = None):
+def _trace_at(path, name: str):
     """The trace stored at ``path``, renamed to ``name``, via the arena.
 
     Pool workers run many cells of the same workload back to back;
@@ -777,22 +777,18 @@ def _trace_at(path, name: str, config: PaperConfig | None = None):
     per-module memo: raw-format entries map zero-copy (forked workers
     share the parent's page-cache pages), legacy npz entries decode, and
     a byte-budgeted LRU keeps long-lived service/cluster processes from
-    accumulating every trace they ever touched.  ``config`` (when the
-    caller has one) carries the budget, ``trace_arena_bytes``.
+    accumulating every trace they ever touched.
     """
     from ...trace.arena import get_arena
 
-    arena = get_arena()
-    if config is not None and config.trace_arena_bytes:
-        arena.configure(config.trace_arena_bytes)
-    return arena.get(path, name)
+    return get_arena().get(path, name)
 
 
 def _open_trace(workload: str, config: PaperConfig, trace_path=None):
     """The workload's trace: the pre-warmed file when the engine ships its
     path, else through the on-disk trace cache (derived traces included)."""
     if trace_path is not None:
-        return _trace_at(trace_path, workload, config)
+        return _trace_at(trace_path, workload)
     from ..warm import load_spec, trace_spec
 
     return load_spec(trace_spec(workload, config), config).with_name(workload)

@@ -56,9 +56,9 @@ without touching the figure runners:
   every cell settles (cache hits and fresh simulations alike), so a server
   can stream cell completions while ``run_experiment`` is still working;
 * :func:`engine_pool_scope` — a per-context executor that ``run_cells``
-  submits its ``execute_family`` units to *instead of* the engine's own
-  pool (the job server injects its scheduler's pool; the router, its
-  ring).
+  submits its ``execute_family`` units, and ``warm_traces`` its trace
+  generations, to *instead of* the engine's own pool (the job server
+  injects its scheduler's pool).
 
 Per-cell timeouts
 -----------------
@@ -102,6 +102,7 @@ __all__ = [
     "EngineStats",
     "effective_jobs",
     "engine_pool_scope",
+    "injected_executor",
     "plan_cells",
     "progress_scope",
     "run_cells",
@@ -154,6 +155,11 @@ def engine_pool_scope(executor: Executor):
         yield
     finally:
         _POOL_OVERRIDE.reset(token)
+
+
+def injected_executor() -> Executor | None:
+    """The executor :func:`engine_pool_scope` set in this context, if any."""
+    return _POOL_OVERRIDE.get()
 
 
 # -- stats -------------------------------------------------------------------------
@@ -256,23 +262,17 @@ def _warm_and_fingerprint(
 ) -> tuple[dict[str, str], dict[str, str], dict[str, Any], dict[str, Any]]:
     """Materialise every needed trace concurrently and fingerprint it.
 
-    The needed-trace set (evaluation traces — derived ones resolved by
-    :func:`repro.experiments.warm.trace_spec` — plus profiling runs for
+    The needed-trace set (:func:`repro.experiments.warm.cell_specs`:
+    evaluation traces, derived ones included, plus profiling runs for
     trainable-scheme cells) is warmed through
     :func:`repro.experiments.warm.warm_traces` on the engine's worker
     budget; fingerprints are computed in the workers, so the parent's cost
     is independent of trace length.  Workers later receive the on-disk
     trace *paths* (a few bytes each) rather than pickled address arrays.
     """
-    from ..warm import TraceWarmError, profile_spec, trace_spec, warm_traces
+    from ..warm import TraceWarmError, cell_specs, warm_traces
 
-    eval_specs = {}
-    prof_specs = {}
-    for cell in cells:
-        if cell.workload not in eval_specs:
-            eval_specs[cell.workload] = trace_spec(cell.workload, config)
-        if cell.needs_profile and cell.workload not in prof_specs:
-            prof_specs[cell.workload] = profile_spec(cell.workload, config)
+    eval_specs, prof_specs = cell_specs(cells, config)
     try:
         entries = warm_traces(
             list(eval_specs.values()) + list(prof_specs.values()),
@@ -414,7 +414,7 @@ def _run_cells(
         elif members:
             units.append(SweepFamily("single", family.workload, members))
 
-    pool = _POOL_OVERRIDE.get()
+    pool = injected_executor()
     in_process = pool is None and (jobs <= 1 or len(units) <= 1)
     if not in_process and pool is None:
         pool = engine_pool(jobs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -31,13 +31,7 @@ __all__ = ["run_ext_assoc", "EXT_ASSOC_COLUMNS"]
 EXT_ASSOC_COLUMNS = ["baseline", "2way", "4way", "8way", "16way"]
 
 
-@register_experiment("ext-assoc")
-def run_ext_assoc(config: PaperConfig) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="ext-assoc",
-        title="Mattson associativity curve: miss rate over fixed sets (LRU)",
-        columns=EXT_ASSOC_COLUMNS,
-    )
+def ext_assoc_cells(config: PaperConfig) -> list[SimCell]:
     cells = []
     for bench in MIBENCH_ORDER:
         cells.append(make_cell("baseline", bench, "baseline", config))
@@ -45,7 +39,17 @@ def run_ext_assoc(config: PaperConfig) -> ExperimentResult:
             make_cell("assocsweep", bench, label, config)
             for label in EXT_ASSOC_COLUMNS[1:]
         )
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("ext-assoc", cells=ext_assoc_cells)
+def run_ext_assoc(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="ext-assoc",
+        title="Mattson associativity curve: miss rate over fixed sets (LRU)",
+        columns=EXT_ASSOC_COLUMNS,
+    )
+    sims, stats = run_cells(ext_assoc_cells(config), config)
     for bench in MIBENCH_ORDER:
         result.add_row(
             bench,
@@ -56,11 +60,3 @@ def run_ext_assoc(config: PaperConfig) -> ExperimentResult:
     result.note("one stack-distance pass answers each row under batch_sweeps")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-assoc")
-def ext_assoc_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

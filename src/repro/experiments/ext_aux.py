@@ -34,7 +34,7 @@ import numpy as np
 from ..core.uniformity import aux_structure_report, eviction_absorption_gini
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -64,16 +64,15 @@ _SCHEME_CELLS = {
 }
 
 
-@register_experiment("ext-aux")
-def run_ext_aux(config: PaperConfig) -> ExperimentResult:
-    # Aux structures augment the paper's direct-mapped L1.
+def _direct_mapped(config: PaperConfig) -> PaperConfig:
+    """Aux structures augment the paper's direct-mapped L1."""
     if config.geometry.ways != 1:
         config = replace(config, geometry=config.geometry.with_ways(1))
-    result = ExperimentResult(
-        experiment_id="ext-aux",
-        title="Auxiliary structures × indexing scheme: direct-mapped miss rate",
-        columns=EXT_AUX_COLUMNS,
-    )
+    return config
+
+
+def ext_aux_cells(config: PaperConfig) -> list[SimCell]:
+    config = _direct_mapped(config)
     cells = []
     for bench in MIBENCH_ORDER:
         for scheme in EXT_AUX_SCHEMES:
@@ -84,7 +83,18 @@ def run_ext_aux(config: PaperConfig) -> ExperimentResult:
                     make_cell("auxsweep", bench, f"{scheme}:{combo}{depth}", config)
                 )
             cells.append(make_cell(col_kind, bench, col_label, config))
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("ext-aux", cells=ext_aux_cells)
+def run_ext_aux(config: PaperConfig) -> ExperimentResult:
+    config = _direct_mapped(config)
+    result = ExperimentResult(
+        experiment_id="ext-aux",
+        title="Auxiliary structures × indexing scheme: direct-mapped miss rate",
+        columns=EXT_AUX_COLUMNS,
+    )
+    sims, stats = run_cells(ext_aux_cells(config), config)
     head_to_head = []
     for bench in MIBENCH_ORDER:
         for scheme in EXT_AUX_SCHEMES:
@@ -126,11 +136,3 @@ def run_ext_aux(config: PaperConfig) -> ExperimentResult:
     result.note("direct-mapped, 1024 sets; sb cells use aux_streams/aux_allocate")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-aux")
-def ext_aux_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -48,13 +48,7 @@ EXT_BOUNDS_COLUMNS = [
 ]
 
 
-@register_experiment("ext-bounds")
-def run_ext_bounds(config: PaperConfig) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="ext-bounds",
-        title="% miss reduction vs DM: paper techniques against classical bounds",
-        columns=EXT_BOUNDS_COLUMNS,
-    )
+def ext_bounds_cells(config: PaperConfig) -> list[SimCell]:
     # Every comparison point is one engine cell: the k-way LRU and
     # fully-associative columns ride the vectorised stack-distance kernel,
     # the stateful structures the sequential engine — all memoized in the
@@ -65,7 +59,17 @@ def run_ext_bounds(config: PaperConfig) -> ExperimentResult:
         cells.extend(
             make_cell("bounds", bench, label, config) for label in EXT_BOUNDS_COLUMNS
         )
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("ext-bounds", cells=ext_bounds_cells)
+def run_ext_bounds(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="ext-bounds",
+        title="% miss reduction vs DM: paper techniques against classical bounds",
+        columns=EXT_BOUNDS_COLUMNS,
+    )
+    sims, stats = run_cells(ext_bounds_cells(config), config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         row = {
@@ -78,11 +82,3 @@ def run_ext_bounds(config: PaperConfig) -> ExperimentResult:
     result.note("Adaptive ~ selective victim caching (paper Section III.B remark)")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-bounds")
-def ext_bounds_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

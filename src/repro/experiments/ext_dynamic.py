@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
+from .warm import phase_name
 
 __all__ = ["run_ext_dynamic"]
 
@@ -40,20 +41,24 @@ STATIC_LABELS = {
 DYNAMIC_CANDIDATES = "xor+odd_multiplier+prime_modulo"
 
 
-@register_experiment("ext-dynamic")
-def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="ext-dynamic",
-        title="% miss reduction vs static modulo: static schemes vs dynamic switching",
-        columns=["best_static", "static_xor", "static_odd", "dynamic"],
-    )
+def ext_dynamic_cells(config: PaperConfig) -> list[SimCell]:
     cells = []
     for pair in PHASE_PAIRS:
         trace = phase_name(pair)
         cells.append(make_cell("baseline", trace, "baseline", config))
         cells.extend(make_cell("indexing", trace, lab, config) for lab in STATIC_LABELS.values())
         cells.append(make_cell("dynamic", trace, DYNAMIC_CANDIDATES, config))
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("ext-dynamic", cells=ext_dynamic_cells)
+def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="ext-dynamic",
+        title="% miss reduction vs static modulo: static schemes vs dynamic switching",
+        columns=["best_static", "static_xor", "static_odd", "dynamic"],
+    )
+    sims, stats = run_cells(ext_dynamic_cells(config), config)
     for a, b in PHASE_PAIRS:
         trace = phase_name((a, b))
         base = sims[(trace, "baseline")].misses
@@ -76,11 +81,3 @@ def run_ext_dynamic(config: PaperConfig) -> ExperimentResult:
     )
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import phase_name, provides_traces, trace_spec  # noqa: E402
-
-
-@provides_traces("ext-dynamic")
-def ext_dynamic_traces(config: PaperConfig):
-    return [trace_spec(phase_name(pair), config) for pair in PHASE_PAIRS]

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from ..workloads.hpc import HPC_ORDER
 from .config import PaperConfig
+from .engine import SimCell
 from .report import ExperimentResult
-from .runner import add_reduction_rows, register_experiment
+from .runner import add_reduction_rows, reduction_cells, register_experiment
 
 __all__ = ["run_ext_hpc"]
 
@@ -34,7 +35,11 @@ _COLUMNS = {
 }
 
 
-@register_experiment("ext-hpc")
+def ext_hpc_cells(config: PaperConfig) -> list[SimCell]:
+    return reduction_cells(HPC_ORDER, _COLUMNS, config)
+
+
+@register_experiment("ext-hpc", cells=ext_hpc_cells)
 def run_ext_hpc(config: PaperConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-hpc",
@@ -45,13 +50,3 @@ def run_ext_hpc(config: PaperConfig) -> ExperimentResult:
     result.note("stream/transpose/jacobi: the power-of-2 pathologies hashing fixes")
     result.note("histogram/spmv: random scatter — placement-insensitive controls")
     return result
-
-
-from .warm import profile_spec, provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-hpc")
-def ext_hpc_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in HPC_ORDER] + [
-        profile_spec(b, config) for b in HPC_ORDER
-    ]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
+from .engine import SimCell
 from .report import ExperimentResult
-from .runner import add_reduction_rows, register_experiment
+from .runner import add_reduction_rows, reduction_cells, register_experiment
 
 __all__ = ["run_ext_hybrid"]
 
@@ -43,7 +44,11 @@ def _columns(config: PaperConfig) -> dict[str, tuple[str, str]]:
     }
 
 
-@register_experiment("ext-hybrid")
+def ext_hybrid_cells(config: PaperConfig) -> list[SimCell]:
+    return reduction_cells(MIBENCH_ORDER, _columns(config), config)
+
+
+@register_experiment("ext-hybrid", cells=ext_hybrid_cells)
 def run_ext_hybrid(config: PaperConfig) -> ExperimentResult:
     columns = _columns(config)
     result = ExperimentResult(
@@ -54,11 +59,3 @@ def run_ext_hybrid(config: PaperConfig) -> ExperimentResult:
     add_reduction_rows(result, MIBENCH_ORDER, columns, config)
     result.note("generalises the paper's Figure 8 beyond the column-associative cache")
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-hybrid")
-def ext_hybrid_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

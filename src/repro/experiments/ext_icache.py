@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
+from .warm import itrace_name, load_spec, trace_spec
 
 __all__ = ["run_ext_icache", "build_program"]
 
@@ -60,17 +61,11 @@ def build_program(seed: int, n_procs: int = 24):
     return layout, calls, profile
 
 
-@register_experiment("ext-icache")
-def run_ext_icache(config: PaperConfig) -> ExperimentResult:
+def ext_icache_cells(config: PaperConfig) -> list[SimCell]:
     # The paper's L1I is the same 32 KiB direct-mapped shape as its L1D.
     # Each program's natural and placed I-traces are derived traces (see
     # repro.experiments.warm): the placement search runs once, when the
     # placed trace is first cached, and its costs live in that entry.
-    result = ExperimentResult(
-        experiment_id="ext-icache",
-        title="% reduction in L1I misses vs natural layout (HW hashing vs SW placement)",
-        columns=list(ICACHE_COLUMNS),
-    )
     cells = []
     for k in PROGRAMS:
         cells.append(make_cell("baseline", itrace_name(k), "baseline", config))
@@ -78,7 +73,17 @@ def run_ext_icache(config: PaperConfig) -> ExperimentResult:
             make_cell(kind, itrace_name(k, placed), label, config)
             for placed, kind, label in ICACHE_COLUMNS.values()
         )
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("ext-icache", cells=ext_icache_cells)
+def run_ext_icache(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="ext-icache",
+        title="% reduction in L1I misses vs natural layout (HW hashing vs SW placement)",
+        columns=list(ICACHE_COLUMNS),
+    )
+    sims, stats = run_cells(ext_icache_cells(config), config)
     for k in PROGRAMS:
         base = sims[(itrace_name(k), "baseline")]
         result.add_row(
@@ -103,12 +108,3 @@ def run_ext_icache(config: PaperConfig) -> ExperimentResult:
     )
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import itrace_name, load_spec, provides_traces, trace_spec  # noqa: E402
-
-
-@provides_traces("ext-icache")
-def ext_icache_traces(config: PaperConfig):
-    names = [itrace_name(k, placed) for k in PROGRAMS for placed in (False, True)]
-    return [trace_spec(name, config) for name in names]

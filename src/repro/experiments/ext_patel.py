@@ -17,8 +17,9 @@ profile-transfer caveats on a different input.
 from __future__ import annotations
 
 from .config import PaperConfig
+from .engine import SimCell
 from .report import ExperimentResult
-from .runner import add_reduction_rows, register_experiment
+from .runner import add_reduction_rows, reduction_cells, register_experiment
 
 __all__ = ["run_ext_patel"]
 
@@ -36,7 +37,11 @@ _COLUMNS = {
 }
 
 
-@register_experiment("ext-patel")
+def ext_patel_cells(config: PaperConfig) -> list[SimCell]:
+    return reduction_cells(PATEL_BENCHES, _COLUMNS, config)
+
+
+@register_experiment("ext-patel", cells=ext_patel_cells)
 def run_ext_patel(config: PaperConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-patel",
@@ -47,13 +52,3 @@ def run_ext_patel(config: PaperConfig) -> ExperimentResult:
     result.note("Patel_train minimises the exact objective it is scored on")
     result.note("the paper skipped Patel as intractable; this is the bounded variant")
     return result
-
-
-from .warm import profile_spec, provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-patel")
-def ext_patel_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in PATEL_BENCHES] + [
-        profile_spec(b, config) for b in PATEL_BENCHES
-    ]

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.uniformity import uniformity_report
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -40,23 +40,30 @@ EXT_POLICY_COLUMNS = ["lru", "fifo", "plru", "mru", "lfu", "random"]
 EXT_POLICY_SCHEMES = ["modulo", "xor"]
 
 
-@register_experiment("ext-policy")
-def run_ext_policy(config: PaperConfig) -> ExperimentResult:
+def _four_way(config: PaperConfig) -> PaperConfig:
     # 4-way point: associative enough that policies differ, small enough
     # that PLRU stays a power of two and the paper's set count is kept.
-    pol_config = replace(config, geometry=config.geometry.with_ways(4))
-    result = ExperimentResult(
-        experiment_id="ext-policy",
-        title="Replacement policy × indexing scheme: 4-way miss rate",
-        columns=EXT_POLICY_COLUMNS,
-    )
-    cells = [
+    return replace(config, geometry=config.geometry.with_ways(4))
+
+
+def ext_policy_cells(config: PaperConfig) -> list[SimCell]:
+    pol_config = _four_way(config)
+    return [
         make_cell("policysweep", bench, f"{scheme}:{policy}", pol_config)
         for bench in MIBENCH_ORDER
         for scheme in EXT_POLICY_SCHEMES
         for policy in EXT_POLICY_COLUMNS
     ]
-    sims, stats = run_cells(cells, pol_config)
+
+
+@register_experiment("ext-policy", cells=ext_policy_cells)
+def run_ext_policy(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="ext-policy",
+        title="Replacement policy × indexing scheme: 4-way miss rate",
+        columns=EXT_POLICY_COLUMNS,
+    )
+    sims, stats = run_cells(ext_policy_cells(config), _four_way(config))
     for bench in MIBENCH_ORDER:
         for scheme in EXT_POLICY_SCHEMES:
             row = {}
@@ -72,11 +79,3 @@ def run_ext_policy(config: PaperConfig) -> ExperimentResult:
     result.note("one set-decomposition answers each row under batch_sweeps")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-policy")
-def ext_policy_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

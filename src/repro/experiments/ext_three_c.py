@@ -15,26 +15,30 @@ from ..core.three_c import MissBreakdown
 from ..workloads.mibench import MIBENCH_ORDER
 from ..workloads.spec import SPEC_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
 __all__ = ["run_ext_three_c"]
 
 
-@register_experiment("ext-3c")
+#: Every MiBench and SPEC workload, one ``threec`` cell each.
+_BENCHES = MIBENCH_ORDER + SPEC_ORDER
+
+
+def ext_three_c_cells(config: PaperConfig) -> list[SimCell]:
+    return [make_cell("threec", bench, "direct_mapped", config) for bench in _BENCHES]
+
+
+@register_experiment("ext-3c", cells=ext_three_c_cells)
 def run_ext_three_c(config: PaperConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="ext-3c",
         title="3C breakdown of direct-mapped misses (% of total misses)",
         columns=["miss_rate%", "cold%", "capacity%", "conflict%"],
     )
-    benches = MIBENCH_ORDER + SPEC_ORDER
-    sims, stats = run_cells(
-        [make_cell("threec", bench, "direct_mapped", config) for bench in benches],
-        config,
-    )
-    for bench in benches:
+    sims, stats = run_cells(ext_three_c_cells(config), config)
+    for bench in _BENCHES:
         sim = sims[(bench, "direct_mapped")]
         breakdown = MissBreakdown(
             total=sim.misses,
@@ -56,11 +60,3 @@ def run_ext_three_c(config: PaperConfig) -> ExperimentResult:
     result.note("high conflict% predicts responsiveness to the paper's techniques")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("ext-3c")
-def ext_three_c_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER + SPEC_ORDER]

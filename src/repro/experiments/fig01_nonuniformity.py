@@ -11,16 +11,20 @@ from __future__ import annotations
 
 from ..core.uniformity import uniformity_report, zhang_classification
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult, sparkline
 from .runner import register_experiment
 
 __all__ = ["run_fig01"]
 
 
-@register_experiment("fig1")
+def fig01_cells(config: PaperConfig) -> list[SimCell]:
+    return [make_cell("baseline", "fft", "baseline", config)]
+
+
+@register_experiment("fig1", cells=fig01_cells)
 def run_fig01(config: PaperConfig) -> ExperimentResult:
-    sims, stats = run_cells([make_cell("baseline", "fft", "baseline", config)], config)
+    sims, stats = run_cells(fig01_cells(config), config)
     sim = sims[("fft", "baseline")]
     accesses = sim.slot_accesses
     rep = uniformity_report(accesses)
@@ -50,11 +54,3 @@ def run_fig01(config: PaperConfig) -> ExperimentResult:
     result.note("per-set access profile: " + sparkline(accesses))
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("fig1")
-def fig01_traces(config: PaperConfig):
-    return [workload_spec("fft", config)]

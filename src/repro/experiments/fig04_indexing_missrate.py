@@ -17,11 +17,11 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
-__all__ = ["run_fig04", "INDEXING_COLUMNS"]
+__all__ = ["run_fig04", "fig04_cells", "INDEXING_COLUMNS"]
 
 INDEXING_COLUMNS = ["XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis", "Givargis_Xor"]
 
@@ -29,7 +29,19 @@ INDEXING_COLUMNS = ["XOR", "Odd_Multiplier", "Prime_Modulo", "Givargis", "Givarg
 _CACHE: dict[PaperConfig, ExperimentResult] = {}
 
 
-@register_experiment("fig4")
+def fig04_cells(config: PaperConfig) -> list[SimCell]:
+    """Each bench's baseline and its five indexing schemes (the Givargis
+    ones fit on the bench's profiling run)."""
+    cells = []
+    for bench in MIBENCH_ORDER:
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(
+            make_cell("indexing", bench, label, config) for label in INDEXING_COLUMNS
+        )
+    return cells
+
+
+@register_experiment("fig4", cells=fig04_cells)
 def run_fig04(config: PaperConfig) -> ExperimentResult:
     # Figures 9/10 reuse this sweep's per-set arrays; cache one config.
     # The key is the whole config: any knob may change a cell's result.
@@ -45,15 +57,9 @@ def _run_fig04(config: PaperConfig) -> ExperimentResult:
         title="% reduction in miss rate, indexing schemes vs conventional",
         columns=INDEXING_COLUMNS,
     )
-    # Declare the full workload × scheme grid up front; the engine memoizes
-    # each cell on disk and fans cache misses out over config.jobs workers.
-    cells = []
-    for bench in MIBENCH_ORDER:
-        cells.append(make_cell("baseline", bench, "baseline", config))
-        cells.extend(
-            make_cell("indexing", bench, label, config) for label in INDEXING_COLUMNS
-        )
-    sims, stats = run_cells(cells, config)
+    # The engine memoizes each cell on disk and fans cache misses out over
+    # config.jobs workers.
+    sims, stats = run_cells(fig04_cells(config), config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         row = {}
@@ -67,15 +73,3 @@ def _run_fig04(config: PaperConfig) -> ExperimentResult:
     result.note("paper shape: mixed signs, no universal winner, Givargis worst average")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import profile_spec, provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("fig4")
-def fig04_traces(config: PaperConfig):
-    # The Givargis schemes are fitted on the profiling run, so warming
-    # covers both the evaluation and the training trace of every bench.
-    return [workload_spec(b, config) for b in MIBENCH_ORDER] + [
-        profile_spec(b, config) for b in MIBENCH_ORDER
-    ]

@@ -29,13 +29,24 @@ from ..core.amat import (
 from ..core.uniformity import percent_reduction
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
-__all__ = ["run_fig06", "run_fig07", "PROGASSOC_COLUMNS"]
+__all__ = ["run_fig06", "run_fig07", "fig06_cells", "PROGASSOC_COLUMNS"]
 
 PROGASSOC_COLUMNS = ["Adaptive_Cache", "B_Cache", "Column_associative"]
+
+
+def fig06_cells(config: PaperConfig) -> list[SimCell]:
+    """Each bench's baseline and its three programmable-associativity caches."""
+    cells = []
+    for bench in MIBENCH_ORDER:
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(
+            make_cell("progassoc", bench, label, config) for label in PROGASSOC_COLUMNS
+        )
+    return cells
 
 
 def _run_progassoc(config: PaperConfig) -> tuple[ExperimentResult, ExperimentResult]:
@@ -54,13 +65,7 @@ def _run_progassoc(config: PaperConfig) -> tuple[ExperimentResult, ExperimentRes
     # B-cache and column-associative cells take the set-decomposed fastassoc
     # engine (core/fastassoc.py) under engine="auto", leaving only the
     # globally-coupled adaptive cache on the sequential reference loop.
-    cells = []
-    for bench in MIBENCH_ORDER:
-        cells.append(make_cell("baseline", bench, "baseline", config))
-        cells.extend(
-            make_cell("progassoc", bench, label, config) for label in PROGASSOC_COLUMNS
-        )
-    sims, stats = run_cells(cells, config)
+    sims, stats = run_cells(fig06_cells(config), config)
     for bench in MIBENCH_ORDER:
         base = sims[(bench, "baseline")]
         base_amat = amat_direct_mapped(base.miss_rate, timing)
@@ -103,24 +108,11 @@ def _cached(config: PaperConfig) -> tuple[ExperimentResult, ExperimentResult]:
     return _CACHE[config]
 
 
-@register_experiment("fig6")
+@register_experiment("fig6", cells=fig06_cells)
 def run_fig06(config: PaperConfig) -> ExperimentResult:
     return _cached(config)[0]
 
 
-@register_experiment("fig7")
+@register_experiment("fig7", cells=fig06_cells)
 def run_fig07(config: PaperConfig) -> ExperimentResult:
     return _cached(config)[1]
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("fig6")
-def fig06_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]
-
-
-@provides_traces("fig7")
-def fig07_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..core.uniformity import percent_reduction
 from ..workloads.spec import SPEC_ORDER
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -30,20 +30,24 @@ FIG8_COLUMNS = [
 ]
 
 
-@register_experiment("fig8")
-def run_fig08(config: PaperConfig) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig8",
-        title="% reduction in miss rate: indexed column-associative vs plain",
-        columns=FIG8_COLUMNS,
-    )
+def fig08_cells(config: PaperConfig) -> list[SimCell]:
     cells = []
     for bench in SPEC_ORDER:
         cells.append(make_cell("colassoc", bench, "ColAssoc_Base", config))
         cells.extend(
             make_cell("colassoc", bench, label, config) for label in FIG8_COLUMNS
         )
-    sims, stats = run_cells(cells, config)
+    return cells
+
+
+@register_experiment("fig8", cells=fig08_cells)
+def run_fig08(config: PaperConfig) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment_id="fig8",
+        title="% reduction in miss rate: indexed column-associative vs plain",
+        columns=FIG8_COLUMNS,
+    )
+    sims, stats = run_cells(fig08_cells(config), config)
     for bench in SPEC_ORDER:
         base = sims[(bench, "ColAssoc_Base")]
         row = {
@@ -55,11 +59,3 @@ def run_fig08(config: PaperConfig) -> ExperimentResult:
     result.note("paper shape: odd-multiplier best on average; some benchmarks regress")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-@provides_traces("fig8")
-def fig08_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in SPEC_ORDER]

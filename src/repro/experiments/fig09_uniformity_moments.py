@@ -22,8 +22,8 @@ import numpy as np
 from ..core.uniformity import kurtosis, percent_increase, skewness
 from ..workloads.mibench import MIBENCH_ORDER
 from .config import PaperConfig
-from .fig04_indexing_missrate import INDEXING_COLUMNS, run_fig04
-from .fig06_progassoc_missrate import PROGASSOC_COLUMNS, run_fig06
+from .fig04_indexing_missrate import INDEXING_COLUMNS, fig04_cells, run_fig04
+from .fig06_progassoc_missrate import PROGASSOC_COLUMNS, fig06_cells, run_fig06
 from .report import ExperimentResult
 from .runner import register_experiment
 
@@ -52,7 +52,7 @@ def _moment_result(
     return result
 
 
-@register_experiment("fig9")
+@register_experiment("fig9", cells=fig04_cells)
 def run_fig09(config: PaperConfig) -> ExperimentResult:
     src = run_fig04(config)
     res = _moment_result(src, INDEXING_COLUMNS, "fig9", "kurtosis", kurtosis)
@@ -60,7 +60,7 @@ def run_fig09(config: PaperConfig) -> ExperimentResult:
     return res
 
 
-@register_experiment("fig10")
+@register_experiment("fig10", cells=fig04_cells)
 def run_fig10(config: PaperConfig) -> ExperimentResult:
     src = run_fig04(config)
     res = _moment_result(src, INDEXING_COLUMNS, "fig10", "skewness", skewness)
@@ -68,7 +68,7 @@ def run_fig10(config: PaperConfig) -> ExperimentResult:
     return res
 
 
-@register_experiment("fig11")
+@register_experiment("fig11", cells=fig06_cells)
 def run_fig11(config: PaperConfig) -> ExperimentResult:
     src = run_fig06(config)
     res = _moment_result(src, PROGASSOC_COLUMNS, "fig11", "kurtosis", kurtosis)
@@ -76,20 +76,9 @@ def run_fig11(config: PaperConfig) -> ExperimentResult:
     return res
 
 
-@register_experiment("fig12")
+@register_experiment("fig12", cells=fig06_cells)
 def run_fig12(config: PaperConfig) -> ExperimentResult:
     src = run_fig06(config)
     res = _moment_result(src, PROGASSOC_COLUMNS, "fig12", "skewness", skewness)
     res.note("paper shape: programmable associativity reduces skewness (negative bars)")
     return res
-
-
-from .warm import provides_traces, workload_spec  # noqa: E402
-
-
-def _moment_traces(config: PaperConfig):
-    return [workload_spec(b, config) for b in MIBENCH_ORDER]
-
-
-for _eid in ("fig9", "fig10", "fig11", "fig12"):
-    provides_traces(_eid)(_moment_traces)

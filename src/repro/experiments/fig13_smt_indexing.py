@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from ..core.uniformity import percent_reduction
 from .config import MULTITHREAD_MIXES_FIG13, PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .runner import register_experiment
+from .warm import mix_name
 
 __all__ = ["run_fig13", "mix_label"]
 
@@ -22,27 +23,31 @@ def mix_label(mix: tuple[str, ...]) -> str:
     return "_".join(mix)
 
 
-@register_experiment("fig13")
-def run_fig13(config: PaperConfig) -> ExperimentResult:
+#: Baseline (every thread modulo) and treatment cell label of each mix.
+_LABELS = ("modulo", "odd_multiplier")
+
+
+def fig13_cells(config: PaperConfig) -> list[SimCell]:
     # Each mix's round-robin interleaving of its per-thread traces is a
     # derived trace (see repro.experiments.warm.mix_name), cached and
     # fingerprinted like a workload.
+    return [
+        make_cell("smt", mix_name(mix), label, config)
+        for mix in MULTITHREAD_MIXES_FIG13
+        for label in _LABELS
+    ]
+
+
+@register_experiment("fig13", cells=fig13_cells)
+def run_fig13(config: PaperConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig13",
         title="% reduction in miss rate: per-thread odd-multiplier indexing (SMT)",
         columns=["reduction"],
     )
-    labels = ("modulo", "odd_multiplier")
-    sims, stats = run_cells(
-        [
-            make_cell("smt", mix_name(mix), label, config)
-            for mix in MULTITHREAD_MIXES_FIG13
-            for label in labels
-        ],
-        config,
-    )
+    sims, stats = run_cells(fig13_cells(config), config)
     for mix in MULTITHREAD_MIXES_FIG13:
-        base, multi = (sims[(mix_name(mix), label)] for label in labels)
+        base, multi = (sims[(mix_name(mix), label)] for label in _LABELS)
         result.add_row(
             mix_label(mix), {"reduction": percent_reduction(multi.misses, base.misses)}
         )
@@ -53,11 +58,3 @@ def run_fig13(config: PaperConfig) -> ExperimentResult:
     result.note("baseline = both threads conventional modulo indexing, shared L1D")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import mix_name, provides_traces, trace_spec  # noqa: E402
-
-
-@provides_traces("fig13")
-def fig13_traces(config: PaperConfig):
-    return [trace_spec(mix_name(mix), config) for mix in MULTITHREAD_MIXES_FIG13]

@@ -13,15 +13,28 @@ from __future__ import annotations
 from ..core.amat import amat_adaptive, amat_direct_mapped
 from ..core.uniformity import percent_reduction
 from .config import MULTITHREAD_MIXES_FIG14, PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .fig13_smt_indexing import mix_label
 from .report import ExperimentResult
 from .runner import register_experiment
+from .warm import mix_name
 
 __all__ = ["run_fig14"]
 
 
-@register_experiment("fig14")
+#: Cell labels of each mix: the static and the adaptive partitioning.
+_LABELS = ("static", "adaptive")
+
+
+def fig14_cells(config: PaperConfig) -> list[SimCell]:
+    return [
+        make_cell("partitioned", mix_name(mix), label, config)
+        for mix in MULTITHREAD_MIXES_FIG14
+        for label in _LABELS
+    ]
+
+
+@register_experiment("fig14", cells=fig14_cells)
 def run_fig14(config: PaperConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig14",
@@ -29,17 +42,9 @@ def run_fig14(config: PaperConfig) -> ExperimentResult:
         columns=["improvement"],
     )
     timing = config.timing
-    labels = ("static", "adaptive")
-    sims, stats = run_cells(
-        [
-            make_cell("partitioned", mix_name(mix), label, config)
-            for mix in MULTITHREAD_MIXES_FIG14
-            for label in labels
-        ],
-        config,
-    )
+    sims, stats = run_cells(fig14_cells(config), config)
     for mix in MULTITHREAD_MIXES_FIG14:
-        static, adaptive = (sims[(mix_name(mix), label)] for label in labels)
+        static, adaptive = (sims[(mix_name(mix), label)] for label in _LABELS)
         s_amat = amat_direct_mapped(static.miss_rate, timing)
         a_amat = amat_adaptive(
             adaptive.fraction("direct_hits", "accesses"), adaptive.miss_rate, timing
@@ -52,11 +57,3 @@ def run_fig14(config: PaperConfig) -> ExperimentResult:
     result.note("AMAT: static = 1 + mr*penalty; adaptive = Eq. (8)")
     result.engine_stats = stats.as_dict()
     return result
-
-
-from .warm import mix_name, provides_traces, trace_spec  # noqa: E402
-
-
-@provides_traces("fig14")
-def fig14_traces(config: PaperConfig):
-    return [trace_spec(mix_name(mix), config) for mix in MULTITHREAD_MIXES_FIG14]

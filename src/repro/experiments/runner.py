@@ -1,9 +1,13 @@
 """Experiment registry and shared plumbing.
 
 Each figure module registers a runner ``(PaperConfig) -> ExperimentResult``
-under its id ("fig1" ... "fig14").  This module adds the pieces they share:
-cached workload traces and the engine run behind every "% miss reduction
-vs direct-mapped" table.
+under its id ("fig1" ... "fig14"), together with the declaration of the cell
+grid it runs, ``(PaperConfig) -> list[SimCell]``.  The declaration is the one
+statement of what an experiment needs: the runner hands it to ``run_cells``,
+and :func:`~repro.experiments.warm.specs_for` derives the trace-prefetch
+plan from it.  This module adds the pieces the runners share: cached
+workload traces and the engine run behind every "% miss reduction vs
+direct-mapped" table.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from ..core.uniformity import percent_reduction
 from ..trace.event import Trace
 from ..trace.io import TraceCache
 from .config import PaperConfig
-from .engine import make_cell, run_cells
+from .engine import SimCell, make_cell, run_cells
 from .report import ExperimentResult
 from .warm import TraceSpec, load_spec, profile_spec, workload_spec
 
@@ -25,22 +29,32 @@ __all__ = [
     "run_experiment",
     "available_experiments",
     "EXPERIMENT_REGISTRY",
+    "EXPERIMENT_CELLS",
     "workload_trace",
     "workload_trace_path",
     "profile_trace_path",
     "add_reduction_rows",
+    "reduction_cells",
 ]
 
 EXPERIMENT_REGISTRY: dict[str, Callable[[PaperConfig], ExperimentResult]] = {}
 
+#: Each experiment's cell declaration, by id: the grid its runner executes.
+EXPERIMENT_CELLS: dict[str, Callable[[PaperConfig], list[SimCell]]] = {}
 
-def register_experiment(experiment_id: str):
-    """Decorator: register ``runner`` under ``experiment_id``."""
+
+def register_experiment(
+    experiment_id: str, *, cells: Callable[[PaperConfig], list[SimCell]]
+):
+    """Decorator: register ``runner`` under ``experiment_id``, with the
+    declaration of the cells it runs (a figure drawn from another figure's
+    grid declares that grid)."""
 
     def decorator(fn: Callable[[PaperConfig], ExperimentResult]):
         if experiment_id in EXPERIMENT_REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
         EXPERIMENT_REGISTRY[experiment_id] = fn
+        EXPERIMENT_CELLS[experiment_id] = cells
         return fn
 
     return decorator
@@ -125,6 +139,22 @@ def profile_trace_path(name: str, config: PaperConfig) -> Path:
     return _cached_path(profile_spec(name, config), config)
 
 
+def reduction_cells(
+    benches: list[str], columns: dict[str, tuple[str, str]], config: PaperConfig
+) -> list[SimCell]:
+    """The grid of a "% miss reduction vs direct-mapped" table: each bench's
+    ``baseline`` cell, then one cell per column.
+
+    ``columns`` maps each column name to the ``(kind, label)`` of the engine
+    cell that produces it.
+    """
+    cells = []
+    for bench in benches:
+        cells.append(make_cell("baseline", bench, "baseline", config))
+        cells.extend(make_cell(kind, bench, label, config) for kind, label in columns.values())
+    return cells
+
+
 def add_reduction_rows(
     result: ExperimentResult,
     benches: list[str],
@@ -133,17 +163,11 @@ def add_reduction_rows(
 ) -> None:
     """Fill ``result`` with % miss reduction vs the direct-mapped baseline.
 
-    ``columns`` maps each column name to the ``(kind, label)`` of the engine
-    cell that produces it.  Every (bench, column) pair and each bench's
-    ``baseline`` cell run in one engine call, so they share the result
-    store, the fast paths and ``--jobs``.  Appends the Average row and sets
-    ``result.engine_stats``.
+    The :func:`reduction_cells` grid runs in one engine call, so its cells
+    share the result store, the fast paths and ``--jobs``.  Appends the
+    Average row and sets ``result.engine_stats``.
     """
-    cells = []
-    for bench in benches:
-        cells.append(make_cell("baseline", bench, "baseline", config))
-        cells.extend(make_cell(kind, bench, label, config) for kind, label in columns.values())
-    sims, stats = run_cells(cells, config)
+    sims, stats = run_cells(reduction_cells(benches, columns, config), config)
     for bench in benches:
         base = sims[(bench, "baseline")]
         result.add_row(

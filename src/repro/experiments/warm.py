@@ -18,12 +18,18 @@ at a time in the parent process.  This module makes the needed-trace set
   (``"fft"``, ``"phase:crc+fft"``, ``"smt:fft+susan"``, ``"itrace:1"``,
   ``"itrace:1:placed"``) to its spec, so derived traces are cached,
   fingerprinted and opened by path like any workload;
-* per-experiment **providers** (registered next to each figure runner via
-  :func:`provides_traces`) that enumerate the specs an experiment needs, so
-  ``specs_for(["fig4", "fig13"], config)`` is the complete prefetch plan;
+* :func:`cell_specs` — the one mapping from a cell grid to the traces it
+  reads: each workload's spec, plus the profiling run of every cell that
+  fits on one.  ``run_cells`` warms exactly these, and
+  ``specs_for(["fig4", "fig13"], config)`` applies it to the experiments'
+  registered cell declarations, so the prefetch plan is the set of traces
+  the figures load;
 * :func:`warm_traces` — generate every missing entry on the engine's
   process-wide worker pool (:func:`~repro.experiments.engine.pool.engine_pool`,
-  shared with ``run_cells``; ``jobs=1`` is the in-process fallback) and
+  shared with ``run_cells``; ``jobs=1`` is the in-process fallback, and an
+  executor injected through
+  :func:`~repro.experiments.engine.parallel.engine_pool_scope` takes its
+  place) and
   optionally return content fingerprints, computed in the workers so the
   parent never loads a trace it does not otherwise need.  Entries already
   on disk are validated in-process (a header read each), so a warm call
@@ -47,7 +53,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,20 +60,17 @@ from typing import Callable, Iterable, Sequence
 
 from ..trace.event import Trace
 from ..trace.io import TraceCache
-from .config import (
-    MULTITHREAD_MIXES_FIG13,
-    MULTITHREAD_MIXES_FIG14,
-    PaperConfig,
-)
+from .config import PaperConfig
+from .engine.cells import SimCell
+from .engine.parallel import effective_jobs, injected_executor
 from .engine.pool import engine_pool
 
 __all__ = [
     "TraceSpec",
     "TraceWarmError",
     "WarmEntry",
-    "provides_traces",
-    "trace_spec_providers",
     "trace_spec",
+    "cell_specs",
     "workload_spec",
     "profile_spec",
     "mix_specs",
@@ -367,44 +369,44 @@ def load_spec(spec: TraceSpec, config: PaperConfig) -> Trace:
     return cache.get_or_create(spec.cache_key(), lambda: spec.generate(cache))
 
 
-# -- per-experiment providers ----------------------------------------------------------
-
-_PROVIDERS: dict[str, Callable[[PaperConfig], Sequence[TraceSpec]]] = {}
+# -- the plan ---------------------------------------------------------------------------
 
 
-def provides_traces(experiment_id: str):
-    """Register the trace-spec provider of one experiment (next to its
-    runner, so the prefetch plan can never drift from what the figure
-    actually loads)."""
-
-    def decorator(fn: Callable[[PaperConfig], Sequence[TraceSpec]]):
-        if experiment_id in _PROVIDERS:
-            raise ValueError(f"duplicate trace-spec provider for {experiment_id!r}")
-        _PROVIDERS[experiment_id] = fn
-        return fn
-
-    return decorator
-
-
-def trace_spec_providers() -> dict[str, Callable[[PaperConfig], Sequence[TraceSpec]]]:
-    return dict(_PROVIDERS)
+def cell_specs(
+    cells: Iterable[SimCell], config: PaperConfig
+) -> tuple[dict[str, TraceSpec], dict[str, TraceSpec]]:
+    """The traces a cell grid reads, by workload: each workload's
+    :func:`trace_spec`, and the :func:`profile_spec` of every workload a
+    ``needs_profile`` cell fits on."""
+    traces: dict[str, TraceSpec] = {}
+    profiles: dict[str, TraceSpec] = {}
+    for cell in cells:
+        if cell.workload not in traces:
+            traces[cell.workload] = trace_spec(cell.workload, config)
+        if cell.needs_profile and cell.workload not in profiles:
+            profiles[cell.workload] = profile_spec(cell.workload, config)
+    return traces, profiles
 
 
 def specs_for(experiment_ids: Iterable[str], config: PaperConfig) -> list[TraceSpec]:
-    """The deduplicated prefetch plan for a set of experiments, derived
+    """The deduplicated prefetch plan for a set of experiments: the
+    :func:`cell_specs` of their registered cell declarations, derived
     specs' sources included.
 
-    Experiments without a registered provider (purely synthetic ones) are
-    skipped; order is deterministic (sorted by spec fields).
+    Unknown ids contribute nothing; order is deterministic (sorted by spec
+    fields).
     """
+    from .runner import EXPERIMENT_CELLS
+
     seen: dict[TraceSpec, None] = {}
     for eid in experiment_ids:
-        provider = _PROVIDERS.get(eid)
-        if provider is None:
+        declare = EXPERIMENT_CELLS.get(eid)
+        if declare is None:
             continue
-        for spec in provider(config):
-            for s in (*spec.sources, spec):
-                seen.setdefault(s, None)
+        for specs in cell_specs(declare(config), config):
+            for spec in specs.values():
+                for s in (*spec.sources, spec):
+                    seen.setdefault(s, None)
     return sorted(seen, key=TraceSpec.sort_key)
 
 
@@ -470,8 +472,9 @@ def warm_traces(
     workers also hash the trace content, which is what the experiment
     engine keys its result cache on — the parent then never has to load
     the npz files itself.  Only missing entries are generated on the
-    engine's pool; the sources of derived specs are warmed first, in the
-    same pass as the plain specs.
+    engine's pool (or on the executor ``engine_pool_scope`` injected);
+    the sources of derived specs are warmed first, in the same pass as
+    the plain specs.
 
     Raises :class:`TraceWarmError` naming the first failing spec.
     """
@@ -481,8 +484,7 @@ def warm_traces(
         cache_dir = config.trace_cache_dir
     cache = TraceCache(cache_dir)
     unique = list(dict.fromkeys(specs))
-    if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
+    jobs = effective_jobs(jobs)
 
     def missing(stage):
         return [s for s in stage if not cache.path_for(s.cache_key()).exists()]
@@ -500,7 +502,11 @@ def warm_traces(
     for stage in (plain, derived):
         todo = set(missing(stage)) if jobs > 1 else set()
         stages.append((stage, todo if len(todo) > 1 else set()))
-    pool = engine_pool(jobs) if any(pooled for _, pooled in stages) else None
+    pool = None
+    if any(pooled for _, pooled in stages):
+        pool = injected_executor()
+        if pool is None:
+            pool = engine_pool(jobs)
     entries: dict[TraceSpec, WarmEntry] = {}
     for stage, pooled in stages:
         entries.update(_warm_stage(stage, pooled, pool, str(cache.root), fingerprints))

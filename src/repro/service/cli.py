@@ -138,12 +138,6 @@ def add_service_commands(sub: argparse._SubParsersAction) -> None:
         default=2.0,
         help="per-probe timeout before a worker is ejected",
     )
-    route.add_argument(
-        "--vnodes",
-        type=int,
-        default=None,
-        help="virtual nodes per worker on the hash ring (default 128)",
-    )
     route.add_argument("--refs", type=int, default=None, help="default trace length")
     route.add_argument("--seed", type=int, default=None)
     route.add_argument("--scale", type=float, default=None)
@@ -270,7 +264,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from ..cluster.ring import DEFAULT_VNODES
     from ..cluster.router import ClusterRouter, parse_worker
 
     workers = [w.strip() for w in args.workers.split(",") if w.strip()]
@@ -293,7 +286,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         default_deadline=args.deadline,
         probe_interval=args.probe_interval,
         probe_timeout=args.probe_timeout,
-        vnodes=args.vnodes if args.vnodes is not None else DEFAULT_VNODES,
     )
 
     async def main() -> None:

@@ -10,8 +10,8 @@ per-module memo.  The arena
   :func:`~repro.trace.io.load_npz` — :func:`~repro.trace.io.load_trace`
   sniffs the format);
 * accounts bytes (``sum(arr.nbytes)`` of the three field arrays) and
-  evicts least-recently-used entries once a configurable budget
-  (``PaperConfig.trace_arena_bytes``) is exceeded, so a long-lived
+  evicts least-recently-used entries once its byte budget
+  (:data:`DEFAULT_ARENA_BYTES`, 1 GiB) is exceeded, so a long-lived
   ``repro serve`` / cluster process touching an unbounded stream of
   distinct traces holds a bounded working set — the unbounded
   ``_TRACE_MEMO`` dict this replaces grew forever;

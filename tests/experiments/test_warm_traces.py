@@ -14,23 +14,27 @@ Four contracts matter:
 3. **Failure is attributed** — a failing generator surfaces as
    :class:`TraceWarmError` naming the failing spec, and the cache gains no
    entry for it.
-4. **Coverage** — every experiment that loads workload traces has a
-   registered provider, and its plan includes the profile traces the
-   trainable schemes fit on.
+4. **Coverage** — an experiment's prefetch plan, derived from its
+   registered cell declaration, is exactly the set of traces a cold run of
+   it leaves in the cache: the profile traces the trainable schemes fit
+   on and the sources of derived traces included.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.experiments import available_experiments, warm
+from repro.experiments import available_experiments, run_experiment, warm
+from repro.experiments import fig04_indexing_missrate as fig04
+from repro.experiments import fig06_progassoc_missrate as fig06
 from repro.experiments.config import (
     MULTITHREAD_MIXES_FIG13,
     PaperConfig,
 )
+from repro.experiments.engine import engine_pool_scope
 from repro.experiments.engine.cache import trace_fingerprint
 from repro.experiments.runner import profile_trace_path, workload_trace_path
 from repro.experiments.warm import (
@@ -39,7 +43,6 @@ from repro.experiments.warm import (
     mix_specs,
     profile_spec,
     specs_for,
-    trace_spec_providers,
     warm_traces,
     workload_spec,
 )
@@ -221,6 +224,25 @@ def test_only_missing_specs_go_to_the_pool(tmp_path, monkeypatch):
     assert [s for s, e in entries.items() if e.generated] == specs[2:]
 
 
+def test_injected_executor_takes_every_warm_task(tmp_path, monkeypatch):
+    # A host that injects its own pool (the job server) must not see a
+    # trace warm-up build a second, process-wide one.
+    cfg = _cfg(tmp_path)
+    specs = _some_specs(cfg)
+    submitted = []
+
+    class _RecordingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(warm, "engine_pool", _no_pool)
+    with _RecordingExecutor(max_workers=2) as executor, engine_pool_scope(executor):
+        entries = warm_traces(specs, cfg, jobs=2)
+    assert submitted == specs
+    assert all(e.generated for e in entries.values())
+
+
 @pytest.mark.parametrize("warm_first", [False, True], ids=["cold", "warm"])
 def test_single_cell_plan_reads_one_trace_header(tmp_path, monkeypatch, warm_first):
     import repro.trace.io as trace_io
@@ -260,20 +282,25 @@ def test_warm_requires_config_or_cache_dir():
         warm_traces([])
 
 
-# -- provider coverage -----------------------------------------------------------------
-
-# Experiments whose inputs are synthetic (no workload traces at all).
-_SYNTHETIC = {"ext-icache"}
+# -- plan coverage ---------------------------------------------------------------------
 
 
-def test_every_trace_loading_experiment_has_a_provider():
-    providers = trace_spec_providers()
-    missing = [
-        eid
-        for eid in available_experiments()
-        if eid not in providers and eid not in _SYNTHETIC
-    ]
-    assert not missing, f"experiments without a trace-spec provider: {missing}"
+@pytest.mark.parametrize("eid", available_experiments())
+def test_plan_is_what_a_cold_run_warms(eid, tmp_path):
+    # Every entry a cold run leaves in the trace cache is planned, and
+    # every planned entry is one the run reads.  The figure memos are
+    # cleared so that fig7 and fig9-fig12 run their source grid.
+    cfg = _cfg(tmp_path, use_result_cache=False)
+    fig04._CACHE.clear()
+    fig06._CACHE.clear()
+    try:
+        run_experiment(eid, cfg)
+    finally:
+        fig04._CACHE.clear()
+        fig06._CACHE.clear()
+    cache = TraceCache(cfg.trace_cache_dir)
+    planned = {cache.path_for(s.cache_key()) for s in specs_for([eid], cfg)}
+    assert set(cache.root.iterdir()) == planned
 
 
 def test_specs_for_covers_profile_traces(tmp_path):
@@ -294,5 +321,5 @@ def test_specs_for_is_deduplicated_and_sorted(tmp_path):
     assert any(s.thread is not None for s in specs)
 
 
-def test_specs_for_skips_unproviderd_ids(tmp_path):
+def test_specs_for_skips_unknown_ids(tmp_path):
     assert specs_for(["no-such-experiment"], _cfg(tmp_path)) == []

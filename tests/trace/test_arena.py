@@ -177,21 +177,17 @@ class TestSingleton:
 
 class TestEngineIntegration:
     def test_engine_trace_at_goes_through_arena(self, tmp_path):
-        """``cells._trace_at`` must hit the shared arena and adopt the
-        config's byte budget."""
-        from repro.experiments.config import PaperConfig
+        """``cells._trace_at`` must hit the shared arena."""
         from repro.experiments.engine.cells import _trace_at
 
         reset_arena()
         try:
             path = _make(tmp_path, "w")
-            config = PaperConfig(trace_arena_bytes=123456789)
-            a = _trace_at(path, "fft", config)
-            b = _trace_at(path, "fft", config)
+            a = _trace_at(path, "fft")
+            b = _trace_at(path, "fft")
             assert a.addresses is b.addresses
             assert a.name == "fft"
             stats = get_arena().stats()
-            assert stats.max_bytes == 123456789
             assert (stats.hits, stats.misses) == (1, 1)
         finally:
             reset_arena()
